@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-extra lint build test race bench-smoke bench serve sweep-smoke client-smoke loadtest-smoke loadtest jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke objsweep
+.PHONY: ci fmt vet vet-extra lint build test benchsuite-test race bench-smoke bench serve sweep-smoke client-smoke loadtest-smoke loadtest jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke objsweep
 
-ci: fmt vet vet-extra build lint test race sweep-smoke client-smoke loadtest-smoke jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke bench-smoke
+ci: fmt vet vet-extra build lint test benchsuite-test race sweep-smoke client-smoke loadtest-smoke jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke bench-smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -40,16 +40,23 @@ build:
 test:
 	$(GO) test ./...
 
+# benchsuite is a nested module, so the root `go test ./...` never builds
+# it; its traced replay calls the engine, expansion and cache APIs
+# directly, so it is vetted and tested on its own.
+benchsuite-test:
+	cd benchsuite && $(GO) vet ./... && $(GO) test ./...
+
 # The parallel experiment runners, the sharded+deduped result cache, the
 # async job lifecycle (including DELETE-races-the-worker-pool
-# cancellation), the durable store, the job journal with its graceful
-# drain and crash recovery, the lock-free metrics, and the Go SDK must
-# stay race-clean and deterministic.
+# cancellation), the pack-backed restart path, the job journal with its
+# graceful drain and crash recovery, the golden sweeps at 1 and 8
+# workers, the lock-free metrics, and the Go SDK must stay race-clean and
+# deterministic.
 race:
 	$(GO) test -race ./internal/figures -run TestRunParallelMatchesSequential
 	$(GO) test -race ./internal/metrics
 	$(GO) test -race ./internal/sim
-	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestStore|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed'
+	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestEngineDedupesWithinSweep|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestServerRestartDurability|TestStoreCorruptEntryReSimulates|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed|TestGolden'
 	$(GO) test -race ./internal/exp/fsio
 	$(GO) test -race ./internal/exp/pack
 	$(GO) test -race ./internal/cluster
@@ -61,12 +68,12 @@ bench-smoke:
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
 # must be provably state-free, sequentially and under 8-way contention),
-# lazy-vs-eager expansion equivalence, the overflow-safe grid guard, a
+# the expansion and sweep goldens, the overflow-safe grid guard, a
 # trimmed streaming memory-bound run, and the >= 2x pooled cold-run
 # speedup pin. The full 10^5-run memory bound runs in `make test`
 # (it is testing.Short-gated, not smoke-gated).
 coldpath-smoke:
-	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestExpansionMatchesExpand|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed|TestStreamingMatchesExecute'
+	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestGolden|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed'
 	$(GO) test -race ./internal/exp -count=1 -run TestPooledSweepParallelDeterminism
 	$(GO) test -run xxx -bench 'BenchmarkColdRun/pooled|BenchmarkSweepExpand/lazy' -benchtime 3x -benchmem .
 
@@ -89,35 +96,32 @@ loadtest:
 	$(GO) run ./cmd/impact-bench -inprocess -workers 8 -duration 30s -run-frac 0.5 -cold 0.05
 
 # Object-count sweep smoke: preload a few thousand synthetic results
-# into each store backend and time random Gets, -smoke asserting zero
+# into the pack store and time random Gets, -smoke asserting zero
 # misses. The full 10^3..10^6 sweep recorded in docs/benchmark.md is
 # `make objsweep`.
 objsweep-smoke:
-	@tmp=$$(mktemp -d); status=1; \
-	if $(GO) run ./cmd/impact-bench -objects 2000 -gets 4000 -data-dir $$tmp/pack -store pack -smoke \
-	&& $(GO) run ./cmd/impact-bench -objects 500 -gets 1000 -data-dir $$tmp/files -store files -smoke; then \
-		status=0; \
-	fi; \
-	rm -rf $$tmp; exit $$status
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/impact-bench -objects 2000 -gets 4000 -data-dir $$tmp/pack -smoke; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
-# The full object-count sweep behind the docs/benchmark.md table: pack
-# to 10^6 objects, the per-file backend capped at 10^5 (its fsync-per-
-# entry preload makes 10^6 impractical — that asymmetry is the point).
+# The full object-count sweep behind the docs/benchmark.md table: the
+# pack store from 10^3 to 10^6 objects.
 objsweep:
 	@tmp=$$(mktemp -d); \
 	for n in 1000 10000 100000 1000000; do \
-		$(GO) run ./cmd/impact-bench -objects $$n -gets 200000 -data-dir $$tmp/pack-$$n -store pack -json; \
-	done; \
-	for n in 1000 10000 100000; do \
-		$(GO) run ./cmd/impact-bench -objects $$n -gets 200000 -data-dir $$tmp/files-$$n -store files -json; \
+		$(GO) run ./cmd/impact-bench -objects $$n -gets 200000 -data-dir $$tmp/pack-$$n -json; \
 	done; \
 	rm -rf $$tmp
 
-# Short fuzz pass over the pack store's two untrusted-byte decoders
-# (needle frames, index file) on top of the checked-in seed corpus.
+# Short fuzz pass over every untrusted-byte decoder — the pack store's
+# needle frames and index file, the journal's record framing, and the
+# spec documents POST /v1/run and POST /v1/jobs accept — on top of the
+# checked-in seed corpora.
 fuzz-smoke:
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeNeedle -fuzztime 5s
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeIndex -fuzztime 5s
+	$(GO) test ./internal/exp/fsio -run xxx -fuzz FuzzDecodeRecord -fuzztime 5s
+	$(GO) test ./internal/exp -run xxx -fuzz FuzzParseSpec -fuzztime 5s
 
 # Cluster smoke: three in-process nodes over real listeners, a sweep
 # through one node, a peer partitioned mid-sweep on another — every

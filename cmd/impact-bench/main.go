@@ -12,7 +12,8 @@
 // into the spec's config, forcing a fresh simulation. That makes the two
 // ends of the serving spectrum — pure cache reads vs. full simulator
 // sweeps — measurable in one run. Cold requests therefore require a
-// config-sensitive scenario (the covert-* family).
+// config-sensitive scenario (the covert-* family) whose grid leaves
+// noise.seed alone: a grid value would override the patched seed.
 //
 //	impact-bench -addr http://localhost:8322 -workers 8 -duration 10s
 //	impact-bench -inprocess -requests 64 -run-frac 0.5 -cold 0.1 -json
@@ -25,17 +26,16 @@
 // With -inprocess the tool spins up an exp.Server on a loopback listener
 // and load-tests that, so a one-command smoke run needs no external
 // server (make loadtest-smoke); -data-dir additionally backs the
-// in-process server with a durable result store, which makes warm-restart
+// in-process server with the durable pack store, which makes warm-restart
 // behavior measurable by re-running the same command (make jobs-smoke).
 // -smoke exits nonzero unless the run saw zero errors, nonzero QPS, and a
 // nonzero cache hit rate.
 //
 // With -objects N the tool switches to the store object-count sweep: it
-// opens the -store backend (pack or files) directly at -data-dir,
-// preloads N synthetic content-addressed results, and times -gets random
-// Get probes — the measurement behind docs/benchmark.md's pack-vs-files
-// scaling table (see objsweep.go). In this mode -smoke demands zero
-// Get misses.
+// opens the pack store directly at -data-dir, preloads N synthetic
+// content-addressed results, and times -gets random Get probes — the
+// measurement behind docs/benchmark.md's object-count scaling table (see
+// objsweep.go). In this mode -smoke demands zero Get misses.
 package main
 
 import (
@@ -104,22 +104,21 @@ func newBenchMetrics() *metrics.Groups {
 
 // config is the parsed flag set.
 type config struct {
-	base      string
-	cluster   []string    // cluster mode: one base URL per node, load rotated
-	spec      api.RunSpec // template for warm requests and cold variants
-	figure    string
-	workers   int
-	duration  time.Duration
-	requests  int64
-	runFrac   float64
-	coldFrac  float64
-	jobs      bool
-	jsonOut   bool
-	smoke     bool
-	dataDir   string
-	storeKind string
-	objects   int64 // object-sweep mode when > 0; see objsweep.go
-	gets      int64
+	base     string
+	cluster  []string    // cluster mode: one base URL per node, load rotated
+	spec     api.RunSpec // template for warm requests and cold variants
+	figure   string
+	workers  int
+	duration time.Duration
+	requests int64
+	runFrac  float64
+	coldFrac float64
+	jobs     bool
+	jsonOut  bool
+	smoke    bool
+	dataDir  string
+	objects  int64 // object-sweep mode when > 0; see objsweep.go
+	gets     int64
 }
 
 // run parses flags, drives the load, and prints the summary.
@@ -136,7 +135,6 @@ func run(args []string, stdout io.Writer) error {
 	jobs := fs.Bool("jobs", false, "drive run requests through the async job API (submit, stream, wait)")
 	inprocess := fs.Bool("inprocess", false, "load-test an in-process server on a loopback listener")
 	dataDir := fs.String("data-dir", "", "durable result store directory (with -inprocess or -objects)")
-	storeKind := fs.String("store", "pack", "result store backend for -data-dir: pack or files")
 	objects := fs.Int64("objects", 0, "object-sweep mode: preload N synthetic results into -data-dir and time random Gets")
 	gets := fs.Int64("gets", 10000, "with -objects: number of random Get probes to time")
 	jsonOut := fs.Bool("json", false, "print the summary as JSON")
@@ -186,20 +184,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := config{
-		cluster:   clusterAddrs,
-		figure:    *figure,
-		workers:   *workers,
-		duration:  *duration,
-		requests:  *requests,
-		runFrac:   *runFrac,
-		coldFrac:  *coldFrac,
-		jobs:      *jobs,
-		jsonOut:   *jsonOut,
-		smoke:     *smoke,
-		dataDir:   *dataDir,
-		storeKind: *storeKind,
-		objects:   *objects,
-		gets:      *gets,
+		cluster:  clusterAddrs,
+		figure:   *figure,
+		workers:  *workers,
+		duration: *duration,
+		requests: *requests,
+		runFrac:  *runFrac,
+		coldFrac: *coldFrac,
+		jobs:     *jobs,
+		jsonOut:  *jsonOut,
+		smoke:    *smoke,
+		dataDir:  *dataDir,
+		objects:  *objects,
+		gets:     *gets,
 	}
 
 	// Object-sweep mode bypasses the HTTP path entirely; see objsweep.go.
@@ -224,16 +221,26 @@ func run(args []string, stdout io.Writer) error {
 	if cfg.spec, err = api.ParseRunSpec(specBlob); err != nil {
 		return err
 	}
+	if cfg.coldFrac > 0 {
+		// A cold request patches noise.seed into the config, and grid
+		// values are applied over the config: a grid that sweeps the seed
+		// would silently turn every cold request warm.
+		for _, path := range []string{"noise.seed", "noise"} {
+			if _, ok := cfg.spec.Grid[path]; ok {
+				return fmt.Errorf("-cold patches noise.seed, but the spec's grid sweeps %q and would override it; drop the grid field or -cold", path)
+			}
+		}
+	}
 
 	switch {
 	case *inprocess:
 		var engineOpts []exp.EngineOption
 		if *dataDir != "" {
-			store, closeStore, err := openBackend(cfg.storeKind, cfg.dataDir)
+			store, err := openPack(cfg.dataDir)
 			if err != nil {
 				return err
 			}
-			defer closeStore()
+			defer store.Close()
 			engineOpts = append(engineOpts, exp.WithStore(store))
 		}
 		ts := httptest.NewServer(exp.NewServer(exp.NewEngine(engineOpts...)).Handler())

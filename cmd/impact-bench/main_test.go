@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -234,6 +237,21 @@ func TestBenchFlagValidation(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Fatalf("accepted %v", args)
+		}
+	}
+
+	// -cold patches noise.seed into the config, and a grid over the seed
+	// (or the whole noise section) would override it, turning every cold
+	// request warm: the combination fails before any request is sent.
+	for _, grid := range []string{`{"noise.seed": [1, 2]}`, `{"noise": [{"seed": 1}]}`} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		doc := `{"scenario": "covert-pnm", "grid": ` + grid + `}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-inprocess", "-requests", "1", "-cold", "0.5", "-spec", path}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "-cold patches noise.seed") {
+			t.Fatalf("-cold with grid %s = %v, want the seed-override error", grid, err)
 		}
 	}
 }

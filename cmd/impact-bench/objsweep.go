@@ -13,23 +13,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/exp/pack"
 	"repro/internal/metrics"
 )
 
 // The object-count sweep (-objects) measures the one thing an HTTP load
-// test cannot isolate: how a store backend's latency scales with the
+// test cannot isolate: how the pack store's latency scales with the
 // number of objects it holds. It bypasses the server entirely — opens
-// the backend directly at -data-dir, preloads N synthetic
+// the store directly at -data-dir, preloads N synthetic
 // content-addressed results from a worker pool, then times M random
 // Gets against the populated store. Running it across decades of N
-// (10^3 → 10^6) with -store=pack and -store=files reproduces the
-// pack engine's headline claim: flat lookup latency where the per-file
-// layout degrades with fan-out directory growth and per-entry fsyncs.
+// (10^3 → 10^6) reproduces the pack engine's headline claim: flat
+// lookup latency at any object count.
 //
-//	impact-bench -objects 100000 -gets 20000 -store pack  -data-dir /tmp/sweep-pack
-//	impact-bench -objects 100000 -gets 20000 -store files -data-dir /tmp/sweep-files
+//	impact-bench -objects 100000 -gets 20000 -data-dir /tmp/sweep-pack
 //
 // Payloads are deterministic functions of the object number, so a
 // re-run over the same data dir preloads nothing new (every Put is
@@ -65,31 +62,14 @@ func objKey(payload []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// openBackend opens the requested store backend at dir. The pack store
-// runs without its background maintainer so the measurement sees only
-// the operations under test.
-func openBackend(kind, dir string) (exp.ResultStore, func() error, error) {
-	switch kind {
-	case "pack":
-		st, err := pack.Open(dir, pack.WithAuditInterval(0))
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, st.Close, nil
-	case "files":
-		st, err := exp.NewStore(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, func() error { return nil }, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown store backend %q (want pack or files)", kind)
-	}
+// openPack opens the pack store at dir without its background
+// maintainer, so a measurement sees only the operations under test.
+func openPack(dir string) (*pack.Store, error) {
+	return pack.Open(dir, pack.WithAuditInterval(0))
 }
 
 // objSummary is the object-sweep report.
 type objSummary struct {
-	Store          string  `json:"store"`
 	Objects        int64   `json:"objects"`
 	PreloadSeconds float64 `json:"preload_seconds"`
 	PutsPerSec     float64 `json:"puts_per_sec"`
@@ -104,11 +84,11 @@ type objSummary struct {
 
 // runObjectSweep preloads the store and measures random Gets.
 func runObjectSweep(cfg config, stdout io.Writer) error {
-	st, closeStore, err := openBackend(cfg.storeKind, cfg.dataDir)
+	st, err := openPack(cfg.dataDir)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
+	defer st.Close()
 
 	met := metrics.NewGroups([]string{"get"}, []string{"requests", "misses"},
 		"latency_ns", metrics.LatencyBounds())
@@ -164,7 +144,6 @@ func runObjectSweep(cfg config, stdout io.Writer) error {
 
 	lat := met.Histogram(0)
 	sum := objSummary{
-		Store:          cfg.storeKind,
 		Objects:        cfg.objects,
 		PreloadSeconds: preload.Seconds(),
 		PutsPerSec:     rate(cfg.objects, preload),
@@ -184,8 +163,8 @@ func runObjectSweep(cfg config, stdout io.Writer) error {
 			return err
 		}
 	} else {
-		fmt.Fprintf(stdout, "impact-bench: object sweep, store=%s objects=%d workers=%d at %s\n",
-			sum.Store, sum.Objects, cfg.workers, cfg.dataDir)
+		fmt.Fprintf(stdout, "impact-bench: object sweep, objects=%d workers=%d at %s\n",
+			sum.Objects, cfg.workers, cfg.dataDir)
 		fmt.Fprintf(stdout, "preload: %.2fs (%.0f puts/s)\n", sum.PreloadSeconds, sum.PutsPerSec)
 		fmt.Fprintf(stdout, "get:     %d probes, %d misses, %.0f gets/s, p50 %s  p90 %s  p99 %s\n",
 			sum.Gets, sum.GetMisses, sum.GetsPerSec,

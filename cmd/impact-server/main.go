@@ -6,19 +6,17 @@
 // /v1/jobs/{id}, streamed as NDJSON on GET /v1/jobs/{id}/stream), GET
 // /v1/figures/{id} replays one paper artifact, GET /v1/scenarios lists the
 // registry, GET /v1/metrics reports per-route request counters plus
-// cache/store/job statistics, and GET /healthz reports build info and
+// cache/pack/job statistics, and GET /healthz reports build info and
 // cache hit/miss counters. Because the simulator is deterministic, every report is
 // content-addressed and served from the sharded result cache after its
 // first computation, with identical in-flight requests deduplicated onto
-// one simulation; with -data-dir the cache is additionally backed by a
-// durable disk store, so a restarted server answers previously computed
-// sweeps without re-simulating. -store picks the backend: "pack" (the
-// default) appends results into large bundle files behind a compact
-// needle index — one seek per lookup at any object count, with
-// background compaction and a CRC auditor — while "files" keeps the
-// legacy one-file-per-result layout. Booting the pack backend on a data
-// dir written by -store=files migrates the per-file entries into
-// bundles once; the reverse direction is not supported.
+// one simulation; with -data-dir the cache is additionally backed by the
+// durable pack store, so a restarted server answers previously computed
+// sweeps without re-simulating. The pack store appends results into large
+// bundle files behind a compact needle index — one seek per lookup at any
+// object count, with background compaction and a CRC auditor. Booting on
+// a data dir written by the retired one-file-per-result layout migrates
+// those entries into bundles once.
 //
 // With -data-dir the async job registry is durable too: accepted jobs
 // journal their spec and lifecycle under <data-dir>/jobs, SIGINT/SIGTERM
@@ -89,8 +87,6 @@ func run(args []string, ready chan<- string) error {
 	addr := fs.String("addr", "localhost:8322", "listen address")
 	workers := fs.Int("workers", 0, "per-request simulation pool size (0 = all cores)")
 	dataDir := fs.String("data-dir", "", "durable result store + job journal directory (empty = in-memory only)")
-	storeKind := fs.String("store", "pack",
-		"result store backend: pack (append-only bundles, flat lookup cost) or files (one file per result)")
 	maxJobs := fs.Int("max-jobs", 0, "async job registry bound; finished jobs retire FIFO (0 = default 256)")
 	drain := fs.Duration("drain-timeout", 30*time.Second,
 		"graceful-shutdown budget: in-flight jobs finish and journal before exit")
@@ -117,54 +113,33 @@ func run(args []string, ready chan<- string) error {
 
 	var engineOpts []exp.EngineOption
 	serverOpts := []exp.ServerOption{exp.WithWorkers(*workers), exp.WithMaxJobs(*maxJobs)}
-	var packStore *pack.Store
+	// The health document names the node's backend: "pack" with a data
+	// dir, "memory" without one.
+	storeLabel := "memory"
 	var localStore exp.ResultStore
 	if *dataDir != "" {
-		// Both backends share the data dir: the pack engine keeps its
-		// bundles under <data-dir>/pack (migrating any per-file fan-out it
-		// finds beside it — a one-way upgrade), the per-file store fans out
-		// over two-hex-digit dirs, and the job journal lives under "jobs";
-		// the names cannot collide.
-		switch *storeKind {
-		case "pack":
-			store, err := pack.Open(*dataDir)
-			if err != nil {
-				return err
-			}
-			packStore = store
-			localStore = store
-			fmt.Fprintf(os.Stderr, "impact-server: pack result store at %s\n", store.Dir())
-			if n := store.PackStats().Migrated; n > 0 {
-				fmt.Fprintf(os.Stderr, "impact-server: migrated %d per-file result(s) into bundles\n", n)
-			}
-		case "files":
-			store, err := exp.NewStore(*dataDir)
-			if err != nil {
-				return err
-			}
-			localStore = store
-			fmt.Fprintf(os.Stderr, "impact-server: per-file result store at %s\n", store.Dir())
-		default:
-			return fmt.Errorf("unknown store backend %q (want pack or files)", *storeKind)
+		// The pack engine keeps its bundles under <data-dir>/pack (migrating
+		// any legacy per-file fan-out it finds beside it — a one-way
+		// upgrade) and the job journal lives under "jobs"; the names cannot
+		// collide.
+		store, err := pack.Open(*dataDir)
+		if err != nil {
+			return err
+		}
+		// Registered before the drain defers run, so it executes after them:
+		// in-flight jobs finish writing through first, then the store
+		// persists its index and seals the bundles.
+		defer store.Close()
+		localStore, storeLabel = store, "pack"
+		fmt.Fprintf(os.Stderr, "impact-server: pack result store at %s\n", store.Dir())
+		if n := store.PackStats().Migrated; n > 0 {
+			fmt.Fprintf(os.Stderr, "impact-server: migrated %d per-file result(s) into bundles\n", n)
 		}
 		journal, err := exp.NewJournal(filepath.Join(*dataDir, "jobs"))
 		if err != nil {
 			return err
 		}
 		serverOpts = append(serverOpts, exp.WithJournal(journal))
-	}
-	if packStore != nil {
-		// Registered before the drain defers run, so it executes after them:
-		// in-flight jobs finish writing through first, then the store
-		// persists its index and seals the bundles.
-		defer packStore.Close()
-	}
-
-	// The health document names the node's backend; a diskless node is
-	// "memory" regardless of -store.
-	storeLabel := "memory"
-	if *dataDir != "" {
-		storeLabel = *storeKind
 	}
 	if *peers != "" {
 		nodes, err := parsePeers(*peers)
@@ -179,7 +154,7 @@ func run(args []string, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		// Registered after packStore.Close's defer, so it runs first:
+		// Registered after the pack store's Close defer, so it runs first:
 		// replication workers stop before the pack files they write through
 		// seal.
 		defer clusterStore.Close()

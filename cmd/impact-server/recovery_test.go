@@ -162,13 +162,13 @@ func TestGracefulSigtermDrainsAndResumes(t *testing.T) {
 	}
 }
 
-// TestRecoverySmoke is the kill-9 end-to-end, run once per store
-// backend: build the real binary, kill it -9 mid-job (no drain, no
-// journal flush beyond what already landed), restart it on the same data
-// dir, and require the job to complete with a sweep byte-identical to
-// the synchronous answer. For the pack backend the kill lands between
-// index writes, so the restart exercises the bundle tail scan on the
-// real binary. Wired into CI as `make recovery-smoke`.
+// TestRecoverySmoke is the kill-9 end-to-end over the pack store: build
+// the real binary, kill it -9 mid-job (no drain, no journal flush beyond
+// what already landed), restart it on the same data dir, and require the
+// job to complete with a sweep byte-identical to the synchronous answer.
+// The kill lands between index writes, so the restart exercises the
+// bundle tail scan on the real binary. Wired into CI as
+// `make recovery-smoke`.
 func TestRecoverySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke test in -short mode")
@@ -178,18 +178,16 @@ func TestRecoverySmoke(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building server: %v\n%s", err, out)
 	}
-	for _, backend := range []string{"pack", "files"} {
-		t.Run(backend, func(t *testing.T) { recoverySmoke(t, bin, backend) })
-	}
+	t.Run("pack", func(t *testing.T) { recoverySmoke(t, bin) })
 }
 
-func recoverySmoke(t *testing.T, bin, backend string) {
+func recoverySmoke(t *testing.T, bin string) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 
 	// start launches the binary and scrapes the listen address off stderr.
 	start := func() (*exec.Cmd, string) {
 		cmd := exec.Command(bin, "-addr", "localhost:0", "-workers", "2",
-			"-data-dir", dataDir, "-store", backend)
+			"-data-dir", dataDir)
 		stderr, err := cmd.StderrPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -278,18 +276,7 @@ func recoverySmoke(t *testing.T, bin, backend string) {
 	if doc.Jobs.RunsSkippedOnResume < 1 {
 		t.Fatalf("runs_skipped_on_resume = %d, want > 0", doc.Jobs.RunsSkippedOnResume)
 	}
-	// /v1/metrics exposes the section for the configured backend only.
-	switch backend {
-	case "pack":
-		if doc.Pack == nil || doc.Store != nil {
-			t.Fatalf("pack backend metrics: pack=%v store=%v", doc.Pack, doc.Store)
-		}
-		if doc.Pack.IndexEntries < 1 || doc.Pack.Hits < 1 {
-			t.Fatalf("pack section = %+v, want live entries and hits", *doc.Pack)
-		}
-	case "files":
-		if doc.Store == nil || doc.Pack != nil {
-			t.Fatalf("files backend metrics: pack=%v store=%v", doc.Pack, doc.Store)
-		}
+	if doc.Pack == nil || doc.Pack.IndexEntries < 1 || doc.Pack.Hits < 1 {
+		t.Fatalf("pack section = %+v, want live entries and hits", doc.Pack)
 	}
 }

@@ -64,8 +64,8 @@ type Config struct {
 	Self string
 	// Nodes is the full static membership list, this node included.
 	Nodes []Node
-	// Local is the node's own durable tier (per-file store, pack store),
-	// or nil for a memory-only node — replicas it receives then live only
+	// Local is the node's own durable tier (the pack store), or nil for a
+	// memory-only node — replicas it receives then live only
 	// in the result cache's memory tier.
 	Local exp.ResultStore
 	// VNodes is the virtual-node count per member (<= 0 selects

@@ -234,11 +234,7 @@ func fakeReport(t *testing.T, eng *Engine, rawSpec string) Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range runs {
+	for _, r := range expandAll(t, spec) {
 		eng.cache.Put(context.Background(), r.Key, json.RawMessage(`{"id":"fake"}`))
 	}
 	return spec
@@ -373,10 +369,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	// Run 0 is a synthetic cache hit (counted during the lookup phase);
 	// run 1 parks inside the worker until released. Waiting for completed
 	// == 1 therefore pins the exact sweep phase the DELETE races against:

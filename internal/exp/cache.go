@@ -37,12 +37,11 @@ const (
 	shardCap   = maxEntries / cacheShards
 )
 
-// ResultStore is the durable backend a Cache writes through to. Three
-// implementations exist: the per-file Store in this package (one fanned-
-// out file per result), the pack engine in internal/exp/pack
+// ResultStore is the durable backend a Cache writes through to. Two
+// implementations exist: the pack engine in internal/exp/pack
 // (append-only bundles behind a needle index, flat lookup cost at any
-// object count), and the cluster store in internal/cluster (a local
-// backend plus hash-ring-placed remote peers). All share the contract
+// object count) and the cluster store in internal/cluster (a local
+// backend plus hash-ring-placed remote peers). Both share the contract
 // the cache relies on: Get returns previously Put bytes or reports a
 // miss — never a wrong or partial value (corrupt entries are dropped and
 // heal by re-simulation) — and Put is best-effort, first write wins.
@@ -77,7 +76,7 @@ type localTierStore interface {
 // clients POSTing the same spec concurrently — are simulated exactly once.
 //
 // A Cache built with NewCacheWithStore is additionally backed by a durable
-// disk Store: memory misses fall through to disk (promoting hits back into
+// ResultStore: memory misses fall through to disk (promoting hits back into
 // memory), and every computed report is written through, so a restarted
 // server serves previously computed sweeps as cache hits.
 //

@@ -11,6 +11,7 @@ import (
 	"runtime/debug"
 	"sync"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/figures"
 	"repro/internal/sim"
 	"repro/pkg/api"
@@ -27,8 +28,11 @@ type RunResult struct {
 
 // SweepResult is the outcome of one expanded spec, marshaling exactly as
 // api.SweepResult. Runs appear in expansion order. Hits and Misses count
-// this invocation's unique-key cache lookups (excluded from JSON for the
-// same reason as Cached).
+// this invocation's cache lookups per run, so Hits+Misses == len(Runs)
+// (excluded from JSON for the same reason as Cached). Runs whose grid
+// points collapse to one content key are each counted: sequentially the
+// later ones are hits, while concurrent workers may both miss and
+// coalesce onto one simulation, so that split depends on timing.
 type SweepResult struct {
 	SpecKey string      `json:"spec_key"`
 	Runs    []RunResult `json:"runs"`
@@ -55,11 +59,11 @@ type Engine struct {
 // EngineOption configures an Engine at construction.
 type EngineOption func(*Engine)
 
-// WithStore layers the engine's cache over a durable disk store (either
-// backend satisfying ResultStore): lookups fall through memory → disk →
-// simulate, and every computed report is written through, so a new
-// engine over the same data dir serves previously computed sweeps
-// without re-simulating.
+// WithStore layers the engine's cache over a durable ResultStore (the
+// pack store, or a cluster store over it): lookups fall through memory →
+// disk → simulate, and every computed report is written through, so a new
+// engine over the same data dir serves previously computed sweeps without
+// re-simulating.
 func WithStore(st ResultStore) EngineOption {
 	return func(e *Engine) { e.cache = NewCacheWithStore(st) }
 }
@@ -83,168 +87,50 @@ func (e *Engine) PoolStats() sim.PoolStats { return e.pool.Stats() }
 
 // RunSpec expands the spec and produces every report, serving repeated
 // runs from cache. workers == 0 selects runtime.NumCPU(), negative counts
-// are rejected, and the pool is clamped to the number of cache misses.
-// The result is a pure function of the spec: run order is expansion order
-// and every report is deterministic, so neither the worker count nor the
-// cache state can change a single output byte. Canceling ctx stops
-// scheduling new runs (in-flight simulations finish and stay cached) and
-// fails the sweep with the context's error.
+// are rejected, and the pool is clamped to the number of runs. The result
+// is a pure function of the spec: run order is expansion order and every
+// report is deterministic, so neither the worker count nor the cache state
+// can change a single output byte. Canceling ctx stops scheduling new runs
+// (in-flight simulations finish and stay cached) and fails the sweep with
+// the context's error.
 func (e *Engine) RunSpec(ctx context.Context, spec Spec, workers int) (*SweepResult, error) {
-	runs, err := spec.Expand()
+	x, err := spec.Expansion(MaxRuns)
 	if err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, runs, workers, nil)
+	runs := make([]RunResult, x.Total())
+	res, err := e.executeStream(ctx, x, workers, func(i int, rr RunResult) { runs[i] = rr })
+	if err != nil {
+		return nil, err
+	}
+	res.Runs = runs
+	return res, nil
 }
 
-// execute produces every report for pre-expanded runs. When onRun is
-// non-nil it is called once per run index as that run's report becomes
-// available — in no particular order, possibly from several worker
-// goroutines at once — which is how the async job API streams results
-// while a sweep executes. The returned SweepResult is identical whether
-// or not onRun is set.
+// executeStream produces every report of a lazily expanded sweep without
+// ever materializing the run list: a feeder goroutine generates runs in
+// expansion order (hashing the spec key incrementally as it goes), workers
+// probe the cache and simulate misses, and each result is handed to onRun
+// as it completes — in no particular order, possibly from several workers
+// at once — then dropped. Resident memory is therefore bounded by the
+// worker count no matter how many runs the sweep has, unless onRun keeps
+// the results (RunSpec collects them; the job API streams them). The
+// returned SweepResult carries only aggregates (SpecKey, Hits, Misses);
+// Runs is nil.
+//
+// Every run goes through Cache.Compute on a miss, which coalesces
+// identical in-flight runs across concurrent requests onto one simulation
+// and caches every run that completes, so a corrected retry (or an
+// overlapping sweep) never re-simulates the points that already
+// succeeded. When several runs fail — including a later grid point that
+// does not expand — the error reported is the failing run with the lowest
+// index, so it is deterministic under any worker interleaving.
 //
 // Cancellation is cooperative at run granularity: once ctx is done, no
 // further runs are handed to the pool and already-claimed runs are
 // skipped, but a simulation that already started runs to completion and
 // is cached — cancellation never wastes finished work, and it never
 // poisons the singleflight table other requests may be waiting on.
-func (e *Engine) execute(ctx context.Context, runs []Run, workers int, onRun func(int, RunResult)) (*SweepResult, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("exp: negative worker count %d", workers)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSweepCanceled, err)
-	}
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	out := &SweepResult{Runs: make([]RunResult, len(runs))}
-	idxByKey := make(map[string][]int, len(runs))
-	keyOrder := make([]string, 0, len(runs)) // unique keys, first occurrence first
-	runByKey := make(map[string]Run, len(runs))
-	for i, r := range runs {
-		out.Runs[i] = RunResult{
-			RunResult: api.RunResult{
-				Key:      r.Key,
-				Scenario: r.Scenario,
-				Scale:    r.Scale.String(),
-				Params:   r.Params,
-			},
-		}
-		if _, seen := idxByKey[r.Key]; !seen {
-			keyOrder = append(keyOrder, r.Key)
-			runByKey[r.Key] = r
-		}
-		idxByKey[r.Key] = append(idxByKey[r.Key], i)
-	}
-
-	// resolve publishes one unique key's report to every run index that
-	// shares it. Distinct keys own distinct index sets, so concurrent
-	// workers never write the same element.
-	resolve := func(key string, blob json.RawMessage, cached bool) {
-		for _, i := range idxByKey[key] {
-			out.Runs[i].Report = blob
-			out.Runs[i].Cached = cached
-			if onRun != nil {
-				onRun(i, out.Runs[i])
-			}
-		}
-	}
-
-	// Lookup phase: one cache probe per unique key, so overlapping grid
-	// points inside one sweep are simulated at most once.
-	var misses []Run
-	for _, key := range keyOrder {
-		if blob, ok := e.cache.Get(ctx, key); ok {
-			resolve(key, blob, true)
-			out.Hits++
-		} else {
-			misses = append(misses, runByKey[key])
-			out.Misses++
-		}
-	}
-
-	// Execute phase: shard the misses over the pool; results land at
-	// fixed indices, so scheduling order cannot reorder anything. Each run
-	// goes through Cache.Compute, which coalesces identical in-flight runs
-	// across concurrent requests onto one simulation and caches every run
-	// that completes — so a corrected retry (or an overlapping sweep) never
-	// re-simulates the points that already succeeded.
-	if len(misses) > 0 {
-		if workers > len(misses) {
-			workers = len(misses)
-		}
-		errs := make([]error, len(misses))
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					// A run claimed just before cancellation is skipped here
-					// rather than simulated; the cancellation check below
-					// reports the sweep canceled either way.
-					if ctx.Err() != nil {
-						continue
-					}
-					r := misses[i]
-					var blob json.RawMessage
-					blob, errs[i] = e.cache.Compute(ctx, r.Key, func() (json.RawMessage, error) {
-						return e.executeRun(r)
-					})
-					if errs[i] == nil {
-						resolve(r.Key, blob, false)
-					}
-				}
-			}()
-		}
-	feed:
-		for i := range misses {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(work)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSweepCanceled, err)
-		}
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("exp: scenario %s (%s): %w",
-					misses[i].Scenario, FormatParams(misses[i].Params), err)
-			}
-		}
-	}
-
-	specSum := sha256.New()
-	for _, r := range runs {
-		specSum.Write([]byte(r.Key))
-	}
-	out.SpecKey = hex.EncodeToString(specSum.Sum(nil))
-	return out, nil
-}
-
-// executeStream produces every report of a lazily expanded sweep without
-// ever materializing the run list or the result set: a feeder goroutine
-// generates runs in expansion order (hashing the spec key incrementally as
-// it goes), workers probe the cache and simulate misses, and each result
-// is handed to onRun as it completes — then dropped, so resident memory is
-// bounded by the worker count no matter how many runs the sweep has. The
-// returned SweepResult carries only aggregates (SpecKey, Hits, Misses);
-// Runs is nil by design.
-//
-// Two accounting differences from execute are deliberate: Hits/Misses
-// count per run (not per unique key), so a sweep whose grid points
-// collapse to one key reports later occurrences as hits; and when several
-// runs fail, the error reported is the failing run with the lowest index
-// (execute reports the lowest-index miss), keeping the reported error
-// deterministic under any worker interleaving. Cancellation semantics are
-// identical to execute.
 func (e *Engine) executeStream(ctx context.Context, x *Expansion, workers int, onRun func(int, RunResult)) (*SweepResult, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("exp: negative worker count %d", workers)
@@ -323,9 +209,9 @@ func (e *Engine) executeStream(ctx context.Context, x *Expansion, workers int, o
 		}()
 	}
 
-	// The feeder materializes runs one at a time in expansion order; the
-	// spec key is the same hash over the same key sequence execute uses,
-	// accumulated incrementally instead of over a stored slice.
+	// The feeder materializes runs one at a time in expansion order and
+	// accumulates the spec key — the SHA-256 over the ordered run keys —
+	// incrementally instead of over a stored slice.
 	specSum := sha256.New()
 feed:
 	for i := 0; i < total; i++ {
@@ -370,7 +256,7 @@ func (e *Engine) executeRun(r Run) (blob json.RawMessage, err error) {
 			err = fmt.Errorf("run panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	if err := failpoint("engine.run"); err != nil {
+	if err := fsio.Failpoint("engine.run"); err != nil {
 		return nil, err
 	}
 	rep, err := r.scn.run(e.pool, r.Config, r.Scale)

@@ -24,17 +24,30 @@ const gridSpec = `{
 	}
 }`
 
+// expandAll lists spec's runs in expansion order through
+// Expansion(MaxRuns) and RunAt, failing the test on any expansion error.
+func expandAll(t testing.TB, spec Spec) []Run {
+	t.Helper()
+	x, err := spec.Expansion(MaxRuns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]Run, x.Total())
+	for i := range runs {
+		if runs[i], err = x.RunAt(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return runs
+}
+
 func mustExpand(t *testing.T, doc string) []Run {
 	t.Helper()
 	spec, err := ParseSpec([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runs
+	return expandAll(t, spec)
 }
 
 // TestExpandGrid checks the Cartesian expansion: size, order determinism,
@@ -101,7 +114,7 @@ func TestExpandErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spec.Expand(); !errors.Is(err, ErrUnknownScenario) {
+	if _, err := spec.Expansion(MaxRuns); !errors.Is(err, ErrUnknownScenario) {
 		t.Fatalf("want ErrUnknownScenario, got %v", err)
 	}
 
@@ -118,7 +131,7 @@ func TestExpandErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := ParseSpec([]byte(tc.doc))
 			if err == nil {
-				_, err = spec.Expand()
+				_, err = spec.Expansion(MaxRuns)
 			}
 			if err == nil {
 				t.Fatalf("accepted %s", tc.doc)
@@ -135,7 +148,7 @@ func TestExpandErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spec.Expand(); err == nil || !strings.Contains(err.Error(), "more than") {
+	if _, err := spec.Expansion(MaxRuns); err == nil || !strings.Contains(err.Error(), "more than") {
 		t.Fatalf("oversized grid not rejected: %v", err)
 	}
 }
@@ -251,27 +264,40 @@ func TestEngineCacheAndDeterminism(t *testing.T) {
 }
 
 // TestEngineDedupesWithinSweep checks that two grid points resolving to
-// the same concrete run are simulated once.
+// the same concrete run are simulated once and answer identical reports.
+// Accounting is per run, so Hits+Misses is always the run count; at one
+// worker the second point is a hit, while at two workers both points may
+// miss concurrently and coalesce onto one simulation, so only the sum is
+// pinned there.
 func TestEngineDedupesWithinSweep(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{"scenario": "covert-pnm", "grid": {"noise.events_per_mcycle": [3.5, 0.35e1]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine().RunSpec(context.Background(), spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(res.Runs))
-	}
-	if res.Runs[0].Key != res.Runs[1].Key {
-		t.Fatal("equivalent grid points got different keys")
-	}
-	if res.Misses != 1 || res.Hits != 0 {
-		t.Fatalf("hits=%d misses=%d, want 0/1", res.Hits, res.Misses)
-	}
-	if string(res.Runs[0].Report) != string(res.Runs[1].Report) {
-		t.Fatal("deduped runs returned different reports")
+	for _, workers := range []int{1, 2} {
+		eng := NewEngine()
+		res, err := eng.RunSpec(context.Background(), spec, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Runs) != 2 {
+			t.Fatalf("workers=%d: runs = %d, want 2", workers, len(res.Runs))
+		}
+		if res.Runs[0].Key != res.Runs[1].Key {
+			t.Fatal("equivalent grid points got different keys")
+		}
+		if res.Hits+res.Misses != 2 {
+			t.Fatalf("workers=%d: hits=%d misses=%d, want a sum of 2", workers, res.Hits, res.Misses)
+		}
+		if workers == 1 && (res.Hits != 1 || res.Misses != 1) {
+			t.Fatalf("workers=1: hits=%d misses=%d, want 1/1", res.Hits, res.Misses)
+		}
+		if c := eng.Cache().Stats().Computes; c != 1 {
+			t.Fatalf("workers=%d: %d simulations, want 1", workers, c)
+		}
+		if string(res.Runs[0].Report) != string(res.Runs[1].Report) {
+			t.Fatal("deduped runs returned different reports")
+		}
 	}
 }
 

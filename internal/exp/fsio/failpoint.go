@@ -20,7 +20,6 @@ import (
 //	journal.seq        the SEQ allocation watermark record
 //	journal.spec       a job's immutable spec record
 //	journal.status     a job's status/progress record
-//	store.write        a result entry in the per-file content-addressed store
 //	pack.append        a needle appended to a pack bundle
 //	pack.index         the pack engine's persisted needle index
 //	pack.compact.swap  the index swap that retires a compacted bundle

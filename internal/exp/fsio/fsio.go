@@ -1,9 +1,10 @@
 // Package fsio is the shared durability toolkit under every disk
-// artifact the experiment service writes: the per-file result store, the
-// job journal, and the pack engine's bundles and index all publish bytes
-// through the same atomic-write discipline and frame them under the same
-// checksummed-header record format, so one implementation (and one set of
-// crash tests) covers every write path.
+// artifact the experiment service writes: the job journal and the pack
+// engine's bundles and index all publish bytes through the same
+// atomic-write discipline and frame them under the same checksummed-header
+// record format (which the legacy per-file result layout that pack
+// migrates also used), so one implementation (and one set of crash tests)
+// covers every write path.
 package fsio
 
 import (
@@ -112,26 +113,22 @@ func EncodeRecord(magic string, payload []byte) []byte {
 }
 
 // DecodeRecord validates a framed record against its header, returning the
-// payload only when the magic, length, and checksum all agree.
+// payload only when the record is exactly what EncodeRecord writes for it:
+// magic, length and checksum must all agree, spelled canonically, so a
+// padded or re-spelled header is refused like a torn one. The length is
+// checked before the payload is hashed.
 func DecodeRecord(magic string, data []byte) ([]byte, bool) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, false
 	}
-	var gotMagic, sum string
-	var n int
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %d %s", &gotMagic, &n, &sum); err != nil {
-		return nil, false
-	}
-	if gotMagic != magic || n < 0 {
-		return nil, false
-	}
-	payload := data[nl+1:]
-	if len(payload) != n {
+	header, payload := data[:nl], data[nl+1:]
+	prefix := fmt.Sprintf("%s %d ", magic, len(payload))
+	if !bytes.HasPrefix(header, []byte(prefix)) {
 		return nil, false
 	}
 	digest := sha256.Sum256(payload)
-	if hex.EncodeToString(digest[:]) != sum {
+	if string(header[len(prefix):]) != hex.EncodeToString(digest[:]) {
 		return nil, false
 	}
 	return payload, true

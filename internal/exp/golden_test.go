@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -64,66 +63,54 @@ type expansionGolden struct {
 // summarizeExpansion digests spec's expansion into its golden line.
 func summarizeExpansion(t *testing.T, spec Spec) expansionGolden {
 	t.Helper()
-	runs, err := spec.Expand()
+	x, err := spec.Expansion(MaxRuns)
 	if err != nil {
-		t.Fatalf("Expand(%v): %v", spec.Grid, err)
+		t.Fatalf("Expansion(%v): %v", spec.Grid, err)
 	}
 	keys, labels := sha256.New(), sha256.New()
-	for _, r := range runs {
+	for i := 0; i < x.Total(); i++ {
+		r, err := x.RunAt(i)
+		if err != nil {
+			t.Fatalf("RunAt(%d): %v", i, err)
+		}
 		keys.Write([]byte(r.Key))
 		labels.Write([]byte(FormatParams(r.Params) + "\n"))
 	}
+	for _, bad := range []int{-1, x.Total()} {
+		if _, err := x.RunAt(bad); err == nil {
+			t.Fatalf("RunAt(%d) accepted an out-of-range index", bad)
+		}
+	}
 	return expansionGolden{
 		Spec:         api.RunSpec(spec),
-		Total:        len(runs),
+		Total:        x.Total(),
 		SpecKey:      hex.EncodeToString(keys.Sum(nil)),
 		LabelsSHA256: hex.EncodeToString(labels.Sum(nil)),
 	}
-}
-
-// goldenExpansionSpecs are the specs expansion.jsonl pins: the empty
-// grid, an all-single-value grid, and 60 seeded random grids over the
-// valid axis pool.
-func goldenExpansionSpecs() []Spec {
-	specs := []Spec{
-		{Scenario: "covert-pnm"},
-		{Scenario: "covert-pum", Grid: map[string][]json.RawMessage{
-			"llc_bytes":   {json.RawMessage("4194304")},
-			"noise.seed":  {json.RawMessage("7")},
-			"mem.defense": {json.RawMessage(`"crp"`)},
-		}},
-	}
-	rng := rand.New(rand.NewSource(20250808))
-	for trial := 0; trial < 60; trial++ {
-		specs = append(specs, randomGridSpec(rng))
-	}
-	return specs
 }
 
 // TestGolden pins expansion and the served bytes of the example sweep
 // against the committed corpus under testdata/golden.
 func TestGolden(t *testing.T) {
 	t.Run("expansion", func(t *testing.T) {
+		// Each line carries its own spec, so -update recomputes the digests
+		// of the same specs.
+		f, err := os.Open(goldenPath("expansion.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
 		var specs []Spec
-		if *update {
-			specs = goldenExpansionSpecs()
-		} else {
-			f, err := os.Open(goldenPath("expansion.jsonl"))
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			var line expansionGolden
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("expansion.jsonl: %v", err)
 			}
-			defer f.Close()
-			sc := bufio.NewScanner(f)
-			for sc.Scan() {
-				var line expansionGolden
-				if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-					t.Fatalf("expansion.jsonl: %v", err)
-				}
-				specs = append(specs, Spec(line.Spec))
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
+			specs = append(specs, Spec(line.Spec))
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
 		}
 		var got bytes.Buffer
 		for _, spec := range specs {

@@ -173,9 +173,10 @@ func (j *Job) Err() error {
 }
 
 // Cancel requests cancellation. Idempotent, and a no-op once the job is
-// terminal: the context unwinds Engine.execute, which stops scheduling
-// runs, and the job reaches the terminal canceled state when the sweep's
-// in-flight runs drain. Callers observe the transition via Info/WaitRun.
+// terminal: the context unwinds Engine.executeStream, which stops
+// scheduling runs, and the job reaches the terminal canceled state when
+// the sweep's in-flight runs drain. Callers observe the transition via
+// Info/WaitRun.
 func (j *Job) Cancel() {
 	j.mu.Lock()
 	j.userCanceled = true

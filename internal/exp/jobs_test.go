@@ -238,10 +238,7 @@ func TestJobsRegistryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	release := blockRun(eng, runs[0].Key)
 
 	// Job A blocks inside its single run; the registry (max 1) is now full
@@ -301,10 +298,7 @@ func TestJobStreamFlushesIncrementally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	// Run 0 is a synthetic cache hit, run 1 is parked: the job emits its
 	// first result immediately and then stays running until released.
 	fakeA := json.RawMessage(`{"id":"fake-a"}`)
@@ -388,10 +382,7 @@ func TestJobStreamFailedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	// Run 0 is a synthetic cache hit, run 1 fails, run 2 still completes
 	// (the pool drains every queued run even after an earlier error).
 	fakeA := json.RawMessage(`{"id":"fake-a"}`)

@@ -7,17 +7,17 @@ import (
 	"repro/internal/exp/fsio"
 )
 
-// legacyMagic frames the per-file store's entries (internal/exp
-// storeMagic); migration decodes them with the same validation a
-// per-file Get would apply.
+// legacyMagic frames the entries of the retired per-file result store;
+// migration decodes them with the same validation that store's Get
+// applied.
 const legacyMagic = "impactstore1"
 
 // migrate performs the one-way per-file → pack upgrade: any fan-out
-// directory of the "files" backend found directly under the data-dir
-// root (a two-hex-digit name, never "jobs" or "pack") has its entries
-// decoded, appended into bundles, and removed. Corrupt legacy entries
-// are dropped — exactly what the per-file store itself would have done
-// on read. The walk is idempotent and crash-safe without any extra
+// directory of the retired per-file backend found directly under the
+// data-dir root (a two-hex-digit name, never "jobs" or "pack") has its
+// entries decoded, appended into bundles, and removed. Corrupt legacy
+// entries are dropped — exactly what the per-file store itself would have
+// done on read. The walk is idempotent and crash-safe without any extra
 // bookkeeping: a key that already reached a bundle is skipped (and its
 // file removed), a key that didn't is still on disk for the next boot,
 // and the index is persisted by Open after migration returns.

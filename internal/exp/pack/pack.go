@@ -2,9 +2,9 @@
 // lookup latency flat while the object count grows past what a
 // file-per-result layout can carry.
 //
-// The per-file store (internal/exp's Store) spends one inode, one
-// directory entry, and one directory fsync per result; past ~10^5
-// objects the filesystem's metadata paths dominate every operation.
+// The retired per-file store spent one inode, one directory entry, and
+// one directory fsync per result; past ~10^5 objects the filesystem's
+// metadata paths dominate every operation.
 // The pack engine instead appends results into a few large append-only
 // bundle files, each record framed as a checksummed needle (magic, key,
 // length, CRC — see needle.go), and keeps a compact key → (bundle,
@@ -108,8 +108,7 @@ type bundle struct {
 }
 
 // Store is a pack-engine result store rooted at <dir>/pack. It
-// implements the same Get/Put contract as the per-file store (and so
-// exp.ResultStore): content-addressed, first write wins, corrupt
+// implements exp.ResultStore: content-addressed, first write wins, corrupt
 // entries degrade to misses and heal on the next Put. Safe for
 // concurrent use.
 type Store struct {
@@ -133,8 +132,8 @@ type Store struct {
 
 // Open opens (creating if needed) a pack store under root/pack. Any
 // per-file store layout found directly under root (the two-hex-digit
-// fan-out the "files" backend writes) is migrated into bundles and
-// removed — a one-way upgrade, after which the directory serves the
+// fan-out the retired per-file backend wrote) is migrated into bundles
+// and removed — a one-way upgrade, after which the directory serves the
 // same keys with flat lookup cost. See the package comment for the boot
 // sequence.
 func Open(root string, opts ...Option) (*Store, error) {
@@ -429,7 +428,7 @@ func (s *Store) dropCorrupt(key string, e indexEntry, counter metrics.CounterID)
 }
 
 // Put persists report bytes under a key: one append to the active
-// bundle. First write wins. Best-effort like the per-file store: any
+// bundle. First write wins. Best-effort: any
 // failure is counted and degrades to a future miss, never a wrong
 // answer.
 func (s *Store) Put(_ context.Context, key string, blob json.RawMessage) {

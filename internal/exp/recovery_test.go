@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exp/fsio"
 	"repro/internal/exp/pack"
 )
 
@@ -229,191 +230,163 @@ func TestJournalCorruptSeqFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repaired SEQ: %v", err)
 	}
-	if payload, ok := decodeRecord(journalMagic, data); !ok || string(payload) != "7" {
+	if payload, ok := fsio.DecodeRecord(journalMagic, data); !ok || string(payload) != "7" {
 		t.Fatalf("repaired SEQ = %q (ok=%v), want 7", payload, ok)
 	}
 }
 
-// TestCrashAtEveryWriteBoundary is the fault-injection acceptance test,
-// run once per store backend: for each write boundary in the durability
-// path, every write from that boundary onward fails (disk state =
-// exactly the writes before the crash), the in-memory registry is
-// discarded, and a fresh registry recovers over the same directories.
-// Whatever the crash point, recovery never produces a corrupt record,
-// never loses an ID to reuse, and never duplicates a job.
+// TestCrashAtEveryWriteBoundary is the fault-injection acceptance test
+// over the pack store: for each write boundary in the durability path,
+// every write from that boundary onward fails (disk state = exactly the
+// writes before the crash), the in-memory registry is discarded, and a
+// fresh registry recovers over the same directories. Whatever the crash
+// point, recovery never produces a corrupt record, never loses an ID to
+// reuse, and never duplicates a job.
 //
-// The files backend has one store boundary (store.write); the pack
-// backend has two: pack.append (the needle write) and pack.index (the
-// index persist — the pack.index-only case is the interesting one, where
-// appends land durably but the index write dies, so a reboot must
-// rebuild them by scanning the bundle tail). pack.compact.swap is
-// exercised by the pack package's own crash tests; compaction never runs
-// in the submit path.
+// The pack store has two boundaries: pack.append (the needle write) and
+// pack.index (the index persist — the pack.index-only case is the
+// interesting one, where appends land durably but the index write dies,
+// so a reboot must rebuild them by scanning the bundle tail).
+// pack.compact.swap is exercised by the pack package's own crash tests;
+// compaction never runs in the submit path. Subtests are named
+// pack/<boundary>.
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
 	}
-	type backend struct {
-		name       string
-		boundaries []string
-		// open returns the store plus a snapshot func for its error counter.
-		open func(t *testing.T, dir string) (ResultStore, func() int64)
+	boundaries := []string{"journal.seq", "journal.spec", "journal.status", "pack.append", "pack.index"}
+	// open persists the index on every mutation so the pack.index boundary
+	// fires during the sweep, not just at Close, and runs no background
+	// goroutine so the crash schedule stays deterministic.
+	open := func(t *testing.T, dir string) *pack.Store {
+		st, err := pack.Open(filepath.Join(dir, "store"),
+			pack.WithIndexEvery(1), pack.WithAuditInterval(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	backends := []backend{
-		{
-			name:       "files",
-			boundaries: []string{"journal.seq", "journal.spec", "journal.status", "store.write"},
-			open: func(t *testing.T, dir string) (ResultStore, func() int64) {
-				st, err := NewStore(filepath.Join(dir, "store"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st, func() int64 { return st.Stats().Errors }
-			},
-		},
-		{
-			name:       "pack",
-			boundaries: []string{"journal.seq", "journal.spec", "journal.status", "pack.append", "pack.index"},
-			open: func(t *testing.T, dir string) (ResultStore, func() int64) {
-				// Index persist on every mutation so the pack.index boundary
-				// fires during the sweep, not just at Close; no background
-				// goroutine so the crash schedule stays deterministic.
-				st, err := pack.Open(filepath.Join(dir, "store"),
-					pack.WithIndexEvery(1), pack.WithAuditInterval(0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st, func() int64 { return st.PackStats().Errors }
-			},
-		},
+	disarm := func() {
+		for _, name := range boundaries {
+			fsio.SetFailpoint(name, nil)
+		}
 	}
-	for _, be := range backends {
-		disarm := func() {
-			for _, name := range be.boundaries {
-				setFailpoint(name, nil)
+	for k, crashAt := range boundaries {
+		t.Run("pack/"+crashAt, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := seedSpec(t, 2)
+
+			// Process one: crash (fail all writes) from boundary k onward.
+			injected := errors.New("injected crash")
+			for _, name := range boundaries[k:] {
+				fsio.SetFailpoint(name, func() error { return injected })
 			}
-		}
-		for k, crashAt := range be.boundaries {
-			t.Run(be.name+"/"+crashAt, func(t *testing.T) {
-				dir := t.TempDir()
-				spec := seedSpec(t, 2)
-
-				// Process one: crash (fail all writes) from boundary k onward.
-				injected := errors.New("injected crash")
-				for _, name := range be.boundaries[k:] {
-					setFailpoint(name, func() error { return injected })
+			defer disarm()
+			store1 := open(t, dir)
+			jl1, err := NewJournal(filepath.Join(dir, "jobs"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			js1 := NewJobs(NewEngine(WithStore(store1)), 2, 0, jl1)
+			j, err := js1.Submit(spec)
+			var oldID string
+			if crashAt == "journal.seq" {
+				// The ID-allocation write is the one non-negotiable: if the
+				// watermark cannot land, no ID may escape.
+				if !errors.Is(err, ErrJournalUnavailable) {
+					t.Fatalf("Submit with failed SEQ write = %v, want ErrJournalUnavailable", err)
 				}
-				defer disarm()
-				store1, store1Errors := be.open(t, dir)
-				jl1, err := NewJournal(filepath.Join(dir, "jobs"))
+			} else {
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("Submit: %v", err)
 				}
-				js1 := NewJobs(NewEngine(WithStore(store1)), 2, 0, jl1)
-				j, err := js1.Submit(spec)
-				var oldID string
-				if crashAt == "journal.seq" {
-					// The ID-allocation write is the one non-negotiable: if the
-					// watermark cannot land, no ID may escape.
-					if !errors.Is(err, ErrJournalUnavailable) {
-						t.Fatalf("Submit with failed SEQ write = %v, want ErrJournalUnavailable", err)
-					}
-				} else {
-					if err != nil {
-						t.Fatalf("Submit: %v", err)
-					}
-					oldID = j.ID
-					// Spec/status/store writes are best-effort: the job still runs
-					// (in-memory cache), and every failure is counted — journal
-					// failures in the registry stats, store failures in the
-					// store's own.
-					if info := waitSettled(t, j); info.Status != JobDone {
-						t.Fatalf("job under injected write failures = %+v", info)
-					}
-					if strings.HasPrefix(crashAt, "journal.") && js1.Stats().JournalErrors == 0 {
-						t.Fatal("failed journal writes were not counted")
-					}
-					if store1Errors() == 0 {
-						t.Fatal("failed store writes were not counted")
-					}
+				oldID = j.ID
+				// Spec/status/store writes are best-effort: the job still runs
+				// (in-memory cache), and every failure is counted — journal
+				// failures in the registry stats, store failures in the
+				// store's own.
+				if info := waitSettled(t, j); info.Status != JobDone {
+					t.Fatalf("job under injected write failures = %+v", info)
 				}
+				if strings.HasPrefix(crashAt, "journal.") && js1.Stats().JournalErrors == 0 {
+					t.Fatal("failed journal writes were not counted")
+				}
+				if store1.PackStats().Errors == 0 {
+					t.Fatal("failed store writes were not counted")
+				}
+			}
 
-				// Reboot: failures disarmed, fresh registry over the same dirs.
-				// Draining first makes the crashed process's disk state final —
-				// exactly what a real crash leaves — instead of racing its last
-				// journal write against the recovery scan. The crashed store is
-				// abandoned, never closed, like a real crash.
-				drainJobs(t, js1)
-				disarm()
-				store2, _ := be.open(t, dir)
-				jl2, err := NewJournal(filepath.Join(dir, "jobs"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				js2 := NewJobs(NewEngine(WithStore(store2)), 2, 0, jl2)
-				resumed := js2.Recover()
+			// Reboot: failures disarmed, fresh registry over the same dirs.
+			// Draining first makes the crashed process's disk state final —
+			// exactly what a real crash leaves — instead of racing its last
+			// journal write against the recovery scan. The crashed store is
+			// abandoned, never closed, like a real crash.
+			drainJobs(t, js1)
+			disarm()
+			store2 := open(t, dir)
+			jl2, err := NewJournal(filepath.Join(dir, "jobs"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			js2 := NewJobs(NewEngine(WithStore(store2)), 2, 0, jl2)
+			resumed := js2.Recover()
 
-				// Partial disk states decode clean or not at all — recovery must
-				// never see (or serve) a corrupt record.
-				if n := js2.Stats().JournalCorruptDropped; n != 0 {
-					t.Fatalf("recovery dropped %d corrupt records; crash must leave records absent or complete", n)
+			// Partial disk states decode clean or not at all — recovery must
+			// never see (or serve) a corrupt record.
+			if n := js2.Stats().JournalCorruptDropped; n != 0 {
+				t.Fatalf("recovery dropped %d corrupt records; crash must leave records absent or complete", n)
+			}
+			switch crashAt {
+			case "journal.seq", "journal.spec":
+				// Nothing (or only the watermark) landed: no job to resume.
+				if resumed != 0 {
+					t.Fatalf("resumed %d jobs from an empty journal", resumed)
 				}
-				switch crashAt {
-				case "journal.seq", "journal.spec":
-					// Nothing (or only the watermark) landed: no job to resume.
-					if resumed != 0 {
-						t.Fatalf("resumed %d jobs from an empty journal", resumed)
-					}
-				case "journal.status":
-					// Spec landed, status did not: the job comes back queued.
-					if resumed != 1 {
-						t.Fatalf("resumed = %d, want 1", resumed)
-					}
-					j2, ok := js2.Get(oldID)
-					if !ok {
-						t.Fatalf("recovered registry does not track %s", oldID)
-					}
-					info := waitSettled(t, j2)
-					if info.Status != JobDone || !info.Resumed || info.ID != oldID {
-						t.Fatalf("recovered job = %+v", info)
-					}
-				case "store.write", "pack.append", "pack.index":
-					// The terminal status record landed: boot retires it.
-					if resumed != 0 || js2.Stats().Retired != 1 {
-						t.Fatalf("resumed=%d retired=%d, want 0/1", resumed, js2.Stats().Retired)
-					}
+			case "journal.status":
+				// Spec landed, status did not: the job comes back queued.
+				if resumed != 1 {
+					t.Fatalf("resumed = %d, want 1", resumed)
 				}
-				if crashAt == "pack.index" {
-					// Appends landed, only the index write died: the rebooted
-					// store must have rebuilt every run by scanning the bundle
-					// tail past the last durable index.
-					runs, err := spec.Expand()
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range runs {
-						if _, ok := store2.Get(context.Background(), r.Key); !ok {
-							t.Fatalf("run %s lost: bundle tail not rescanned after index-write crash", r.Key)
-						}
+				j2, ok := js2.Get(oldID)
+				if !ok {
+					t.Fatalf("recovered registry does not track %s", oldID)
+				}
+				info := waitSettled(t, j2)
+				if info.Status != JobDone || !info.Resumed || info.ID != oldID {
+					t.Fatalf("recovered job = %+v", info)
+				}
+			case "pack.append", "pack.index":
+				// The terminal status record landed: boot retires it.
+				if resumed != 0 || js2.Stats().Retired != 1 {
+					t.Fatalf("resumed=%d retired=%d, want 0/1", resumed, js2.Stats().Retired)
+				}
+			}
+			if crashAt == "pack.index" {
+				// Appends landed, only the index write died: the rebooted
+				// store must have rebuilt every run by scanning the bundle
+				// tail past the last durable index.
+				for _, r := range expandAll(t, spec) {
+					if _, ok := store2.Get(context.Background(), r.Key); !ok {
+						t.Fatalf("run %s lost: bundle tail not rescanned after index-write crash", r.Key)
 					}
 				}
+			}
 
-				// The watermark survived whatever happened: a fresh submission can
-				// never reuse an ID the crashed process may have handed out.
-				fresh, err := js2.Submit(seedSpec(t, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fresh.ID == oldID && oldID != "" {
-					t.Fatalf("recovered registry reissued ID %s", oldID)
-				}
-				if oldID != "" && fresh.seq <= j.seq {
-					t.Fatalf("fresh seq %d did not advance past crashed seq %d", fresh.seq, j.seq)
-				}
-				waitSettled(t, fresh)
-				drainJobs(t, js2)
-			})
-		}
+			// The watermark survived whatever happened: a fresh submission can
+			// never reuse an ID the crashed process may have handed out.
+			fresh, err := js2.Submit(seedSpec(t, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh.ID == oldID && oldID != "" {
+				t.Fatalf("recovered registry reissued ID %s", oldID)
+			}
+			if oldID != "" && fresh.seq <= j.seq {
+				t.Fatalf("fresh seq %d did not advance past crashed seq %d", fresh.seq, j.seq)
+			}
+			waitSettled(t, fresh)
+			drainJobs(t, js2)
+		})
 	}
 }
 
@@ -430,14 +403,11 @@ func TestGracefulQuiesceAndResume(t *testing.T) {
 	dir := t.TempDir()
 	const total = 16
 	spec := seedSpec(t, total)
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 
 	// Process one: run the sweep with run 0 parked so "interrupted with
 	// exactly one run outstanding" is a deterministic state.
-	store1, err := NewStore(filepath.Join(dir, "store"))
+	store1, err := pack.Open(filepath.Join(dir, "store"), pack.WithAuditInterval(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,11 +455,17 @@ func TestGracefulQuiesceAndResume(t *testing.T) {
 		t.Fatalf("interrupted job Err = %v", j.Err())
 	}
 
-	// Process two: fresh store/journal/engine over the same directories.
-	store2, err := NewStore(filepath.Join(dir, "store"))
+	// Process two: fresh store/journal/engine over the same directories,
+	// after process one seals its store the way the server's shutdown
+	// does once the drain completes.
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := pack.Open(filepath.Join(dir, "store"), pack.WithAuditInterval(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store2.Close()
 	jl2, err := NewJournal(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
@@ -567,10 +543,7 @@ func TestCancelBeatsInterrupt(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spec := seedSpec(t, 2)
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	jl, err := NewJournal(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
@@ -615,8 +588,8 @@ func TestRunPanicBecomesFailedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
 	}
-	setFailpoint("engine.run", func() error { panic("injected simulator panic") })
-	defer setFailpoint("engine.run", nil)
+	fsio.SetFailpoint("engine.run", func() error { panic("injected simulator panic") })
+	defer fsio.SetFailpoint("engine.run", nil)
 
 	eng := NewEngine()
 	js := NewJobs(eng, 2, 0, nil)
@@ -634,7 +607,7 @@ func TestRunPanicBecomesFailedRun(t *testing.T) {
 
 	// The pool survived: with the panic disarmed, the same registry runs
 	// the next job to completion.
-	setFailpoint("engine.run", nil)
+	fsio.SetFailpoint("engine.run", nil)
 	j2, err := js.Submit(seedSpec(t, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -652,10 +625,7 @@ func TestSubmitRetryAfterHeader(t *testing.T) {
 		t.Skip("simulating sweeps in -short mode")
 	}
 	spec := seedSpec(t, 1)
-	runs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := expandAll(t, spec)
 	eng := NewEngine()
 	srv := NewServer(eng, WithWorkers(1), WithMaxJobs(1))
 	h := srv.Handler()
@@ -701,10 +671,7 @@ func BenchmarkJobResume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	runs, err := spec.Expand()
-	if err != nil {
-		b.Fatal(err)
-	}
+	runs := expandAll(b, spec)
 	// One reference sweep supplies the blobs used to prepopulate stores.
 	sweep, err := NewEngine().RunSpec(context.Background(), spec, 0)
 	if err != nil {
@@ -721,7 +688,7 @@ func BenchmarkJobResume(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir()
-				store, err := NewStore(filepath.Join(dir, "store"))
+				store, err := pack.Open(filepath.Join(dir, "store"), pack.WithAuditInterval(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -766,6 +733,7 @@ func BenchmarkJobResume(b *testing.B) {
 				}
 				b.StopTimer()
 				drainJobs(b, js)
+				store.Close()
 			}
 		})
 	}

@@ -39,7 +39,7 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/jobs/{id}/stream RunResults as NDJSON while the sweep executes
 //	GET    /v1/figures/{id}     run one registry scenario, returns its Report
 //	GET    /v1/scenarios        list runnable scenarios
-//	GET    /v1/metrics          per-route counters + cache/store/job stats
+//	GET    /v1/metrics          per-route counters + cache/pack/job stats
 //	GET    /healthz             liveness + build info + cache counters
 //
 // Experiment routes run behind a metrics middleware that records request
@@ -83,7 +83,7 @@ func WithJournal(jl *Journal) ServerOption {
 }
 
 // WithNodeIdentity names this node for /healthz: its cluster node ID,
-// the configured store backend ("memory", "files", "pack"), and how many
+// the configured store backend ("memory" or "pack"), and how many
 // peers its ring knows about (0 for a solo node). Identity is
 // observability only — placement and routing live in the cluster store,
 // not the HTTP layer.
@@ -610,13 +610,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			Drops:  pool.Drops,
 		},
 	}
-	// The store section's shape follows the configured backend, detected
+	// The store sections follow the configured backend, detected
 	// structurally (exp imports neither internal/exp/pack nor
 	// internal/cluster; the dependencies point the other way via the cmd
-	// layer), and a nil interface matches no case, leaving the sections
+	// layer), and a nil interface matches neither, leaving the sections
 	// absent. A cluster store contributes its own section and then unwraps
-	// to the local backend it shards, so the pack/store sections keep
-	// reporting on this node's own tier.
+	// to the local backend it shards, so the pack section keeps reporting
+	// on this node's own tier.
 	store := s.engine.cache.store
 	if cs, ok := store.(interface{ ClusterStats() api.ClusterStats }); ok {
 		stats := cs.ClusterStats()
@@ -625,13 +625,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			store = inner.Local()
 		}
 	}
-	switch st := store.(type) {
-	case interface{ PackStats() api.PackStats }:
+	if st, ok := store.(interface{ PackStats() api.PackStats }); ok {
 		stats := st.PackStats()
 		doc.Pack = &stats
-	case interface{ Stats() api.StoreStats }:
-		stats := st.Stats()
-		doc.Store = &stats
 	}
 	for i := range routeNames {
 		lat := s.met.Histogram(i)
@@ -649,9 +645,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// setCacheHeaders records how this request's unique runs were served:
-// "hit" (all from cache), "miss" (none), or "partial" (an overlapping
-// sweep). The counts ride along for sweep-level observability.
+// setCacheHeaders records how this request's runs were served: "hit"
+// (all from cache), "miss" (none), or "partial" (an overlapping sweep).
+// The counts ride along for sweep-level observability; they are per run,
+// so they sum to the run count.
 func setCacheHeaders(w http.ResponseWriter, hits, misses int) {
 	state := "miss"
 	switch {

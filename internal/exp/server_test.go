@@ -210,3 +210,21 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("oversized spec = %d, want 413", rec.Code)
 	}
 }
+
+// TestServerRunInvalidLaterPoint pins the answer for a grid whose first
+// point is valid and a later one is not. Expansion is lazy, so the valid
+// point is simulated and cached before the bad one is reached; the answer
+// is still 400 invalid_spec naming the bad point.
+func TestServerRunInvalidLaterPoint(t *testing.T) {
+	eng := NewEngine()
+	rec := doRequest(t, NewServer(eng).Handler(), http.MethodPost, "/v1/run",
+		`{"scenario": "covert-pnm", "grid": {"llc_ways": [16, -4]}}`)
+	// encoding/json escapes '>' as \u003e on the wire.
+	want := `{"error":{"code":"invalid_spec","message":"exp: grid point llc_ways=-4: sim: field \"llc_ways\": must be \u003e 0 (got -4)"}}` + "\n"
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("POST /v1/run = %d %s, want 400 %s", rec.Code, rec.Body, want)
+	}
+	if c := eng.Cache().Stats().Computes; c != 1 {
+		t.Fatalf("%d simulations, want 1 (the valid llc_ways=16 point)", c)
+	}
+}

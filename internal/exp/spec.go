@@ -11,8 +11,8 @@
 // hash behind per-shard locks, and Cache.Compute coalesces identical
 // in-flight runs (singleflight) so two clients requesting the same sweep
 // at once trigger exactly one simulation. Determinism also makes reports
-// safe to persist forever, so the cache can be layered over a durable
-// disk Store (memory → disk → simulate) that lets a restarted server
+// safe to persist forever, so the cache can be layered over the durable
+// pack store (memory → disk → simulate) that lets a restarted server
 // answer previously computed sweeps without re-simulating. Server wraps
 // the engine in an HTTP API — synchronous sweeps on POST /v1/run,
 // asynchronous ones through the bounded Jobs registry (POST /v1/jobs,
@@ -65,7 +65,7 @@ var ErrGridTooLarge = errors.New("exp: grid too large")
 
 // Spec is the engine-side form of an experiment sweep. Its wire shape is
 // api.RunSpec — the two convert freely — with the expansion machinery
-// (Expand, grid resolution, content addressing) layered on top here so
+// (Expansion, grid resolution, content addressing) layered on top here so
 // pkg/api stays a pure contract package.
 //
 // Config is a sparse sim.Config document (snake_case JSON tags; see
@@ -101,8 +101,7 @@ type Run struct {
 }
 
 // resolve validates the spec's front matter — scenario, scale, config
-// overlay — and returns the pieces expansion needs (shared by the eager
-// Expand and the lazy Expansion).
+// overlay — and returns the pieces expansion needs.
 func (s Spec) resolve() (scenario, figures.Scale, map[string]any, error) {
 	scn, ok := scenarioByName(s.Scenario)
 	if !ok {
@@ -133,72 +132,6 @@ func (s Spec) resolve() (scenario, figures.Scale, map[string]any, error) {
 	return scn, scale, base, nil
 }
 
-// Expand resolves the spec into concrete runs: grid fields are sorted
-// lexicographically and the Cartesian product is walked row-major (last
-// field fastest), so expansion order — and therefore sweep output — is a
-// pure function of the spec.
-func (s Spec) Expand() ([]Run, error) {
-	scn, scale, base, err := s.resolve()
-	if err != nil {
-		return nil, err
-	}
-
-	// Sort the grid fields before validating them, so which error a bad
-	// spec gets back is as deterministic as the expansion itself.
-	paths := make([]string, 0, len(s.Grid))
-	for path := range s.Grid {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	total := 1
-	for _, path := range paths {
-		vals := s.Grid[path]
-		if len(vals) == 0 {
-			return nil, fmt.Errorf(`exp: grid field %q has no values`, path)
-		}
-		// Guard the product before multiplying: total*len(vals) could
-		// overflow int on an adversarial grid, and the quotient form
-		// cannot (len(vals) >= 1, so the division is always defined).
-		if total > MaxRuns/len(vals) {
-			return nil, fmt.Errorf("%w: grid expands to more than %d runs", ErrGridTooLarge, MaxRuns)
-		}
-		total *= len(vals)
-	}
-
-	runs := make([]Run, 0, total)
-	for idx := 0; idx < total; idx++ {
-		cfgDoc := deepCopy(base)
-		params := make(map[string]string, len(paths))
-		stride := total
-		for _, path := range paths {
-			vals := s.Grid[path]
-			stride /= len(vals)
-			raw := vals[(idx/stride)%len(vals)]
-			val, err := decodeValue(raw)
-			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
-			}
-			if err := setPath(cfgDoc, path, val); err != nil {
-				return nil, err
-			}
-			canon, err := json.Marshal(val)
-			if err != nil {
-				return nil, fmt.Errorf("exp: grid field %q: %v", path, err)
-			}
-			params[path] = string(canon)
-		}
-		run, err := newRun(scn, scale, cfgDoc, params)
-		if err != nil {
-			if len(params) == 0 {
-				return nil, fmt.Errorf("exp: %w", err)
-			}
-			return nil, fmt.Errorf("exp: grid point %s: %w", FormatParams(params), err)
-		}
-		runs = append(runs, run)
-	}
-	return runs, nil
-}
-
 // gridAxis is one grid field of an Expansion: its decoded values and their
 // canonical JSON labels, fixed at construction so RunAt never re-parses.
 type gridAxis struct {
@@ -208,23 +141,26 @@ type gridAxis struct {
 }
 
 // Expansion is a lazily expanded spec: RunAt(i) materializes run i on
-// demand in exactly the row-major order Expand uses (sorted grid paths,
-// last field fastest), so run content addresses — and therefore sweep
-// bodies — are byte-identical to the eager path's while a 10^5-run grid
-// never allocates its full Cartesian product. Construction validates
-// everything Expand would: the front matter, every grid value's JSON, and
-// (by probing the first grid point) that the grid paths name real config
-// fields the simulator accepts.
+// demand, so a 10^5-run grid never allocates its full Cartesian product.
+// Grid fields are sorted lexicographically and the product is walked
+// row-major (last field fastest), so expansion order — and therefore
+// sweep output — is a pure function of the spec. Construction validates
+// the front matter, every grid value's JSON, and (by building the first
+// grid point) that the grid paths name real config fields the simulator
+// accepts.
 //
 // An Expansion is immutable after construction and safe for concurrent
 // RunAt calls: each call deep-copies the base document before applying its
-// grid point.
+// grid point. Run 0 is the one construction built; RunAt(0) returns it
+// rather than building it twice, so its Params map is shared and, like
+// every Run, read-only.
 type Expansion struct {
 	scn   scenario
 	scale figures.Scale
 	base  map[string]any
 	axes  []gridAxis
 	total int
+	first Run
 }
 
 // Expansion resolves the spec into a lazy run iterator bounded by limit
@@ -248,8 +184,9 @@ func (s Spec) Expansion(limit int) (*Expansion, error) {
 		if len(raws) == 0 {
 			return nil, fmt.Errorf(`exp: grid field %q has no values`, path)
 		}
-		// Same overflow-safe product guard as Expand: divide, never
-		// multiply unchecked.
+		// Guard the product before multiplying: total*len(raws) could
+		// overflow int on an adversarial grid, and the quotient form
+		// cannot (len(raws) >= 1, so the division is always defined).
 		if total > limit/len(raws) {
 			return nil, fmt.Errorf("%w: grid expands to more than %d runs", ErrGridTooLarge, limit)
 		}
@@ -271,11 +208,11 @@ func (s Spec) Expansion(limit int) (*Expansion, error) {
 	}
 
 	x := &Expansion{scn: scn, scale: scale, base: base, axes: axes, total: total}
-	// Probe the first grid point now: lazy expansion moves setPath and
+	// Build the first grid point now: lazy expansion moves setPath and
 	// sim.FromJSON validation from submit time to run time, and a grid
 	// whose paths misname config fields fails identically at every point —
-	// catching it here keeps bad specs failing synchronously, like Expand.
-	if _, err := x.RunAt(0); err != nil {
+	// catching it here keeps bad specs failing synchronously.
+	if x.first, err = x.build(0); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -289,6 +226,14 @@ func (x *Expansion) RunAt(i int) (Run, error) {
 	if i < 0 || i >= x.total {
 		return Run{}, fmt.Errorf("exp: run index %d out of range [0,%d)", i, x.total)
 	}
+	if i == 0 {
+		return x.first, nil
+	}
+	return x.build(i)
+}
+
+// build materializes run i, which the caller has range-checked.
+func (x *Expansion) build(i int) (Run, error) {
 	cfgDoc := deepCopy(x.base)
 	params := make(map[string]string, len(x.axes))
 	stride := x.total

@@ -34,7 +34,7 @@ const (
 	// HeaderRequestID is set on every response. Inbound values are echoed
 	// back (so callers can correlate retries); absent ones are generated.
 	HeaderRequestID = "X-Request-ID"
-	// HeaderCache summarizes how a request's unique runs were served:
+	// HeaderCache summarizes how a request's runs were served:
 	// "hit" (all from cache), "miss" (none), or "partial".
 	HeaderCache = "X-Cache"
 	// HeaderCacheHits and HeaderCacheMisses carry the counts behind the
@@ -222,22 +222,11 @@ type CacheStats struct {
 	DedupHits int64 `json:"dedup_hits"`
 }
 
-// StoreStats is the durable-store section of /v1/metrics, present only
-// when the server runs with a disk store. CorruptDropped counts entries
-// that failed checksum validation and were deleted; Errors counts I/O
-// failures that degraded to misses or dropped writes.
-type StoreStats struct {
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Stores         int64 `json:"stores"`
-	CorruptDropped int64 `json:"corrupt_dropped"`
-	Errors         int64 `json:"errors"`
-}
-
 // PackStats is the pack-engine section of /v1/metrics, present only when
-// the server runs with -store=pack. The first five counters mirror
-// StoreStats; the rest expose the subsystems the pack engine adds.
-// Migrated counts legacy per-file entries carried into bundles at boot;
+// the server runs with a -data-dir. CorruptDropped counts entries that
+// failed checksum validation and were dropped; Errors counts I/O failures
+// that degraded to misses or dropped writes. Migrated counts legacy
+// per-file entries carried into bundles at boot;
 // RecoveredNeedles counts appends rebuilt by the boot tail scan (writes
 // newer than the last index file). IndexWrites counts atomic index
 // rewrites. Compactions/CompactedBytes account for garbage-bundle
@@ -341,13 +330,12 @@ type MachinePoolStats struct {
 	Drops  int64 `json:"drops"`
 }
 
-// MetricsDoc is the GET /v1/metrics response body. Exactly one of Store
-// and Pack is present when the engine has a durable disk store
-// configured: Store for the per-file backend, Pack for the pack engine.
+// MetricsDoc is the GET /v1/metrics response body. Pack is present when
+// the engine has the durable pack store configured, Cluster when it runs
+// as a cluster node.
 type MetricsDoc struct {
 	Requests    map[string]RouteMetrics `json:"requests"`
 	Cache       CacheStats              `json:"cache"`
-	Store       *StoreStats             `json:"store,omitempty"`
 	Pack        *PackStats              `json:"pack,omitempty"`
 	Cluster     *ClusterStats           `json:"cluster,omitempty"`
 	Jobs        JobsStats               `json:"jobs"`
