@@ -202,9 +202,7 @@ func (e *Engine) executeStream(ctx context.Context, x *Expansion, workers int, o
 					misses++
 					mu.Unlock()
 				}
-				if onRun != nil {
-					onRun(it.i, rr)
-				}
+				onRun(it.i, rr)
 			}
 		}()
 	}

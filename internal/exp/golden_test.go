@@ -32,9 +32,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := goldenPath(name)
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

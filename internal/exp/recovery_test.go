@@ -248,8 +248,7 @@ func TestJournalCorruptSeqFallsBack(t *testing.T) {
 // interesting one, where appends land durably but the index write dies,
 // so a reboot must rebuild them by scanning the bundle tail).
 // pack.compact.swap is exercised by the pack package's own crash tests;
-// compaction never runs in the submit path. Subtests are named
-// pack/<boundary>.
+// compaction never runs in the submit path.
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
@@ -407,10 +406,7 @@ func TestGracefulQuiesceAndResume(t *testing.T) {
 
 	// Process one: run the sweep with run 0 parked so "interrupted with
 	// exactly one run outstanding" is a deterministic state.
-	store1, err := pack.Open(filepath.Join(dir, "store"), pack.WithAuditInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	store1 := openPack(t, filepath.Join(dir, "store"))
 	jl1, err := NewJournal(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
@@ -461,11 +457,7 @@ func TestGracefulQuiesceAndResume(t *testing.T) {
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := pack.Open(filepath.Join(dir, "store"), pack.WithAuditInterval(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
+	store2 := openPack(t, filepath.Join(dir, "store"))
 	jl2, err := NewJournal(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
