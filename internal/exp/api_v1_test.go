@@ -370,8 +370,8 @@ func TestJobCancelLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := expandAll(t, spec)
-	// Run 0 is a synthetic cache hit (counted during the lookup phase);
-	// run 1 parks inside the worker until released. Waiting for completed
+	// Run 0 is a synthetic cache hit (counted when its worker probes the
+	// cache); run 1 parks inside the worker until released. Waiting for completed
 	// == 1 therefore pins the exact sweep phase the DELETE races against:
 	// one run done, one in flight.
 	fakeA := json.RawMessage(`{"id":"fake-a"}`)

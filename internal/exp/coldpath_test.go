@@ -232,9 +232,8 @@ func liveHeapBytes() uint64 {
 // TestStreamingSweepMemoryBound drives a 100,000-run grid through
 // executeStream and asserts the peak live heap stays bounded: the run
 // list is never materialized and per-run results are dropped as they
-// stream.
-// Skipped under -short; `make coldpath-smoke` runs a trimmed grid via
-// TestStreamingSweepMemoryBoundTrimmed either way.
+// stream. Skipped under -short; `make coldpath-smoke` runs a trimmed grid
+// via TestStreamingSweepMemoryBoundTrimmed either way.
 func TestStreamingSweepMemoryBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^5-run streaming sweep skipped in -short mode")

@@ -346,7 +346,7 @@ func TestPackTornTailTruncatedOnBoot(t *testing.T) {
 
 func TestPackMigratesPerFileLayout(t *testing.T) {
 	root := t.TempDir()
-	// Hand-build the per-file layout the "files" backend writes: the same
+	// Hand-build the per-file layout the retired backend wrote: the same
 	// record framing, fanned out over two-hex-digit dirs.
 	const n = 30
 	for i := 0; i < n; i++ {

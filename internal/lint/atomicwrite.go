@@ -5,9 +5,9 @@ import (
 )
 
 // AtomicWrite enforces the crash-safety invariant: every durable artifact
-// under a -data-dir — result store entries, journal records, pack bundles
-// and index — must be published through internal/exp/fsio's fsynced
-// atomic-write discipline, never by raw os file mutation. A raw
+// under a -data-dir — the job journal's records and the pack store's
+// bundles and index — must be published through internal/exp/fsio's
+// fsynced atomic-write discipline, never by raw os file mutation. A raw
 // os.WriteFile survives process death but not power loss (no fsync), a
 // raw os.Rename without a directory sync can vanish after a crash, and a
 // raw os.MkdirAll leaves the new directory entry un-synced; each of those

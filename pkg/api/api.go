@@ -170,8 +170,8 @@ type JobPage struct {
 // Health is the GET /healthz response: a stable, minimal liveness
 // contract (richer data lives on /v1/metrics). Version and Go come from
 // the binary's embedded build info. NodeID, Store, and Peers identify a
-// cluster member: the node's -node-id, its result-store backend ("pack",
-// "files", or "memory"), and how many other peers its hash ring knows
+// cluster member: the node's -node-id, its result-store backend ("pack"
+// or "memory"), and how many other peers its hash ring knows
 // about (0 for a standalone server) — enough for an operator curling a
 // load-balanced address to tell which node answered and how it is
 // configured.
