@@ -49,26 +49,32 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // expansionGolden is one line of expansion.jsonl: a spec and the digest
 // of its expansion. SpecKey is the SHA-256 over the ordered run keys (as
 // in SweepResult.SpecKey) and LabelsSHA256 the SHA-256 over the ordered
-// FormatParams labels, one per line.
+// FormatParams labels, one per line. A spec that fails to expand records
+// the error text instead, with Total set when only a later point failed.
 type expansionGolden struct {
 	Spec         api.RunSpec `json:"spec"`
 	Total        int         `json:"total"`
-	SpecKey      string      `json:"spec_key"`
-	LabelsSHA256 string      `json:"labels_sha256"`
+	SpecKey      string      `json:"spec_key,omitempty"`
+	LabelsSHA256 string      `json:"labels_sha256,omitempty"`
+	Error        string      `json:"error,omitempty"`
 }
 
 // summarizeExpansion digests spec's expansion into its golden line.
 func summarizeExpansion(t *testing.T, spec Spec) expansionGolden {
 	t.Helper()
+	line := expansionGolden{Spec: api.RunSpec(spec)}
 	x, err := spec.Expansion(MaxRuns)
 	if err != nil {
-		t.Fatalf("Expansion(%v): %v", spec.Grid, err)
+		line.Error = err.Error()
+		return line
 	}
+	line.Total = x.Total()
 	keys, labels := sha256.New(), sha256.New()
 	for i := 0; i < x.Total(); i++ {
 		r, err := x.RunAt(i)
 		if err != nil {
-			t.Fatalf("RunAt(%d): %v", i, err)
+			line.Error = err.Error()
+			return line
 		}
 		keys.Write([]byte(r.Key))
 		labels.Write([]byte(FormatParams(r.Params) + "\n"))
@@ -78,12 +84,9 @@ func summarizeExpansion(t *testing.T, spec Spec) expansionGolden {
 			t.Fatalf("RunAt(%d) accepted an out-of-range index", bad)
 		}
 	}
-	return expansionGolden{
-		Spec:         api.RunSpec(spec),
-		Total:        x.Total(),
-		SpecKey:      hex.EncodeToString(keys.Sum(nil)),
-		LabelsSHA256: hex.EncodeToString(labels.Sum(nil)),
-	}
+	line.SpecKey = hex.EncodeToString(keys.Sum(nil))
+	line.LabelsSHA256 = hex.EncodeToString(labels.Sum(nil))
+	return line
 }
 
 // TestGolden pins expansion and the served bytes of the example sweep
