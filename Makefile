@@ -56,15 +56,17 @@ race:
 	$(GO) test -race ./internal/figures -run TestRunParallelMatchesSequential
 	$(GO) test -race ./internal/metrics
 	$(GO) test -race ./internal/sim
-	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestEngineDedupesWithinSweep|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestServerRestartDurability|TestStoreCorruptEntryReSimulates|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed|TestGolden'
+	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestEngineDedupesWithinSweep|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestServerRestartDurability|TestStoreCorruptEntryReSimulates|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed|TestGolden|TestExpansionConcurrentRunAt'
 	$(GO) test -race ./internal/exp/fsio
 	$(GO) test -race ./internal/exp/pack
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race ./pkg/client
 
-# Quick regression signal on the allocation-free hot path.
+# Quick regression signal on the allocation-free hot path, and the
+# allocation ceiling of a cached POST /v1/run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
 # must be provably state-free, sequentially and under 8-way contention),

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/memctrl"
@@ -107,8 +108,66 @@ func TestExpandKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestExpansionConcurrentRunAt builds every run of one Expansion from 8
+// goroutines at once and requires each to equal its sequential build.
+// The spec's overlay, its section-valued grid values and the default
+// config shape are shared by every RunAt call, so a call that wrote into
+// any of them would race here (make race runs this test).
+func TestExpansionConcurrentRunAt(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{
+		"scenario": "covert-pnm",
+		"config": {"mem": {"defense": "crp", "act": {"epoch_cycles": 5200}}, "dram": {"timing": {"trp": 30}}},
+		"grid": {
+			"dram.timing.trcd": [10, 20],
+			"mem.act.conflict_threshold": [4, 8],
+			"mem.request_overhead": [0, 20],
+			"noise": [{"seed": 9}, null, {"events_per_mcycle": 0}]
+		}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := expandAll(t, spec)
+	x, err := spec.Expansion(MaxRuns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([][]Run, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]Run, x.Total())
+			// Each worker starts at its own offset so different runs are
+			// built at the same moment.
+			for n := range x.Total() {
+				i := (n + w*x.Total()/workers) % x.Total()
+				if got[w][i], errs[w] = x.RunAt(i); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for i, r := range got[w] {
+			if r.Key != want[i].Key || !reflect.DeepEqual(r.Config, want[i].Config) || !reflect.DeepEqual(r.Params, want[i].Params) {
+				t.Fatalf("worker %d run %d = %s %v, want %s %v", w, i, r.Key, r.Params, want[i].Key, want[i].Params)
+			}
+		}
+	}
+}
+
 // TestExpandErrors checks the failure contract: unknown scenarios carry
-// ErrUnknownScenario, bad grid paths and values name the field.
+// ErrUnknownScenario, bad grid paths and values name the field. Grid paths
+// may not overlap, and a key that matches a config field only up to case
+// is an unknown field wherever it appears.
 func TestExpandErrors(t *testing.T) {
 	spec, err := ParseSpec([]byte(`{"scenario": "covert-warp"}`))
 	if err != nil {
@@ -126,6 +185,24 @@ func TestExpandErrors(t *testing.T) {
 		{"unknown spec field", `{"scenario": "covert-pnm", "grids": {}}`, "grids"},
 		{"grid on figure replay", `{"scenario": "rowbuffer", "grid": {"llc_bytes": [4194304]}}`, "ignores sim.Config"},
 		{"config on figure replay", `{"scenario": "rowbuffer", "config": {"llc_bytes": 4194304}}`, "ignores sim.Config"},
+		{"overlapping grid paths", `{"scenario": "covert-pnm", "grid": {"noise": [{"seed": 1}], "noise.seed": [2, 3]}}`,
+			`exp: grid fields "noise" and "noise.seed" overlap`},
+		{"overlapping deep grid paths", `{"scenario": "covert-pnm", "grid": {"mem.act": [{"epoch_cycles": 2600}], "mem.act.conflict_threshold": [4, 8]}}`,
+			`exp: grid fields "mem.act" and "mem.act.conflict_threshold" overlap`},
+		{"case-variant grid path", `{"scenario": "covert-pnm", "grid": {"LLC_bytes": [4194304, 8388608]}}`,
+			`exp: grid point LLC_bytes=4194304: sim: config: unknown field "LLC_bytes"`},
+		{"case-variant grid leaf", `{"scenario": "covert-pnm", "grid": {"mem.Defense": ["crp"]}}`,
+			`sim: config: unknown field "Defense"`},
+		{"case-variant overlay field", `{"scenario": "covert-pnm", "config": {"LLC_BYTES": 4194304}}`,
+			`exp: sim: config: unknown field "LLC_BYTES"`},
+		{"case-variant overlay section", `{"scenario": "covert-pnm", "config": {"MEM": {"defense": "crp"}}}`,
+			`sim: config: unknown field "MEM"`},
+		{"case-variant nested overlay field", `{"scenario": "covert-pnm", "config": {"dram": {"timing": {"tRCD": 5}}}, "grid": {"llc_ways": [8, 16]}}`,
+			`sim: config: unknown field "tRCD"`},
+		{"case-variant key in a grid value", `{"scenario": "covert-pnm", "grid": {"mem": [{"Request_Overhead": 20}]}}`,
+			`sim: config: unknown field "Request_Overhead"`},
+		{"least case-variant key wins", `{"scenario": "covert-pnm", "config": {"noise": {"Seed": 1}, "Cores": 2, "mem": {"Defense": "crp"}}}`,
+			`unknown field "Cores"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,6 +217,20 @@ func TestExpandErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+
+	// A case-variant key inside a section-valued grid value fails at its
+	// own grid point, like any other invalid value after the first.
+	spec, err = ParseSpec([]byte(`{"scenario": "covert-pnm", "grid": {"mem": [{"defense": "crp"}, {"Request_Overhead": 20}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := spec.Expansion(MaxRuns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.RunAt(1); err == nil || !strings.Contains(err.Error(), `unknown field "Request_Overhead"`) {
+		t.Fatalf("RunAt(1) = %v, want the case-variant key rejected", err)
 	}
 
 	// Oversized grids are rejected before any simulation.

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/figures"
@@ -83,10 +85,10 @@ func covertReport(name string, res core.Result) figures.Report {
 // memory-bound sweep affordable). Production code never appends to it.
 var testScenarios []scenario
 
-// scenarios returns the full registry in presentation order: the
+// builtinScenarios is the production registry in presentation order: the
 // config-sensitive covert channels first, then every paper artifact from
-// the figures registry, then any test-injected entries.
-func scenarios() []scenario {
+// the figures registry. It is built once per process and never written.
+var builtinScenarios = sync.OnceValue(func() []scenario {
 	out := []scenario{
 		covertRunner("covert-pnm", "IMPACT PnM covert channel (PEI row-buffer probes)", 101, core.RunPnM),
 		covertRunner("covert-pum", "IMPACT PuM covert channel (RowClone row-buffer probes)", 102, core.RunPuM),
@@ -105,7 +107,13 @@ func scenarios() []scenario {
 			},
 		})
 	}
-	return append(out, testScenarios...)
+	return out
+})
+
+// scenarios returns the full registry in presentation order: the built-in
+// entries, then any test-injected ones.
+func scenarios() []scenario {
+	return slices.Concat(builtinScenarios(), testScenarios)
 }
 
 // ScenarioNames lists every runnable scenario in presentation order.
@@ -132,11 +140,14 @@ func ScenarioList() []ScenarioInfo {
 	return out
 }
 
-// scenarioByName resolves a registry entry.
+// scenarioByName resolves a registry entry without building the list
+// scenarios returns.
 func scenarioByName(name string) (scenario, bool) {
-	for _, s := range scenarios() {
-		if s.Name == name {
-			return s, true
+	for _, list := range [...][]scenario{builtinScenarios(), testScenarios} {
+		for _, s := range list {
+			if s.Name == name {
+				return s, true
+			}
 		}
 	}
 	return scenario{}, false

@@ -33,8 +33,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/figures"
 	"repro/internal/sim"
@@ -69,7 +71,7 @@ var ErrGridTooLarge = errors.New("exp: grid too large")
 // pkg/api stays a pure contract package.
 //
 // Config is a sparse sim.Config document (snake_case JSON tags; see
-// sim.FromJSON) deep-merged over the Table 2 defaults. Grid maps
+// sim.FromJSON) decoded over the Table 2 defaults. Grid maps
 // dot-separated config field paths — e.g. "llc_bytes" or "mem.defense" —
 // to the list of values to sweep; the engine expands the Cartesian
 // product of all grid fields into concrete runs.
@@ -101,7 +103,10 @@ type Run struct {
 }
 
 // resolve validates the spec's front matter — scenario, scale, config
-// overlay — and returns the pieces expansion needs.
+// overlay — and returns the pieces expansion needs. The base document is
+// the decoded overlay alone (empty without one): sim.FromJSON decodes
+// every point onto sim.DefaultConfig, so the defaults never need to be
+// spelled out in it.
 func (s Spec) resolve() (scenario, figures.Scale, map[string]any, error) {
 	scn, ok := scenarioByName(s.Scenario)
 	if !ok {
@@ -118,19 +123,25 @@ func (s Spec) resolve() (scenario, figures.Scale, map[string]any, error) {
 		return scenario{}, 0, nil, fmt.Errorf("exp: scenario %q replays a fixed paper artifact and ignores sim.Config; drop the config/grid fields", s.Scenario)
 	}
 
-	base, err := defaultConfigDoc()
-	if err != nil {
-		return scenario{}, 0, nil, err
-	}
+	base := map[string]any{}
 	if len(s.Config) > 0 {
-		patch, err := decodeDoc(s.Config)
-		if err != nil {
+		if base, err = decodeDoc(s.Config); err != nil {
 			return scenario{}, 0, nil, fmt.Errorf(`exp: spec field "config": %v`, err)
 		}
-		deepMerge(base, patch)
 	}
 	return scn, scale, base, nil
 }
+
+// configShape is sim.DefaultConfig as a decoded document: the field names
+// and section structure every point document is checked against. It is
+// decoded once per process and never written.
+var configShape = sync.OnceValues(func() (map[string]any, error) {
+	data, err := sim.DefaultConfig().ToJSON()
+	if err != nil {
+		return nil, err
+	}
+	return decodeDoc(data)
+})
 
 // gridAxis is one grid field of an Expansion: its decoded values and their
 // canonical JSON labels, fixed at construction so RunAt never re-parses.
@@ -149,24 +160,38 @@ type gridAxis struct {
 // grid point) that the grid paths name real config fields the simulator
 // accepts.
 //
+// A run's config document holds only the spec's config overlay and its
+// grid point; sim.FromJSON decodes it onto the defaults. Grid paths may
+// not overlap (one extending another at a "." boundary), so each grid
+// value lands on its own key.
+//
 // An Expansion is immutable after construction and safe for concurrent
-// RunAt calls: each call deep-copies the base document before applying its
-// grid point. Run 0 is the one construction built; RunAt(0) returns it
-// rather than building it twice, so its Params map is shared and, like
-// every Run, read-only.
+// RunAt calls: each call builds its document in fresh maps, copying every
+// section on a grid path before writing into it, so no call writes the
+// overlay, a grid value or the shared default shape. Run 0 is the one
+// construction built; RunAt(0) returns it rather than building it twice,
+// so its Params map is shared and, like every Run, read-only.
 type Expansion struct {
 	scn   scenario
 	scale figures.Scale
-	base  map[string]any
+	base  map[string]any // the config overlay; never written
+	shape map[string]any // configShape; never written
 	axes  []gridAxis
 	total int
-	first Run
+	// keyTail ends every run's key document after its config:
+	// `,"scale":"quick","scenario":"covert-pnm"}` for example.
+	keyTail []byte
+	first   Run
 }
 
 // Expansion resolves the spec into a lazy run iterator bounded by limit
 // (MaxRuns for the synchronous path, MaxJobRuns for jobs).
 func (s Spec) Expansion(limit int) (*Expansion, error) {
 	scn, scale, base, err := s.resolve()
+	if err != nil {
+		return nil, err
+	}
+	shape, err := configShape()
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +231,28 @@ func (s Spec) Expansion(limit int) (*Expansion, error) {
 		}
 		axes = append(axes, ax)
 	}
+	// A path through another path's key would write into that axis's
+	// shared grid value, so paths must name disjoint parts of the config.
+	for _, path := range paths {
+		for i := range len(path) {
+			if path[i] != '.' {
+				continue
+			}
+			if _, ok := s.Grid[path[:i]]; ok {
+				return nil, fmt.Errorf("exp: grid fields %q and %q overlap", path[:i], path)
+			}
+		}
+	}
 
-	x := &Expansion{scn: scn, scale: scale, base: base, axes: axes, total: total}
+	// The key document is {"config":...,"scale":...,"scenario":...}, the
+	// bytes json.Marshal writes for that map; its tail is fixed per spec.
+	keyTail, err := json.Marshal(map[string]string{"scale": scale.String(), "scenario": scn.Name})
+	if err != nil {
+		return nil, err
+	}
+	keyTail[0] = ','
+
+	x := &Expansion{scn: scn, scale: scale, base: base, shape: shape, axes: axes, total: total, keyTail: keyTail}
 	// Build the first grid point now: lazy expansion moves setPath and
 	// sim.FromJSON validation from submit time to run time, and a grid
 	// whose paths misname config fields fails identically at every point —
@@ -234,18 +279,19 @@ func (x *Expansion) RunAt(i int) (Run, error) {
 
 // build materializes run i, which the caller has range-checked.
 func (x *Expansion) build(i int) (Run, error) {
-	cfgDoc := deepCopy(x.base)
+	doc := make(map[string]any, len(x.base)+len(x.axes))
+	maps.Copy(doc, x.base)
 	params := make(map[string]string, len(x.axes))
 	stride := x.total
 	for _, ax := range x.axes {
 		stride /= len(ax.vals)
 		j := (i / stride) % len(ax.vals)
-		if err := setPath(cfgDoc, ax.path, ax.vals[j]); err != nil {
+		if err := setPath(doc, x.shape, ax.path, ax.vals[j]); err != nil {
 			return Run{}, err
 		}
 		params[ax.path] = ax.labels[j]
 	}
-	run, err := newRun(x.scn, x.scale, cfgDoc, params)
+	run, err := x.newRun(doc, params)
 	if err != nil {
 		if len(params) == 0 {
 			return Run{}, fmt.Errorf("exp: %w", err)
@@ -255,10 +301,15 @@ func (x *Expansion) build(i int) (Run, error) {
 	return run, nil
 }
 
-// newRun validates one concrete config document and computes the run's
-// content address.
-func newRun(scn scenario, scale figures.Scale, cfgDoc map[string]any, params map[string]string) (Run, error) {
-	cfgJSON, err := json.Marshal(cfgDoc)
+// newRun decodes one grid point's sparse config document onto the
+// defaults and computes the run's content address.
+func (x *Expansion) newRun(doc map[string]any, params map[string]string) (Run, error) {
+	// encoding/json would bind a key that matches a field only up to case
+	// to that field; the spelling rule is exact, so it is unknown here.
+	if key, ok := foldedKey(doc, x.shape); ok {
+		return Run{}, fmt.Errorf("sim: config: unknown field %q", key)
+	}
+	cfgJSON, err := json.Marshal(doc)
 	if err != nil {
 		return Run{}, err
 	}
@@ -268,27 +319,24 @@ func newRun(scn scenario, scale figures.Scale, cfgDoc map[string]any, params map
 	}
 	// The canonical document re-encodes the *decoded* config, so
 	// equivalent spellings of one value ("1e3" vs "1000", string vs
-	// ordinal enums) collapse to the same content address.
+	// ordinal enums) collapse to the same content address. ToJSON output
+	// is compact and HTML-escaped, as json.Marshal leaves a RawMessage,
+	// so it is hashed in place.
 	canonCfg, err := cfg.ToJSON()
 	if err != nil {
 		return Run{}, err
 	}
-	canonical, err := json.Marshal(map[string]any{
-		"scenario": scn.Name,
-		"scale":    scale.String(),
-		"config":   json.RawMessage(canonCfg),
-	})
-	if err != nil {
-		return Run{}, err
-	}
-	sum := sha256.Sum256(canonical)
+	h := sha256.New()
+	h.Write([]byte(`{"config":`))
+	h.Write(canonCfg)
+	h.Write(x.keyTail)
 	return Run{
-		Scenario: scn.Name,
-		Scale:    scale,
+		Scenario: x.scn.Name,
+		Scale:    x.scale,
 		Config:   cfg,
 		Params:   params,
-		Key:      hex.EncodeToString(sum[:]),
-		scn:      scn,
+		Key:      hex.EncodeToString(h.Sum(nil)),
+		scn:      x.scn,
 	}, nil
 }
 
@@ -308,15 +356,6 @@ func FormatParams(params map[string]string) string {
 		parts[i] = p + "=" + params[p]
 	}
 	return strings.Join(parts, " ")
-}
-
-// defaultConfigDoc returns sim.DefaultConfig as a canonical document.
-func defaultConfigDoc() (map[string]any, error) {
-	data, err := sim.DefaultConfig().ToJSON()
-	if err != nil {
-		return nil, err
-	}
-	return decodeDoc(data)
 }
 
 // decodeDoc decodes a JSON object, preserving numbers as json.Number so
@@ -344,54 +383,79 @@ func decodeValue(data []byte) (any, error) {
 	return v, nil
 }
 
-// deepMerge overlays src onto dst: nested objects merge recursively,
-// everything else (including arrays) replaces wholesale.
-func deepMerge(dst, src map[string]any) {
-	//lint:ignore nodeterminism writes land on disjoint keys, so merge order commutes
-	for k, sv := range src {
-		if sm, ok := sv.(map[string]any); ok {
-			if dm, ok := dst[k].(map[string]any); ok {
-				deepMerge(dm, sm)
-				continue
-			}
-		}
-		dst[k] = sv
-	}
-}
-
-// deepCopy clones a document so grid points never alias each other.
-func deepCopy(doc map[string]any) map[string]any {
-	out := make(map[string]any, len(doc))
-	for k, v := range doc {
-		if m, ok := v.(map[string]any); ok {
-			out[k] = deepCopy(m)
-		} else {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// setPath assigns a value at a dot-separated field path, creating missing
-// intermediate objects (sim.FromJSON then rejects paths that do not name
-// real config fields).
-func setPath(doc map[string]any, path string, val any) error {
-	segs := strings.Split(path, ".")
+// setPath assigns val at a dot-separated field path of a point document,
+// walking the default config shape beside it. Each section on the path is
+// copied before it is written, so the overlay and grid values it came
+// from stay untouched. A section the document does not hold yet takes its
+// kind from the shape: a path through a default scalar fails, and a
+// segment the shape lacks becomes a new section for sim.FromJSON to
+// reject as an unknown field.
+func setPath(doc, shape map[string]any, path string, val any) error {
 	cur := doc
-	for _, seg := range segs[:len(segs)-1] {
-		next, ok := cur[seg]
-		if !ok {
-			child := map[string]any{}
-			cur[seg] = child
-			cur = child
+	for rest := path; ; {
+		seg, tail, nested := strings.Cut(rest, ".")
+		if !nested {
+			cur[seg] = val
+			return nil
+		}
+		rest = tail
+		var child map[string]any
+		if v, ok := cur[seg]; ok {
+			section, ok := v.(map[string]any)
+			if !ok {
+				return fmt.Errorf("exp: grid field %q: %q is not a config section", path, seg)
+			}
+			child = maps.Clone(section)
+		} else {
+			if def, ok := shape[seg]; ok {
+				if _, ok := def.(map[string]any); !ok {
+					return fmt.Errorf("exp: grid field %q: %q is not a config section", path, seg)
+				}
+			}
+			child = map[string]any{}
+		}
+		cur[seg] = child
+		cur = child
+		shape, _ = shape[seg].(map[string]any)
+	}
+}
+
+// foldedKey finds a key of doc that names no field of shape but matches
+// one up to case (strings.EqualFold, the folding encoding/json uses),
+// descending into the sections doc and shape share. Of several, the one
+// under the least top-level key wins, so map order cannot change it.
+func foldedKey(doc, shape map[string]any) (key string, found bool) {
+	var under string // the top-level key of doc that key was found under
+	//lint:ignore nodeterminism keeps only the result under the least key, which is order-independent
+	for k, v := range doc {
+		if found && k > under {
 			continue
 		}
-		child, ok := next.(map[string]any)
-		if !ok {
-			return fmt.Errorf("exp: grid field %q: %q is not a config section", path, seg)
+		bad, ok := "", false
+		if def, exact := shape[k]; exact {
+			sub, isDoc := v.(map[string]any)
+			section, isSection := def.(map[string]any)
+			if isDoc && isSection {
+				bad, ok = foldedKey(sub, section)
+			}
+		} else if foldsToField(shape, k) {
+			bad, ok = k, true
 		}
-		cur = child
+		if ok {
+			key, found, under = bad, true, k
+		}
 	}
-	cur[segs[len(segs)-1]] = val
-	return nil
+	return key, found
+}
+
+// foldsToField reports whether key matches a field name of shape up to
+// case.
+func foldsToField(shape map[string]any, key string) bool {
+	//lint:ignore nodeterminism an existence test: every order gives the same answer
+	for name := range shape {
+		if strings.EqualFold(name, key) {
+			return true
+		}
+	}
+	return false
 }
