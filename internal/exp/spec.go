@@ -231,8 +231,9 @@ func (s Spec) Expansion(limit int) (*Expansion, error) {
 		}
 		axes = append(axes, ax)
 	}
-	// A path through another path's key would write into that axis's
-	// shared grid value, so paths must name disjoint parts of the config.
+	// Paths must name disjoint parts of the config: where one path extends
+	// another, both axes would set the inner field at every point, and the
+	// outer axis's label would misstate what ran.
 	for _, path := range paths {
 		for i := range len(path) {
 			if path[i] != '.' {
