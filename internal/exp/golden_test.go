@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -89,8 +90,9 @@ func summarizeExpansion(t *testing.T, spec Spec) expansionGolden {
 	return line
 }
 
-// TestGolden pins expansion and the served bytes of the example sweep
-// against the committed corpus under testdata/golden.
+// TestGolden pins expansion, the served bytes of the example sweep and
+// every scenario's quick-scale report against the committed corpus under
+// testdata/golden.
 func TestGolden(t *testing.T) {
 	t.Run("expansion", func(t *testing.T) {
 		// Each line carries its own spec, so -update recomputes the digests
@@ -163,5 +165,19 @@ func TestGolden(t *testing.T) {
 			t.Fatalf("GET stream = %d: %s", stream.Code, stream.Body)
 		}
 		checkGolden(t, "sweep-llc.stream.ndjson", stream.Body.Bytes())
+	})
+	t.Run("scenarios.quick", func(t *testing.T) {
+		// One POST /v1/run body per built-in scenario, in registry order.
+		h := NewServer(NewEngine()).Handler()
+		var got bytes.Buffer
+		for _, s := range builtinScenarios() {
+			rec := doRequest(t, h, http.MethodPost, "/v1/run",
+				fmt.Sprintf(`{"scenario": %q, "scale": "quick"}`, s.Name))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: POST /v1/run = %d: %s", s.Name, rec.Code, rec.Body)
+			}
+			got.Write(rec.Body.Bytes())
+		}
+		checkGolden(t, "scenarios.quick.ndjson", got.Bytes())
 	})
 }
