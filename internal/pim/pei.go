@@ -7,6 +7,8 @@
 package pim
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -61,38 +63,132 @@ type PEIResult struct {
 // tag cache of recently touched cache blocks. A hit means the data is likely
 // cached, so the PEI executes host-side; a miss routes it near memory. The
 // IMPACT attackers deliberately touch fresh cache lines each batch to force
-// memory-side execution.
+// memory-side execution, so a full monitor evicts on nearly every PEI.
+//
+// Replacement is least recently used: a miss on a full monitor evicts the
+// line whose last touch is oldest, and a hit refreshes its line. Observe
+// does O(1) expected work and allocates nothing. Each tracked line owns a
+// node of a fixed array, threaded on a circular recency list whose
+// sentinel is node 0. An open-addressed index with at least twice as many
+// buckets as lines maps a tag to its node. Removing a tag shifts the rest
+// of its probe run back instead of leaving a tombstone, so probe runs stay
+// short however long the monitor churns.
 type LocalityMonitor struct {
-	entries map[uint64]int64
-	max     int
-	tick    int64
+	nodes []lruNode // nodes[0] is the sentinel; cap is the line capacity + 1
+	index []int32   // bucket → node, 0 when empty; a power-of-two length
+	shift uint      // 64 - log2(len(index)), for Fibonacci hashing
+}
+
+// lruNode is one tracked cache line on the recency list. From the
+// sentinel, older leads to the most recently touched line and newer to
+// the least recently touched one.
+type lruNode struct {
+	tag          uint64
+	newer, older int32
 }
 
 // NewLocalityMonitor returns a monitor tracking up to max cache-line tags.
+// It always tracks at least one line, so max < 1 behaves like 1.
 func NewLocalityMonitor(max int) *LocalityMonitor {
-	return &LocalityMonitor{entries: make(map[uint64]int64, max), max: max}
+	lines := 1
+	if max > 1 {
+		lines = max
+	}
+	buckets := 2
+	for buckets < 2*lines {
+		buckets <<= 1
+	}
+	return &LocalityMonitor{
+		nodes: make([]lruNode, 1, lines+1),
+		index: make([]int32, buckets),
+		shift: uint(64 - bits.TrailingZeros(uint(buckets))),
+	}
 }
 
 // Observe records a touch of the cache line containing addr and returns
 // whether the line was already being tracked (= high locality).
+//
+//impact:hotpath
 func (m *LocalityMonitor) Observe(addr uint64) bool {
 	const lineBits = 6
 	tag := addr >> lineBits
-	m.tick++
-	_, hit := m.entries[tag]
-	if !hit && len(m.entries) >= m.max {
-		// Evict the oldest entry.
-		var oldTag uint64
-		oldTick := m.tick + 1
-		for t, when := range m.entries {
-			if when < oldTick {
-				oldTick, oldTag = when, t
-			}
-		}
-		delete(m.entries, oldTag)
+	b, n := m.find(tag)
+	if n != 0 {
+		m.unlink(n)
+		m.pushNewest(n)
+		return true
 	}
-	m.entries[tag] = m.tick
-	return hit
+	if len(m.nodes) < cap(m.nodes) {
+		n = int32(len(m.nodes))
+		m.nodes = m.nodes[:n+1]
+	} else {
+		// Full: reuse the least recently touched line's node. Removing
+		// its tag can empty a bucket earlier on tag's probe run.
+		n = m.nodes[0].newer
+		m.unlink(n)
+		old, _ := m.find(m.nodes[n].tag)
+		m.unindex(old)
+		b, _ = m.find(tag)
+	}
+	m.nodes[n].tag = tag
+	m.index[b] = n
+	m.pushNewest(n)
+	return false
+}
+
+// find probes for tag from its home bucket. It returns the bucket holding
+// tag and its node, or the empty bucket that ends the probe run and 0.
+//
+//impact:hotpath
+func (m *LocalityMonitor) find(tag uint64) (int, int32) {
+	mask := len(m.index) - 1
+	for b := m.home(tag); ; b = (b + 1) & mask {
+		if n := m.index[b]; n == 0 || m.nodes[n].tag == tag {
+			return b, n
+		}
+	}
+}
+
+// home is tag's first bucket: the top bits of its Fibonacci hash.
+//
+//impact:hotpath
+func (m *LocalityMonitor) home(tag uint64) int {
+	return int((tag * 0x9e3779b97f4a7c15) >> m.shift)
+}
+
+// unindex empties bucket b. Each later entry of the probe run whose home
+// is not between the hole and itself moves back into the hole, so no
+// lookup stops short of its tag.
+//
+//impact:hotpath
+func (m *LocalityMonitor) unindex(b int) {
+	mask := len(m.index) - 1
+	for j := (b + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
+		if h := m.home(m.nodes[m.index[j]].tag); (j-h)&mask >= (j-b)&mask {
+			m.index[b] = m.index[j]
+			b = j
+		}
+	}
+	m.index[b] = 0
+}
+
+// unlink takes node n off the recency list.
+//
+//impact:hotpath
+func (m *LocalityMonitor) unlink(n int32) {
+	newer, older := m.nodes[n].newer, m.nodes[n].older
+	m.nodes[newer].older = older
+	m.nodes[older].newer = newer
+}
+
+// pushNewest links node n in as the most recently touched line.
+//
+//impact:hotpath
+func (m *LocalityMonitor) pushNewest(n int32) {
+	newest := m.nodes[0].older
+	m.nodes[n].newer, m.nodes[n].older = 0, newest
+	m.nodes[newest].newer = n
+	m.nodes[0].older = n
 }
 
 // PEIEngine executes PIM-enabled instructions against a memory controller.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/memctrl"
+	"repro/internal/stats"
 )
 
 func newEngineFixture(t *testing.T) (*PEIEngine, *RowCloneEngine, *memctrl.Controller, *dram.AddrMapper) {
@@ -43,6 +44,105 @@ func TestLocalityMonitorEvictsOldest(t *testing.T) {
 	m.Observe(0x3000) // evicts 0x1000
 	if m.Observe(0x1000) {
 		t.Fatal("oldest entry survived capacity eviction")
+	}
+}
+
+// TestLocalityMonitorHitRefreshesRecency tells LRU from FIFO: the hit on A
+// makes B the least recently touched line, so C must evict B, not A.
+func TestLocalityMonitorHitRefreshesRecency(t *testing.T) {
+	const a, b, c = 0x1000, 0x2000, 0x3000
+	m := NewLocalityMonitor(2)
+	m.Observe(a)
+	m.Observe(b)
+	m.Observe(a)
+	m.Observe(c)
+	if !m.Observe(a) {
+		t.Fatal("a hit did not refresh recency: A evicted in insertion order")
+	}
+	if m.Observe(b) {
+		t.Fatal("B survived although it was the least recently touched line")
+	}
+}
+
+// refMonitor is the map-scan locality monitor that LocalityMonitor
+// replaced, kept as the reference model: a touch stamps the line with a
+// tick, and a miss at capacity scans every entry for the oldest stamp.
+type refMonitor struct {
+	entries map[uint64]int64
+	max     int
+	tick    int64
+}
+
+func newRefMonitor(max int) *refMonitor {
+	return &refMonitor{entries: make(map[uint64]int64, max), max: max}
+}
+
+func (m *refMonitor) Observe(addr uint64) bool {
+	const lineBits = 6
+	tag := addr >> lineBits
+	m.tick++
+	_, hit := m.entries[tag]
+	if !hit && len(m.entries) >= m.max {
+		var oldTag uint64
+		oldTick := m.tick + 1
+		for t, when := range m.entries {
+			if when < oldTick {
+				oldTick, oldTag = when, t
+			}
+		}
+		delete(m.entries, oldTag)
+	}
+	m.entries[tag] = m.tick
+	return hit
+}
+
+// TestLocalityMonitorMatchesReference drives the monitor and the reference
+// model with the same seeded address streams and requires the same answer
+// at every step. Streams draw from fewer lines than the capacity (hits
+// only after warm-up), about as many, and many more (evictions dominate);
+// the strides spread tags over low and high address bits.
+func TestLocalityMonitorMatchesReference(t *testing.T) {
+	steps := 50_000
+	if testing.Short() {
+		steps = 5_000
+	}
+	for _, max := range []int{-1, 0, 1, 2, 4, 256} {
+		lines := 1
+		if max > 1 {
+			lines = max
+		}
+		for _, span := range []int{lines/2 + 1, lines, lines + 1, 2 * lines, 8*lines + 3} {
+			for _, stride := range []uint64{64, 64 << 17} {
+				got, want := NewLocalityMonitor(max), newRefMonitor(max)
+				rng := stats.NewRNG(uint64(max+2)<<32 ^ uint64(span)<<8 ^ stride)
+				for i := 0; i < steps; i++ {
+					addr := uint64(rng.Intn(span))*stride + uint64(rng.Intn(64))
+					if g, w := got.Observe(addr), want.Observe(addr); g != w {
+						t.Fatalf("max %d span %d stride %#x: step %d (addr %#x) hit=%v, reference %v",
+							max, span, stride, i, addr, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalityMonitorFullObserveNoAllocs pins the steady state RunPnM
+// drives: a full monitor missing on every fresh line allocates nothing.
+func TestLocalityMonitorFullObserveNoAllocs(t *testing.T) {
+	m := NewLocalityMonitor(256)
+	var line uint64
+	fresh := func() {
+		if m.Observe(line << 6) {
+			t.Fatal("fresh line reported locality")
+		}
+		line++
+	}
+	for line < 512 {
+		fresh()
+	}
+	if allocs := testing.AllocsPerRun(1000, fresh); allocs != 0 {
+		t.Fatalf("Observe on a full monitor allocates %.1f objects per call", allocs)
 	}
 }
 
