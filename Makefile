@@ -65,7 +65,7 @@ race:
 # Quick regression signal on the allocation-free hot path, and the
 # allocation ceiling of a cached POST /v1/run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset

@@ -763,12 +763,16 @@ func BenchmarkResultStoreGet(b *testing.B) {
 
 // BenchmarkColdRun measures the cold-path provisioning win: a full
 // machine assembly plus one quick-scale PnM transmission (fresh) against
-// the pooled Get→run→Put cycle (pooled), whose reset fast path reuses
-// the machine's allocated DRAM rows, cache arrays, and counter blocks.
-// The pooled subbenchmark pins the two regressions that matter: the
-// cold-run speedup must stay >= 2x (measured ~3.5x; see
-// docs/benchmark.md) and the pooled cycle must allocate at least 8x
-// less than assembly (measured ~47x less).
+// the path a sim.Pool hit runs (pooled): Machine.Reset on a held machine,
+// which reuses its allocated DRAM rows, cache arrays, and counter blocks,
+// then the same transmission. The pooled loop holds its machine rather
+// than cycling it through a Pool, because sync.Pool may drop the machine
+// (after a GC or a P switch) and a Get would then rebuild it inside the
+// timed loop, at about twenty pooled cycles per rebuild.
+// TestPoolShapeSharding pins the pool's routing. The pooled subbenchmark
+// pins the two regressions that matter: the cold-run speedup must stay
+// >= 2x (measured ~20x; see docs/benchmark.md) and the pooled cycle must
+// allocate at least 8x less than assembly (measured ~560x less).
 func BenchmarkColdRun(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	msg := core.RandomMessage(512, 101)
@@ -790,18 +794,19 @@ func BenchmarkColdRun(b *testing.B) {
 	})
 
 	b.Run("pooled", func(b *testing.B) {
-		pool := sim.NewPool()
+		m, err := sim.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		cycle := func() {
-			m, err := pool.Get(cfg)
-			if err != nil {
-				b.Fatal(err)
+			if !m.Reset(cfg) {
+				b.Fatal("Reset refused the machine's own configuration")
 			}
 			if _, err := core.RunPnM(m, msg, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
-			pool.Put(m)
 		}
-		cycle() // warm the pool so the timed loop hits the reset path
+		cycle() // dirty the machine, as a pooled one always is
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -831,6 +836,44 @@ func BenchmarkColdRun(b *testing.B) {
 				pooledAllocs, coldAllocs)
 		}
 	})
+}
+
+// BenchmarkPEIExecute measures one synchronous PEI in the memory-side
+// steady state a PnM transmission drives: the 256-line locality monitor
+// is full and every call touches a fresh line, so each PEI evicts the
+// least recently used line and goes to DRAM. It must not allocate.
+func BenchmarkPEIExecute(b *testing.B) {
+	m, err := sim.New(sim.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pei := m.PEI()
+	const span = 1 << 20 // distinct lines before the stream wraps
+	var line uint64
+	var now int64
+	execute := func() {
+		res, err := pei.Execute(now, line%span<<6, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.NearMemory {
+			b.Fatalf("PEI on fresh line %d executed host-side", line)
+		}
+		now = res.CompletedAt
+		line++
+	}
+	for line < 512 {
+		execute()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		execute()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, execute); allocs != 0 {
+		b.Fatalf("memory-side PEI allocates %.1f objects per call", allocs)
+	}
 }
 
 // BenchmarkSweepExpand measures lazy expansion at the synchronous bound
