@@ -772,7 +772,7 @@ func BenchmarkResultStoreGet(b *testing.B) {
 // TestPoolShapeSharding pins the pool's routing. The pooled subbenchmark
 // pins the two regressions that matter: the cold-run speedup must stay
 // >= 2x (measured ~20x; see docs/benchmark.md) and the pooled cycle must
-// allocate at least 8x less than assembly (measured ~560x less).
+// allocate at least 8x less than assembly (measured ~620x less).
 func BenchmarkColdRun(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	msg := core.RandomMessage(512, 101)
@@ -852,7 +852,7 @@ func BenchmarkPEIExecute(b *testing.B) {
 	var line uint64
 	var now int64
 	execute := func() {
-		res, err := pei.Execute(now, line%span<<6, 0)
+		res, err := pei.Execute(now, (line%span)<<6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -156,9 +156,9 @@ func (m *LocalityMonitor) home(tag uint64) int {
 	return int((tag * 0x9e3779b97f4a7c15) >> m.shift)
 }
 
-// unindex empties bucket b. Each later entry of the probe run whose home
-// is not between the hole and itself moves back into the hole, so no
-// lookup stops short of its tag.
+// unindex empties bucket b. Each later entry of the probe run moves back
+// into the hole unless its home lies after the hole, so no lookup stops
+// short of its tag.
 //
 //impact:hotpath
 func (m *LocalityMonitor) unindex(b int) {

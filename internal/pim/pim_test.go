@@ -37,6 +37,9 @@ func TestLocalityMonitorTracksRecency(t *testing.T) {
 	}
 }
 
+// TestLocalityMonitorEvictsOldest pins least-recently-used replacement.
+// The second sequence tells LRU from FIFO: the hit on A makes B the least
+// recently touched line, so C must evict B, not A.
 func TestLocalityMonitorEvictsOldest(t *testing.T) {
 	m := NewLocalityMonitor(2)
 	m.Observe(0x1000)
@@ -45,28 +48,25 @@ func TestLocalityMonitorEvictsOldest(t *testing.T) {
 	if m.Observe(0x1000) {
 		t.Fatal("oldest entry survived capacity eviction")
 	}
-}
 
-// TestLocalityMonitorHitRefreshesRecency tells LRU from FIFO: the hit on A
-// makes B the least recently touched line, so C must evict B, not A.
-func TestLocalityMonitorHitRefreshesRecency(t *testing.T) {
 	const a, b, c = 0x1000, 0x2000, 0x3000
-	m := NewLocalityMonitor(2)
-	m.Observe(a)
-	m.Observe(b)
-	m.Observe(a)
-	m.Observe(c)
+	m = NewLocalityMonitor(2)
+	for _, addr := range []uint64{a, b, a, c} {
+		m.Observe(addr)
+	}
 	if !m.Observe(a) {
-		t.Fatal("a hit did not refresh recency: A evicted in insertion order")
+		t.Fatal("C evicted A: the hit on A did not refresh its recency (FIFO order)")
 	}
 	if m.Observe(b) {
 		t.Fatal("B survived although it was the least recently touched line")
 	}
 }
 
-// refMonitor is the map-scan locality monitor that LocalityMonitor
-// replaced, kept as the reference model: a touch stamps the line with a
-// tick, and a miss at capacity scans every entry for the oldest stamp.
+// refMonitor is the reference model of LocalityMonitor, an O(capacity)
+// LRU that is easy to check by eye: a touch stamps the line with a tick,
+// and a miss at capacity scans every entry for the oldest stamp. max < 1
+// tracks one line, because the scan finds nothing to evict from an empty
+// map.
 type refMonitor struct {
 	entries map[uint64]int64
 	max     int
