@@ -16,111 +16,34 @@ import (
 // epoch penalties leave almost no usable windows — the trade-off the paper
 // quantifies.
 func RunPnMAdaptive(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "IMPACT-PnM-adaptive"}
-	banks := opt.banksOrDefault(m)
-	threshold := opt.Threshold
-	if threshold == 0 {
-		threshold = DefaultThresholdCycles
-	}
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-	ctrl := m.Controller()
-	epoch := m.Config().Mem.ACT.EpochCycles
-	if epoch <= 0 {
-		epoch = 2600
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	colsPerRow := m.Config().DRAM.RowBytes / cacheLineBytes
-
-	for _, bank := range banks {
-		if _, err := receiver.PEIAccess(m.AddrFor(bank, receiverInitRow, 0)); err != nil {
-			return Result{}, err
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		banks := opt.banksOrDefault(m)
+		ch, err := pnm(m, s, r, opt, "IMPACT-PnM-adaptive", banks)
+		if err != nil {
+			return channel{}, err
 		}
-	}
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	// waitBudget bounds how long the attacker waits out penalties before
-	// giving up on a batch and transmitting anyway (so the run always
-	// terminates even under ACT-Aggressive).
-	waitBudget := int64(64) * epoch
-
-	decoded := make([]bool, 0, len(msg))
-	batch := 0
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
+		ctrl := m.Controller()
+		epoch := m.Config().Mem.ACT.EpochCycles
+		if epoch <= 0 {
+			epoch = 2600
 		}
-		bits := msg[off:end]
-		col := ((batch + 1) % colsPerRow) * cacheLineBytes
-		rowBump := int64((batch + 1) / colsPerRow)
-
-		// Adaptive step: idle while any channel bank is padded, up to
-		// the wait budget.
-		waited := int64(0)
-		for waited < waitBudget {
-			padded := false
+		padded := func() bool {
 			for _, bank := range banks {
-				if ctrl.ConstantTimeActive(sender.Now(), bank) {
-					padded = true
-					break
+				if ctrl.ConstantTimeActive(s.Now(), bank) {
+					return true
 				}
 			}
-			if !padded {
-				break
+			return false
+		}
+		// Idle while any channel bank is padded, up to a budget after
+		// which the batch goes out anyway (so the run always terminates
+		// even under ACT-Aggressive); the receiver then catches up.
+		ch.idle = func() {
+			for waited := int64(0); waited < 64*epoch && padded(); waited += epoch {
+				s.Advance(epoch)
 			}
-			sender.Advance(epoch)
-			waited += epoch
+			r.AdvanceTo(s.Now())
 		}
-		receiver.AdvanceTo(sender.Now())
-
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			sender.Advance(m.Config().Costs.SenderComputeCost)
-			if bit {
-				if _, err := sender.PEIActivate(m.AddrFor(banks[i], senderRow+rowBump, col)); err != nil {
-					return Result{}, err
-				}
-			}
-			sender.LoopTick()
-		}
-		sender.Fence()
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
-
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			t0 := receiver.Rdtscp()
-			if _, err := receiver.PEIAccess(m.AddrFor(banks[i], receiverInitRow+rowBump, col)); err != nil {
-				return Result{}, err
-			}
-			t1 := receiver.Rdtscp()
-			lat := opt.filterMaintenance(t1-t0, threshold)
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		receiver.Fence()
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		batch++
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+		return ch, nil
+	})
 }

@@ -46,20 +46,12 @@ type Options struct {
 	MaintenanceStall int64
 }
 
-// filterMaintenance removes one known maintenance stall from a measured
-// latency when the measurement could not otherwise exceed the decode range.
-func (o Options) filterMaintenance(lat, threshold int64) int64 {
-	if o.MaintenanceStall <= 0 {
-		return lat
+// thresholdOr returns Options.Threshold, or def when it is unset.
+func (o Options) thresholdOr(def int64) int64 {
+	if o.Threshold != 0 {
+		return o.Threshold
 	}
-	// Anything beyond threshold + stall/2 must contain a stall.
-	if lat > threshold+o.MaintenanceStall/2 {
-		lat -= o.MaintenanceStall
-	}
-	if lat < 0 {
-		lat = 0
-	}
-	return lat
+	return def
 }
 
 // banksOrDefault returns the configured banks or the first 16 banks.

@@ -11,91 +11,37 @@ import (
 // so the channel is receiver-bound and independent of the cache
 // configuration — the flat line of Figures 2 and 3.
 func RunDirect(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "DirectAccess"}
-	banks := opt.banksOrDefault(m)
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-
-	recvAddr := func(bank int) uint64 { return m.AddrFor(bank, receiverInitRow, 0) }
-
-	warmup(banks,
-		func(b int) { _ = sender.ActivateAsync(b, senderRow) },
-		func(b int) { receiver.LoadUncached(recvAddr(b)) })
-	sender.Fence()
-
-	threshold := opt.Threshold
-	if threshold == 0 {
-		var err error
-		threshold, err = calibrate(m, banks[0],
-			func(bank int) {
-				_, _ = m.Device().Activate(receiver.Now(), bank, senderRow)
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		banks := opt.banksOrDefault(m)
+		load := func(bank int) { r.LoadUncached(m.AddrFor(bank, receiverInitRow, 0)) }
+		// A denied warm-up activation resurfaces as an error on the
+		// first transmitted 1 bit.
+		warmup(banks, func(bank int) { _ = s.ActivateAsync(bank, senderRow) }, load)
+		s.Fence()
+		probe := func(bank int) int64 {
+			t0 := r.Rdtscp()
+			load(bank)
+			return r.Rdtscp() - t0
+		}
+		return channel{
+			name:        "DirectAccess",
+			banks:       banks,
+			threshold:   calibrated(m, r, opt, banks[0], probe),
+			fenceSender: true,
+			// One asynchronous memory request per 1 bit, no cache path
+			// and no encoding work: the activation drains while the
+			// sender moves on.
+			send: func(b batch) error {
+				return sendBits(s, 0, b, func(bank int) error { return s.ActivateAsync(bank, senderRow) })
 			},
-			func(bank int) (int64, error) {
-				t0 := receiver.Rdtscp()
-				receiver.LoadUncached(recvAddr(bank))
-				return receiver.Rdtscp() - t0, nil
-			})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
-		}
-		bits := msg[off:end]
-
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			if bit {
-				// One asynchronous memory request, no cache path: the
-				// activation drains while the sender moves on.
-				if err := sender.ActivateAsync(banks[i], senderRow); err != nil {
-					return Result{}, err
-				}
-			}
-			sender.LoopTick()
-		}
-		sender.Fence()
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
-
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			receiver.Serialize()
-			t0 := receiver.Rdtscp()
-			receiver.LoadUncached(recvAddr(banks[i]))
-			t1 := receiver.Rdtscp()
-			receiver.Serialize()
-			lat := t1 - t0
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+			// The receiver serializes around its timed load (the paper's
+			// cpuid around rdtscp), outside the timed window.
+			probe: func(_, bank int) (int64, error) {
+				r.Serialize()
+				lat := probe(bank)
+				r.Serialize()
+				return lat, nil
+			},
+		}, nil
+	})
 }

@@ -10,85 +10,25 @@ import (
 // setup, completion — which caps throughput around three orders of
 // magnitude of cycles per bit regardless of cache configuration.
 func RunDMA(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "DMA"}
-	banks := opt.banksOrDefault(m)
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-
-	recvAddr := func(bank int) uint64 { return m.AddrFor(bank, receiverInitRow, 0) }
-	sendAddr := func(bank int) uint64 { return m.AddrFor(bank, senderRow, 0) }
-
-	warmup(banks,
-		func(b int) { sender.DMATransfer(sendAddr(b)) },
-		func(b int) { receiver.DMATransfer(recvAddr(b)) })
-
-	threshold := opt.Threshold
-	if threshold == 0 {
-		var err error
-		threshold, err = calibrate(m, banks[0],
-			func(bank int) {
-				_, _ = m.Device().Activate(receiver.Now(), bank, senderRow)
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		banks := opt.banksOrDefault(m)
+		send := func(bank int) { s.DMATransfer(m.AddrFor(bank, senderRow, 0)) }
+		receive := func(bank int) { r.DMATransfer(m.AddrFor(bank, receiverInitRow, 0)) }
+		warmup(banks, send, receive)
+		probe := func(bank int) int64 {
+			t0 := r.Rdtscp()
+			receive(bank)
+			return r.Rdtscp() - t0
+		}
+		cost := m.Config().Costs.SenderComputeCost
+		return channel{
+			name:      "DMA",
+			banks:     banks,
+			threshold: calibrated(m, r, opt, banks[0], probe),
+			send: func(b batch) error {
+				return sendBits(s, cost, b, func(bank int) error { send(bank); return nil })
 			},
-			func(bank int) (int64, error) {
-				t0 := receiver.Rdtscp()
-				receiver.DMATransfer(recvAddr(bank))
-				return receiver.Rdtscp() - t0, nil
-			})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
-		}
-		bits := msg[off:end]
-
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			sender.Advance(m.Config().Costs.SenderComputeCost)
-			if bit {
-				sender.DMATransfer(sendAddr(banks[i]))
-			}
-			sender.LoopTick()
-		}
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
-
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			t0 := receiver.Rdtscp()
-			receiver.DMATransfer(recvAddr(banks[i]))
-			t1 := receiver.Rdtscp()
-			lat := t1 - t0
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+			probe: func(_, bank int) (int64, error) { return probe(bank), nil },
+		}, nil
+	})
 }

@@ -4,154 +4,16 @@ import (
 	"repro/internal/sim"
 )
 
-// calibrate measures the channel's empty-vs-conflict latency profile with
-// two training probes and returns the midpoint threshold — the offline
-// calibration step a real attacker performs before transmitting. probe runs
-// one timed receiver measurement against the given bank; disturb opens a
-// conflicting row in that bank.
-func calibrate(
-	m *sim.Machine,
-	bank int,
-	disturb func(bank int),
-	probe func(bank int) (int64, error),
-) (int64, error) {
-	// Warm up TLBs and page-table caches so the training probes measure
-	// the steady-state path, not first-touch translation misses.
-	for i := 0; i < 2; i++ {
-		if _, err := probe(bank); err != nil {
-			return 0, err
-		}
-	}
-	// Quiet probe: bank precharged (or holding the probe row).
-	empty, err := probe(bank)
-	if err != nil {
-		return 0, err
-	}
-	// Disturbed probe: another row was opened since.
-	disturb(bank)
-	conflict, err := probe(bank)
-	if err != nil {
-		return 0, err
-	}
-	if conflict <= empty {
-		// Degenerate (e.g. constant-time defense active): fall back to
-		// the paper's threshold so the attack still runs — and fails
-		// honestly.
-		return DefaultThresholdCycles, nil
-	}
-	// Bias toward the quiet latency: the training conflict includes a tRAS
-	// stall (the disturbance happened moments before the probe) that
-	// steady-state conflicts do not pay.
-	return empty + (conflict-empty)/4, nil
-}
-
-// warmup runs the per-bank probe and disturb paths once before timing
-// starts, mirroring the paper's Section 5.2.1 warm-up that avoids compulsory
-// TLB and page-table misses during measurement. The sender's warm-up runs
-// first so the receiver's pass leaves its own rows in the row buffers.
-func warmup(banks []int, senderTouch, receiverProbe func(bank int)) {
-	for _, b := range banks {
-		senderTouch(b)
-	}
-	for _, b := range banks {
-		receiverProbe(b)
-	}
-}
-
 // RunDRAMAClflush executes the DRAMA row-buffer covert channel using clflush
 // to bypass the cache hierarchy (Pessl et al., USENIX Security'16; the
 // paper's strongest prior-work baseline). Each bit costs both parties a
 // flush and an uncached reload, and the flush path grows with LLC size —
 // the effect Figures 2 and 9 quantify.
 func RunDRAMAClflush(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "DRAMA-clflush"}
-	banks := opt.banksOrDefault(m)
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-
-	recvAddr := func(bank int) uint64 { return m.AddrFor(bank, receiverInitRow, 0) }
-	sendAddr := func(bank int) uint64 { return m.AddrFor(bank, senderRow, 0) }
-
-	warmup(banks,
-		func(b int) { sender.Flush(sendAddr(b)); sender.Load(sendAddr(b), 0x200) },
-		func(b int) { receiver.Flush(recvAddr(b)); receiver.Load(recvAddr(b), 0x100) })
-
-	threshold := opt.Threshold
-	if threshold == 0 {
-		var err error
-		threshold, err = calibrate(m, banks[0],
-			func(bank int) {
-				_, _ = m.Device().Activate(receiver.Now(), bank, senderRow)
-			},
-			func(bank int) (int64, error) {
-				receiver.Flush(recvAddr(bank))
-				t0 := receiver.Rdtscp()
-				receiver.Load(recvAddr(bank), 0x100)
-				return receiver.Rdtscp() - t0, nil
-			})
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
-		}
-		bits := msg[off:end]
-
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			sender.Advance(m.Config().Costs.SenderComputeCost)
-			if bit {
-				// Flush then reload: the reload goes to DRAM and
-				// drags the sender's row into the row buffer.
-				sender.Flush(sendAddr(banks[i]))
-				sender.Load(sendAddr(banks[i]), 0x200)
-			}
-			sender.LoopTick()
-		}
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
-
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			// Evict the receiver's line so the timed reload reaches
-			// DRAM, then measure it.
-			receiver.Flush(recvAddr(banks[i]))
-			t0 := receiver.Rdtscp()
-			receiver.Load(recvAddr(banks[i]), 0x100)
-			t1 := receiver.Rdtscp()
-			lat := t1 - t0
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		return drama(m, s, r, opt, "DRAMA-clflush", opt.banksOrDefault(m),
+			func(c *sim.Core, addr uint64) { c.Flush(addr) }), nil
+	})
 }
 
 // RunDRAMAEviction executes the DRAMA covert channel using cache eviction
@@ -161,114 +23,67 @@ func RunDRAMAClflush(m *sim.Machine, msg []bool, opt Options) (Result, error) {
 // state — a luxury the attacker pays for with many more memory requests,
 // which is exactly why the paper finds this baseline slowest.
 func RunDRAMAEviction(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "DRAMA-eviction"}
-	all := opt.banksOrDefault(m)
-	banks := all
-	if len(all) > 1 {
-		banks = all[:(len(all)+1)/2]
-	}
-	channelBanks := make(map[int]bool, len(banks))
-	for _, b := range banks {
-		channelBanks[b] = true
-	}
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-
-	recvAddr := func(bank int) uint64 { return m.AddrFor(bank, receiverInitRow, 0) }
-	sendAddr := func(bank int) uint64 { return m.AddrFor(bank, senderRow, 0) }
-
-	ways := m.Config().LLCWays
-	mlp := m.Config().Costs.EvictionMLP
-	// Per-address eviction sets, filtered off the channel banks so the
-	// eviction traffic does not trample the encoded row-buffer states.
-	evRecv := make(map[int][]uint64, len(banks))
-	evSend := make(map[int][]uint64, len(banks))
-	for _, bank := range banks {
-		evRecv[bank] = buildFilteredEvictionSet(m, receiver, recvAddr(bank), ways, channelBanks)
-		evSend[bank] = buildFilteredEvictionSet(m, sender, sendAddr(bank), ways, channelBanks)
-	}
-	evict := func(c *sim.Core, set []uint64) {
-		for _, a := range set {
-			c.LoadOverlapped(a, 0x300, mlp)
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		banks := opt.banksOrDefault(m)
+		if len(banks) > 1 {
+			banks = banks[:(len(banks)+1)/2]
 		}
-	}
-
-	warmup(banks,
-		func(b int) { evict(sender, evSend[b]); sender.Load(sendAddr(b), 0x200) },
-		func(b int) { evict(receiver, evRecv[b]); receiver.Load(recvAddr(b), 0x100) })
-
-	threshold := opt.Threshold
-	if threshold == 0 {
-		var err error
-		threshold, err = calibrate(m, banks[0],
-			func(bank int) {
-				_, _ = m.Device().Activate(receiver.Now(), bank, senderRow)
-			},
-			func(bank int) (int64, error) {
-				evict(receiver, evRecv[bank])
-				t0 := receiver.Rdtscp()
-				receiver.Load(recvAddr(bank), 0x100)
-				return receiver.Rdtscp() - t0, nil
-			})
-		if err != nil {
-			return Result{}, err
+		channelBanks := make(map[int]bool, len(banks))
+		for _, b := range banks {
+			channelBanks[b] = true
 		}
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
+		// Per-address eviction sets, filtered off the channel banks so
+		// the eviction traffic does not trample the encoded row-buffer
+		// states.
+		ways := m.Config().LLCWays
+		sets := make(map[uint64][]uint64, 2*len(banks))
+		for _, bank := range banks {
+			recv, send := m.AddrFor(bank, receiverInitRow, 0), m.AddrFor(bank, senderRow, 0)
+			sets[recv] = buildFilteredEvictionSet(m, r, recv, ways, channelBanks)
+			sets[send] = buildFilteredEvictionSet(m, s, send, ways, channelBanks)
 		}
-		bits := msg[off:end]
-
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			sender.Advance(m.Config().Costs.SenderComputeCost)
-			if bit {
-				evict(sender, evSend[banks[i]])
-				sender.Load(sendAddr(banks[i]), 0x200)
+		mlp := m.Config().Costs.EvictionMLP
+		return drama(m, s, r, opt, "DRAMA-eviction", banks, func(c *sim.Core, addr uint64) {
+			for _, a := range sets[addr] {
+				c.LoadOverlapped(a, 0x300, mlp)
 			}
-			sender.LoopTick()
-		}
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
+		}), nil
+	})
+}
 
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			evict(receiver, evRecv[banks[i]])
-			t0 := receiver.Rdtscp()
-			receiver.Load(recvAddr(banks[i]), 0x100)
-			t1 := receiver.Rdtscp()
-			lat := t1 - t0
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		m.AdvanceNoise(receiver.Now())
+// drama returns a DRAMA channel over banks, warmed up and calibrated: each
+// party reaches DRAM by pushing its line out of the cache hierarchy with
+// bypass and then reloading it, so the sender's reload drags its row into
+// the row buffer and the receiver times its own reload.
+func drama(m *sim.Machine, s, r *sim.Core, opt Options, name string, banks []int, bypass func(c *sim.Core, addr uint64)) channel {
+	send := func(bank int) {
+		addr := m.AddrFor(bank, senderRow, 0)
+		bypass(s, addr)
+		s.Load(addr, 0x200)
 	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+	receive := func(bank int) {
+		addr := m.AddrFor(bank, receiverInitRow, 0)
+		bypass(r, addr)
+		r.Load(addr, 0x100)
+	}
+	warmup(banks, send, receive)
+	probe := func(bank int) int64 {
+		addr := m.AddrFor(bank, receiverInitRow, 0)
+		bypass(r, addr)
+		t0 := r.Rdtscp()
+		r.Load(addr, 0x100)
+		return r.Rdtscp() - t0
+	}
+	cost := m.Config().Costs.SenderComputeCost
+	return channel{
+		name:      name,
+		banks:     banks,
+		threshold: calibrated(m, r, opt, banks[0], probe),
+		send: func(b batch) error {
+			return sendBits(s, cost, b, func(bank int) error { send(bank); return nil })
+		},
+		probe: func(_, bank int) (int64, error) { return probe(bank), nil },
+	}
 }
 
 // buildFilteredEvictionSet returns n addresses congruent with target in the

@@ -13,121 +13,40 @@ import (
 // many bits, but the batch period shrinks to the slower routine instead of
 // the sum of both.
 func RunPnMPipelined(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "IMPACT-PnM-pipelined"}
 	banks := opt.banksOrDefault(m)
-	threshold := opt.Threshold
-	if threshold == 0 {
-		threshold = DefaultThresholdCycles
-	}
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
 	if len(banks) < 2 {
 		// Nothing to pipeline over; fall back to the serial protocol.
 		return RunPnM(m, msg, opt)
 	}
 	half := len(banks) / 2
 	groups := [2][]int{banks[:half], banks[half : 2*half]}
-
-	colsPerRow := m.Config().DRAM.RowBytes / cacheLineBytes
+	t, err := begin(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		return pnm(m, s, r, opt, "IMPACT-PnM-pipelined", banks[:2*half])
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	costs := m.Config().Costs
-
-	// The receiver initializes both groups.
-	for _, group := range groups {
-		for _, bank := range group {
-			if _, err := receiver.PEIAccess(m.AddrFor(bank, receiverInitRow, 0)); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	type batchInfo struct {
-		bits   []bool
-		group  []int
-		col    int
-		bump   int64
-		postAt int64
-	}
-	var batches []batchInfo
-	for off, idx := 0, 0; off < len(msg); off, idx = off+half, idx+1 {
-		end := off + half
-		if end > len(msg) {
-			end = len(msg)
-		}
-		// Each group sees every second batch; the cache-line cursor per
-		// group advances accordingly.
-		perGroup := idx/2 + 1
-		batches = append(batches, batchInfo{
-			bits:  msg[off:end],
-			group: groups[idx%2],
-			col:   (perGroup % colsPerRow) * cacheLineBytes,
-			bump:  int64(perGroup / colsPerRow),
-		})
-	}
-
-	sendBatch := func(b *batchInfo) error {
-		sBatch := sender.Now()
-		for i, bit := range b.bits {
-			sender.Advance(costs.SenderComputeCost)
-			if bit {
-				if _, err := sender.PEIActivate(m.AddrFor(b.group[i], senderRow+b.bump, b.col)); err != nil {
-					return err
-				}
-			}
-			sender.LoopTick()
-		}
-		sender.Fence()
-		res.SenderCycles += sender.Now() - sBatch
-		sender.Advance(costs.SemPost)
-		b.postAt = sender.Now()
-		return nil
-	}
-
-	decoded := make([]bool, 0, len(msg))
-	recvBatch := func(b batchInfo) error {
-		receiver.Advance(costs.SemWait)
-		receiver.AdvanceTo(b.postAt)
-		rBatch := receiver.Now()
-		for i := range b.bits {
-			t0 := receiver.Rdtscp()
-			if _, err := receiver.PEIAccess(m.AddrFor(b.group[i], receiverInitRow+b.bump, b.col)); err != nil {
-				return err
-			}
-			t1 := receiver.Rdtscp()
-			lat := opt.filterMaintenance(t1-t0, threshold)
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		receiver.Fence()
-		res.ReceiverCycles += receiver.Now() - rBatch
-		return nil
-	}
 
 	// Host order stays send(k) before recv(k), so bank state is always
 	// consistent; the overlap lives in the clocks — the sender's batch
 	// k+1 occupies the same simulated interval as the receiver's batch k
-	// because they touch disjoint banks.
-	for i := range batches {
-		if err := sendBatch(&batches[i]); err != nil {
+	// because they touch disjoint banks. There are no semaphores: the
+	// receiver waits for the sender's post directly.
+	for i := 0; i*half < len(msg); i++ {
+		// Each group carries every second batch, so its cache-line
+		// cursor advances every second batch.
+		b := batch{k: i / 2, bits: msg[i*half : min(i*half+half, len(msg))], banks: groups[i%2]}
+		if err := t.sendBatch(b); err != nil {
 			return Result{}, err
 		}
-		if err := recvBatch(batches[i]); err != nil {
+		t.sender.Advance(costs.SemPost)
+		t.receiver.Advance(costs.SemWait)
+		t.receiver.AdvanceTo(t.sender.Now())
+		if err := t.receiveBatch(b); err != nil {
 			return Result{}, err
 		}
-		m.AdvanceNoise(receiver.Now())
+		m.AdvanceNoise(t.receiver.Now())
 	}
-
-	end := receiver.Now()
-	if sender.Now() > end {
-		end = sender.Now()
-	}
-	res.finalize(msg, decoded, end-start)
-	return res, nil
+	return t.finish(msg, max(t.sender.Now(), t.receiver.Now())), nil
 }

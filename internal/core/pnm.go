@@ -4,117 +4,61 @@ import (
 	"repro/internal/sim"
 )
 
-// Row indices used by the covert channels. Sender and receiver co-locate
-// data in the same banks via memory massaging (Machine.AddrFor) but use
-// distinct rows, so a sender activation forces a row-buffer conflict against
-// the receiver's initialized row.
-const (
-	receiverInitRow = 1000
-	senderRow       = 2000
-	receiverSrcRow  = 3000
-	receiverDstRow  = 3001
-	senderSrcRow    = 4000
-	senderDstRow    = 4001
-)
-
-const cacheLineBytes = 64
-
 // RunPnM executes the IMPACT-PnM covert channel of Section 4.1 (Listing 1):
 // the sender encodes each bit of a batch as the presence or absence of a
 // row-buffer conflict in one DRAM bank, created with fire-and-forget
 // PIM-enabled instructions; the receiver decodes by timing synchronous PEIs
 // against its initialized rows. Core 0 is the sender, core 1 the receiver.
 func RunPnM(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "IMPACT-PnM"}
-	banks := opt.banksOrDefault(m)
-	threshold := opt.Threshold
-	if threshold == 0 {
-		threshold = DefaultThresholdCycles
-	}
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		return pnm(m, s, r, opt, "IMPACT-PnM", opt.banksOrDefault(m))
+	})
+}
 
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-	colsPerRow := m.Config().DRAM.RowBytes / cacheLineBytes
-
+// pnm initializes banks and returns the IMPACT-PnM channel over them, which
+// RunPnMAdaptive and RunPnMPipelined reuse.
+func pnm(m *sim.Machine, s, r *sim.Core, opt Options, name string, banks []int) (channel, error) {
 	// Step 1 (Listing 1 line 2): the receiver initializes each bank by
 	// executing a PEI against its row, pulling it into the row buffer.
 	for _, bank := range banks {
-		addr := m.AddrFor(bank, receiverInitRow, 0)
-		if _, err := receiver.PEIAccess(addr); err != nil {
-			return Result{}, err
+		if _, err := r.PEIAccess(m.AddrFor(bank, receiverInitRow, 0)); err != nil {
+			return channel{}, err
 		}
 	}
-	// The sender does not start before initialization completes.
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	batch := 0
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
-		}
-		bits := msg[off:end]
-		// Fresh cache line per batch defeats the PEI locality monitor
-		// (Section 4.1: "the receiver accesses the next cache line in
-		// the initialized row"); batch 0 starts one line past the
-		// initialization access, and past the end of a row the attack
-		// moves to the next row.
-		col := ((batch + 1) % colsPerRow) * cacheLineBytes
-		rowBump := int64((batch + 1) / colsPerRow)
-
-		// Step 2: the sender transmits the batch, one bank per bit.
-		sBatch := sender.Now()
-		for i, bit := range bits {
-			sender.Advance(m.Config().Costs.SenderComputeCost)
-			if bit {
-				addr := m.AddrFor(banks[i], senderRow+rowBump, col)
-				if _, err := sender.PEIActivate(addr); err != nil {
-					return Result{}, err
-				}
+	cols := m.Config().DRAM.RowBytes / cacheLineBytes
+	cost := m.Config().Costs.SenderComputeCost
+	return channel{
+		name:          name,
+		banks:         banks,
+		threshold:     opt.thresholdOr(DefaultThresholdCycles),
+		stall:         opt.MaintenanceStall,
+		fenceSender:   true,
+		fenceReceiver: true,
+		// Step 2: the sender opens its row in the bank of every 1 bit
+		// with a fire-and-forget PEI.
+		send: func(b batch) error {
+			return sendBits(s, cost, b, func(bank int) error {
+				_, err := s.PEIActivate(pnmAddr(m, cols, b.k, bank, senderRow))
+				return err
+			})
+		},
+		// Step 3: the receiver times a synchronous PEI against its row.
+		probe: func(k, bank int) (int64, error) {
+			t0 := r.Rdtscp()
+			if _, err := r.PEIAccess(pnmAddr(m, cols, k, bank, receiverInitRow)); err != nil {
+				return 0, err
 			}
-			sender.LoopTick()
-		}
-		sender.Fence() // Listing 1 line 17
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
+			return r.Rdtscp() - t0, nil
+		},
+	}, nil
+}
 
-		// Step 3: the receiver probes each bank and thresholds the
-		// PEI latency.
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		for i := range bits {
-			t0 := receiver.Rdtscp()
-			addr := m.AddrFor(banks[i], receiverInitRow+rowBump, col)
-			if _, err := receiver.PEIAccess(addr); err != nil {
-				return Result{}, err
-			}
-			t1 := receiver.Rdtscp()
-			lat := opt.filterMaintenance(t1-t0, threshold)
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		receiver.Fence() // Listing 1 line 32
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		batch++
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+// pnmAddr returns the address a party uses in bank during batch k. A fresh
+// cache line per batch defeats the PEI locality monitor (Section 4.1: "the
+// receiver accesses the next cache line in the initialized row"); batch 0
+// starts one line past the initialization access, and past the end of a
+// row of cols lines the attack moves to the next row.
+func pnmAddr(m *sim.Machine, cols, k, bank int, row int64) uint64 {
+	line := k + 1
+	return m.AddrFor(bank, row+int64(line/cols), line%cols*cacheLineBytes)
 }

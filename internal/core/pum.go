@@ -11,100 +11,57 @@ import (
 // parallelism on the sender side is the source of PuM's throughput advantage
 // over PnM. Core 0 is the sender, core 1 the receiver.
 func RunPuM(m *sim.Machine, msg []bool, opt Options) (Result, error) {
-	res := Result{Channel: "IMPACT-PuM"}
-	banks := opt.banksOrDefault(m)
-	threshold := opt.Threshold
-	if threshold == 0 {
-		threshold = DefaultThresholdCycles
-	}
-	sender, receiver := m.Core(0), m.Core(1)
-	if sender == nil || receiver == nil {
-		return Result{}, ErrProtocol
-	}
-	if len(banks) > 64 {
-		banks = banks[:64] // the mask is a uint64
-	}
-
-	sent := sim.NewSemaphore(m)
-	acked := sim.NewSemaphore(m)
-
-	// Step 1 (Listing 2 line 25): the receiver initializes all banks with
-	// one full-mask RowClone, leaving its destination rows open.
-	fullMask := uint64(1)<<uint(len(banks)) - 1
-	if len(banks) == 64 {
-		fullMask = ^uint64(0)
-	}
-	if _, err := receiver.RowCloneSubmit(banks, fullMask, receiverSrcRow, receiverDstRow); err != nil {
-		return Result{}, err
-	}
-	receiver.Fence()
-	sender.AdvanceTo(receiver.Now())
-	start := receiver.Now()
-
-	decoded := make([]bool, 0, len(msg))
-	// The receiver alternates copy direction every batch so its own probe
-	// finds the previous destination row still latched (Listing 2 swaps
-	// src and dst on the probe path).
-	forward := false
-	for off := 0; off < len(msg); off += len(banks) {
-		end := off + len(banks)
-		if end > len(msg) {
-			end = len(msg)
+	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
+		banks := opt.banksOrDefault(m)
+		if len(banks) > 64 {
+			banks = banks[:64] // the mask is a uint64
 		}
-		bits := msg[off:end]
-
-		// Step 2: the sender builds the mask for this batch and issues
-		// one RowClone request; the controller fans it out to the
-		// masked banks in parallel (Listing 2 lines 15-22).
-		sBatch := sender.Now()
-		var mask uint64
-		for i, bit := range bits {
-			if bit {
-				mask |= 1 << uint(i)
-			}
+		// Step 1 (Listing 2 line 25): the receiver initializes all banks
+		// with one full-mask RowClone, leaving its destination rows open.
+		fullMask := uint64(1)<<uint(len(banks)) - 1
+		if len(banks) == 64 {
+			fullMask = ^uint64(0)
 		}
-		sender.Advance(m.Config().Costs.MaskComputeCost)
-		if _, err := sender.RowCloneSubmit(banks, mask, senderSrcRow, senderDstRow); err != nil {
-			return Result{}, err
+		if _, err := r.RowCloneSubmit(banks, fullMask, receiverSrcRow, receiverDstRow); err != nil {
+			return channel{}, err
 		}
-		sender.Fence() // Listing 2 line 22
-		res.SenderCycles += sender.Now() - sBatch
-		sent.Post(sender)
-
-		// Step 3: the receiver probes one bank at a time (Listing 2
-		// lines 26-38), timing each RowClone.
-		if !sent.Wait(receiver) {
-			return Result{}, ErrProtocol
-		}
-		rBatch := receiver.Now()
-		src, dst := receiverDstRow, receiverSrcRow
-		if forward {
-			src, dst = receiverSrcRow, receiverDstRow
-		}
-		for i := range bits {
-			t0 := receiver.Rdtscp()
-			if _, err := receiver.RowCloneMeasure(banks[i], int64(src), int64(dst)); err != nil {
-				return Result{}, err
-			}
-			t1 := receiver.Rdtscp()
-			lat := opt.filterMaintenance(t1-t0, threshold)
-			if opt.RecordLatencies {
-				res.Latencies = append(res.Latencies, lat)
-			}
-			decoded = append(decoded, lat > threshold)
-			receiver.Advance(m.Config().Costs.DecodeCost)
-			receiver.LoopTick()
-		}
-		receiver.Fence() // Listing 2 line 38
-		res.ReceiverCycles += receiver.Now() - rBatch
-		acked.Post(receiver)
-		if !acked.Wait(sender) {
-			return Result{}, ErrProtocol
-		}
-		forward = !forward
-		m.AdvanceNoise(receiver.Now())
-	}
-
-	res.finalize(msg, decoded, receiver.Now()-start)
-	return res, nil
+		r.Fence()
+		cost := m.Config().Costs.MaskComputeCost
+		return channel{
+			name:          "IMPACT-PuM",
+			banks:         banks,
+			threshold:     opt.thresholdOr(DefaultThresholdCycles),
+			stall:         opt.MaintenanceStall,
+			fenceSender:   true,
+			fenceReceiver: true,
+			// Step 2: the sender builds the mask for the batch and issues
+			// one RowClone request; the controller fans it out to the
+			// masked banks in parallel (Listing 2 lines 15-22).
+			send: func(b batch) error {
+				var mask uint64
+				for i, bit := range b.bits {
+					if bit {
+						mask |= 1 << uint(i)
+					}
+				}
+				s.Advance(cost)
+				_, err := s.RowCloneSubmit(b.banks, mask, senderSrcRow, senderDstRow)
+				return err
+			},
+			// Step 3: the receiver times a RowClone in one bank (Listing
+			// 2 lines 26-38). It swaps the copy direction every batch so
+			// its probe finds the previous destination row still latched.
+			probe: func(k, bank int) (int64, error) {
+				src, dst := int64(receiverDstRow), int64(receiverSrcRow)
+				if k%2 == 1 {
+					src, dst = dst, src
+				}
+				t0 := r.Rdtscp()
+				if _, err := r.RowCloneMeasure(bank, src, dst); err != nil {
+					return 0, err
+				}
+				return r.Rdtscp() - t0, nil
+			},
+		}, nil
+	})
 }
