@@ -62,11 +62,13 @@ race:
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race ./pkg/client
 
-# Quick regression signal on the allocation-free hot path, and the
-# allocation ceiling of a cached POST /v1/run.
+# Quick regression signal on the allocation-free hot path, the
+# allocation ceiling of a cached POST /v1/run, and every covert channel
+# timed on a held machine.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive' -benchtime 3x -benchmem .
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
 # must be provably state-free, sequentially and under 8-way contention),

@@ -138,38 +138,71 @@ func BenchmarkRowBufferLatencyGap(b *testing.B) {
 	}
 }
 
-// channelBench runs one covert channel and reports the paper's metrics.
-func channelBench(b *testing.B, bits int, run func(*sim.Machine, []bool, core.Options) (core.Result, error)) {
+// channelBench times Machine.Reset plus one transmission on a machine held
+// across iterations, as BenchmarkColdRun/pooled does: assembling a machine
+// costs more than twenty pooled runs, so building one per iteration would
+// mostly time sim.New. Reset is state-free (the pool determinism
+// contract), so the reported paper metrics are a fresh machine's.
+func channelBench(b *testing.B, cfg sim.Config, bits int, run func(*sim.Machine, []bool, core.Options) (core.Result, error)) {
 	b.Helper()
 	msg := core.RandomMessage(bits, 42)
+	m, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var res core.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = run(quietMachine(b, 8<<20, 16), msg, core.Options{})
-		if err != nil {
+	cycle := func() {
+		if !m.Reset(cfg) {
+			b.Fatal("Reset refused the machine's own configuration")
+		}
+		if res, err = run(m, msg, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	cycle() // dirty the machine, as a pooled one always is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
 	b.ReportMetric(res.ThroughputMbps, "Mb/s")
 	b.ReportMetric(res.ErrorRate*100, "err%")
 	b.ReportMetric(float64(res.Cycles)/float64(bits), "cyc/bit")
 }
 
 // BenchmarkFig9PnM is the IMPACT-PnM headline number (paper: 8.2 Mb/s).
-func BenchmarkFig9PnM(b *testing.B) { channelBench(b, 4096, core.RunPnM) }
+func BenchmarkFig9PnM(b *testing.B) { channelBench(b, sim.DefaultConfig(), 4096, core.RunPnM) }
 
 // BenchmarkFig9PuM is the IMPACT-PuM headline number (paper: 14.8 Mb/s).
-func BenchmarkFig9PuM(b *testing.B) { channelBench(b, 4096, core.RunPuM) }
+func BenchmarkFig9PuM(b *testing.B) { channelBench(b, sim.DefaultConfig(), 4096, core.RunPuM) }
 
 // BenchmarkFig9DRAMAClflush is the strongest prior-work baseline
 // (paper: ~2.3 Mb/s at the default LLC).
-func BenchmarkFig9DRAMAClflush(b *testing.B) { channelBench(b, 2048, core.RunDRAMAClflush) }
+func BenchmarkFig9DRAMAClflush(b *testing.B) {
+	channelBench(b, sim.DefaultConfig(), 2048, core.RunDRAMAClflush)
+}
 
 // BenchmarkFig9DRAMAEviction is the eviction-set baseline (paper: slowest).
-func BenchmarkFig9DRAMAEviction(b *testing.B) { channelBench(b, 512, core.RunDRAMAEviction) }
+func BenchmarkFig9DRAMAEviction(b *testing.B) {
+	channelBench(b, sim.DefaultConfig(), 512, core.RunDRAMAEviction)
+}
 
 // BenchmarkFig9DMA is the DMA-engine baseline (paper: 0.81 Mb/s).
-func BenchmarkFig9DMA(b *testing.B) { channelBench(b, 1024, core.RunDMA) }
+func BenchmarkFig9DMA(b *testing.B) { channelBench(b, sim.DefaultConfig(), 1024, core.RunDMA) }
+
+// BenchmarkDirectAccess is the idealized direct-access attack of Section
+// 3.3, the flat line of Figures 2 and 3 (paper: 11.27 Mb/s).
+func BenchmarkDirectAccess(b *testing.B) { channelBench(b, sim.DefaultConfig(), 4096, core.RunDirect) }
+
+// BenchmarkPnMAdaptive is the adaptive attacker of Section 7.4 under
+// ACT-Mild, where it idles through the defense's penalty epochs.
+func BenchmarkPnMAdaptive(b *testing.B) {
+	cfg := sim.DefaultConfig()
+	cfg.Mem.Defense = memctrl.DefenseAdaptive
+	cfg.Mem.ACT = memctrl.ACTMild()
+	channelBench(b, cfg, 4096, core.RunPnMAdaptive)
+}
 
 // BenchmarkFig2LLCSizeSweep regenerates the Figure 2 series: the direct
 // attack stays flat while the eviction baseline collapses with LLC size.
