@@ -15,8 +15,8 @@ import (
 
 // TestCounterParityAcrossCovertRun drives full PnM and PuM covert-channel
 // transmissions and checks, for every subsystem, that the typed fixed-slot
-// counter view (Value by CounterID) and the string-keyed compatibility
-// layer (Get/Snapshot) agree exactly — i.e. the integer-indexed redesign
+// counter view (Value by CounterID) and the string-keyed export layer
+// (Get/Snapshot) agree exactly — i.e. the integer-indexed redesign
 // exports the same statistics the old string-map implementation did.
 func TestCounterParityAcrossCovertRun(t *testing.T) {
 	msg := core.RandomMessage(256, 21)

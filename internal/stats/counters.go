@@ -12,25 +12,15 @@ import (
 // no string hash and no allocation.
 type CounterID int
 
-// Counters is a named set of monotonically increasing counters. Hot
-// counters live in fixed integer-indexed slots (NewFixed + Add/Value);
-// the string-keyed API (Inc/Get/Snapshot/...) is retained as a
-// compatibility and export layer over the same slots, with a lazily
-// allocated overflow map for names never registered. The zero value is not
-// usable; construct with NewCounters or NewFixed.
+// Counters is a named set of monotonically increasing counters, one fixed
+// integer-indexed slot per name registered with NewFixed: Add and Value
+// index a slot, and the string-keyed Get/Names/Snapshot/String export the
+// same slots by name. The zero value is not usable; construct with
+// NewFixed.
 type Counters struct {
 	slots []int64
 	names []string
 	index map[string]CounterID
-	// extra holds counters incremented by a name that was never
-	// registered; nil until first needed so fixed-only sets stay lean.
-	extra map[string]int64
-}
-
-// NewCounters returns an empty counter set with no registered slots; every
-// increment goes through the string-keyed overflow map.
-func NewCounters() *Counters {
-	return NewFixed()
 }
 
 // NewFixed returns a counter set with one fixed slot per name, indexed in
@@ -62,41 +52,23 @@ func (c *Counters) Value(id CounterID) int64 {
 	return c.slots[id]
 }
 
-// Inc adds delta to the named counter, creating it at zero if absent.
-// Registered names update their fixed slot; others land in the overflow map.
-func (c *Counters) Inc(name string, delta int64) {
-	if id, ok := c.index[name]; ok {
-		c.slots[id] += delta
-		return
-	}
-	if c.extra == nil {
-		c.extra = make(map[string]int64)
-	}
-	c.extra[name] += delta
-}
-
-// Get returns the value of the named counter (0 if never incremented).
+// Get returns the value of the named counter (0 if never incremented or
+// never registered).
 func (c *Counters) Get(name string) int64 {
 	if id, ok := c.index[name]; ok {
 		return c.slots[id]
 	}
-	return c.extra[name]
+	return 0
 }
 
 // Names returns the names of all non-zero counters in sorted order.
-// Zero-valued counters — fixed slots never incremented, or overflow
-// entries that only ever saw zero deltas — are omitted, so a counter
-// exists only once meaningfully incremented.
+// Slots never incremented are omitted, so a counter exists only once
+// meaningfully incremented.
 func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.slots)+len(c.extra))
+	names := make([]string, 0, len(c.slots))
 	for i, v := range c.slots {
 		if v != 0 {
 			names = append(names, c.names[i])
-		}
-	}
-	for name, v := range c.extra {
-		if v != 0 {
-			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
@@ -108,22 +80,14 @@ func (c *Counters) Reset() {
 	for i := range c.slots {
 		c.slots[i] = 0
 	}
-	for name := range c.extra {
-		delete(c.extra, name)
-	}
 }
 
 // Snapshot returns a copy of the current non-zero counter values.
 func (c *Counters) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.slots)+len(c.extra))
+	out := make(map[string]int64, len(c.slots))
 	for i, v := range c.slots {
 		if v != 0 {
 			out[c.names[i]] = v
-		}
-	}
-	for k, v := range c.extra {
-		if v != 0 {
-			out[k] = v
 		}
 	}
 	return out

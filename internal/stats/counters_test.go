@@ -5,13 +5,13 @@ import (
 )
 
 func TestCountersBasics(t *testing.T) {
-	c := NewCounters()
+	c := NewFixed("a", "b", "c")
 	if got := c.Get("missing"); got != 0 {
 		t.Fatalf("Get(missing) = %d, want 0", got)
 	}
-	c.Inc("a", 2)
-	c.Inc("a", 3)
-	c.Inc("b", 1)
+	c.Add(0, 2)
+	c.Add(0, 3)
+	c.Add(1, 1)
 	if got := c.Get("a"); got != 5 {
 		t.Errorf("a = %d, want 5", got)
 	}
@@ -25,8 +25,8 @@ func TestCountersBasics(t *testing.T) {
 }
 
 func TestCountersSnapshotIsCopy(t *testing.T) {
-	c := NewCounters()
-	c.Inc("x", 1)
+	c := NewFixed("x")
+	c.Add(0, 1)
 	snap := c.Snapshot()
 	snap["x"] = 99
 	if got := c.Get("x"); got != 1 {
@@ -35,11 +35,12 @@ func TestCountersSnapshotIsCopy(t *testing.T) {
 }
 
 func TestCountersReset(t *testing.T) {
-	c := NewCounters()
-	c.Inc("x", 7)
+	c := NewFixed("x", "y")
+	c.Add(0, 7)
+	c.Add(1, 2)
 	c.Reset()
-	if got := c.Get("x"); got != 0 {
-		t.Fatalf("after Reset x = %d, want 0", got)
+	if c.Value(0) != 0 || c.Get("x") != 0 || c.Get("y") != 0 {
+		t.Fatalf("Reset left values: %s", c)
 	}
 	if len(c.Names()) != 0 {
 		t.Fatalf("after Reset names = %v, want empty", c.Names())
@@ -52,21 +53,16 @@ func TestFixedSlotsAndStringAPIAgree(t *testing.T) {
 		idMiss
 	)
 	c := NewFixed("hit", "miss")
-	c.Add(idHit, 3)
-	c.Inc("hit", 2) // registered name must land in the same slot
+	c.Add(idHit, 5)
 	c.Add(idMiss, 1)
-	c.Inc("dynamic", 4) // unregistered name goes to the overflow map
 	if got := c.Value(idHit); got != 5 {
 		t.Errorf("Value(hit) = %d, want 5", got)
 	}
 	if got := c.Get("hit"); got != 5 {
 		t.Errorf("Get(hit) = %d, want 5", got)
 	}
-	if got := c.Get("dynamic"); got != 4 {
-		t.Errorf("Get(dynamic) = %d, want 4", got)
-	}
 	snap := c.Snapshot()
-	want := map[string]int64{"hit": 5, "miss": 1, "dynamic": 4}
+	want := map[string]int64{"hit": 5, "miss": 1}
 	if len(snap) != len(want) {
 		t.Fatalf("Snapshot = %v, want %v", snap, want)
 	}
@@ -75,7 +71,7 @@ func TestFixedSlotsAndStringAPIAgree(t *testing.T) {
 			t.Errorf("Snapshot[%s] = %d, want %d", k, snap[k], v)
 		}
 	}
-	if got := c.String(); got != "dynamic=4 hit=5 miss=1" {
+	if got := c.String(); got != "hit=5 miss=1" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -90,28 +86,6 @@ func TestFixedZeroSlotsOmitted(t *testing.T) {
 	}
 	if _, ok := c.Snapshot()["miss"]; ok {
 		t.Fatal("zero-valued fixed slot leaked into Snapshot")
-	}
-	// A zero-delta increment of an unregistered name must stay invisible
-	// too: presence semantics are the same for slots and overflow entries.
-	c.Inc("dyn", 0)
-	if names := c.Names(); len(names) != 1 || names[0] != "hit" {
-		t.Fatalf("Names after zero-delta Inc = %v, want [hit]", names)
-	}
-	if _, ok := c.Snapshot()["dyn"]; ok {
-		t.Fatal("zero-valued overflow entry leaked into Snapshot")
-	}
-}
-
-func TestFixedReset(t *testing.T) {
-	c := NewFixed("a")
-	c.Add(0, 7)
-	c.Inc("b", 2)
-	c.Reset()
-	if c.Value(0) != 0 || c.Get("a") != 0 || c.Get("b") != 0 {
-		t.Fatalf("Reset left values: %s", c)
-	}
-	if len(c.Names()) != 0 {
-		t.Fatalf("after Reset names = %v, want empty", c.Names())
 	}
 }
 
