@@ -5,9 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark corresponds to one artifact in DESIGN.md's per-experiment
-// index; the Ablation* benchmarks cover the design-choice studies DESIGN.md
-// calls out.
+// Each benchmark corresponds to one artifact of internal/figures (the IDs
+// impact-figures -list prints); the Ablation* benchmarks each vary one
+// modeling choice.
 package repro_test
 
 import (
@@ -375,8 +375,10 @@ func BenchmarkACTThroughputReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRowPolicy studies the open-row timeout DESIGN.md calls
-// out: shrinking the timeout below the batch period kills the channel.
+// BenchmarkAblationRowPolicy shows why the model keeps rows open instead of
+// applying Table 2's 100 ns open-row timeout (the "Row policy" row of the
+// Table 2 report): shrinking the timeout below the batch period kills the
+// channel.
 func BenchmarkAblationRowPolicy(b *testing.B) {
 	msg := core.RandomMessage(1024, 7)
 	run := func(timeout int64) core.Result {
@@ -400,7 +402,7 @@ func BenchmarkAblationRowPolicy(b *testing.B) {
 	b.ReportMetric(open.EffectiveThroughputMbps, "no-timeout-Mb/s")
 	b.ReportMetric(strict.EffectiveThroughputMbps, "100ns-timeout-Mb/s")
 	if strict.EffectiveThroughputMbps > open.EffectiveThroughputMbps/2 {
-		b.Fatal("a 100 ns timeout should cripple the channel (see DESIGN.md)")
+		b.Fatal("a 100 ns timeout should cripple the channel, which is why the model keeps rows open")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation, printing the paper's reported values next to this
-// reproduction's measured values. Each function corresponds to one artifact
-// (see DESIGN.md's per-experiment index); All runs the complete set.
+// reproduction's measured values. Each function corresponds to one artifact,
+// registered under the ID that IDs lists in paper order; All runs the
+// complete set.
 package figures
 
 import (

@@ -15,7 +15,9 @@ import (
 func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
-	// Background activity scales with machine size (see DESIGN.md).
+	// Background activity scales with machine size: the noise rate is
+	// device-wide, so growing it with the bank count keeps every bank's
+	// background rate the same at every size.
 	cfg.Noise.EventsPerMCycle = 90 * float64(banks) / 1024
 	m, err := sim.New(cfg)
 	if err != nil {

@@ -4,7 +4,7 @@
 // and banded alignment. The reference genome is synthetic (the paper uses
 // the human genome, which we cannot ship); the attack leaks *which hash
 // table buckets the victim touches*, a property preserved exactly by a
-// synthetic reference with the same table-over-banks layout (see DESIGN.md).
+// synthetic reference with the same table-over-banks layout.
 package genomics
 
 import (

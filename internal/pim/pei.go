@@ -39,7 +39,9 @@ type PEICosts struct {
 	HostExtra int64 `json:"host_extra"`
 }
 
-// DefaultPEICosts returns the calibrated constants (see DESIGN.md).
+// DefaultPEICosts returns the constants calibrated to the paper's IMPACT-PnM
+// throughput (8.2 Mb/s); TestRowBufferGapNearPaper in internal/figures
+// holds the measured rate inside a recorded band.
 func DefaultPEICosts() PEICosts {
 	return PEICosts{IssueCost: 25, AsyncIssueCost: 45, PEIOverhead: 3, HostExtra: 5}
 }

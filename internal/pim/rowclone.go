@@ -30,7 +30,9 @@ type RowCloneCosts struct {
 	PerBankDispatch int64 `json:"per_bank_dispatch"`
 }
 
-// DefaultRowCloneCosts returns the calibrated constants (see DESIGN.md).
+// DefaultRowCloneCosts returns the constants calibrated to the paper's
+// IMPACT-PuM throughput (14.8 Mb/s); TestRowBufferGapNearPaper in
+// internal/figures holds the measured rate inside a recorded band.
 func DefaultRowCloneCosts() RowCloneCosts {
 	return RowCloneCosts{IssueCost: 60, MeasureIssueCost: 25, PerBankDispatch: 4}
 }

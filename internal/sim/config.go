@@ -6,7 +6,8 @@
 //
 // Everything is measured in simulated CPU cycles on per-core logical clocks;
 // no wall-clock time is ever read, so host GC pauses and scheduler jitter
-// cannot perturb any measured latency (see DESIGN.md).
+// cannot perturb any measured latency (see docs/architecture.md,
+// "Determinism").
 package sim
 
 import (
@@ -20,7 +21,8 @@ import (
 const FrequencyHz = 2.6e9
 
 // SoftCosts collects the software-path cost constants calibrated against the
-// paper's headline numbers (see DESIGN.md "Calibration targets").
+// paper's headline numbers; TestRowBufferGapNearPaper in internal/figures
+// holds the calibrated rows inside recorded bands.
 type SoftCosts struct {
 	// TimerCost is the cost of one rdtscp read.
 	TimerCost int64 `json:"timer_cost"`
