@@ -7,6 +7,9 @@
 // of Section 4.3.
 //
 // All attacks run against a sim.Machine and measure simulated cycles only.
+// Every covert channel runs the one batch protocol of transmit (channel.go);
+// docs/architecture.md, "Covert-channel protocol", describes what each
+// channel supplies and how the channels differ.
 package core
 
 import (
