@@ -49,12 +49,13 @@ type Options struct {
 	MaintenanceStall int64
 }
 
-// thresholdOr returns Options.Threshold, or def when it is unset.
-func (o Options) thresholdOr(def int64) int64 {
+// fixedThreshold is the decode threshold of the PIM channels, which do not
+// calibrate: Options.Threshold, or the paper's 150 cycles when it is unset.
+func (o Options) fixedThreshold() int64 {
 	if o.Threshold != 0 {
 		return o.Threshold
 	}
-	return def
+	return DefaultThresholdCycles
 }
 
 // banksOrDefault returns the configured banks or the first 16 banks.

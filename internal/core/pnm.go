@@ -30,7 +30,7 @@ func pnm(m *sim.Machine, s, r *sim.Core, opt Options, name string, banks []int) 
 	return channel{
 		name:          name,
 		banks:         banks,
-		threshold:     opt.thresholdOr(DefaultThresholdCycles),
+		threshold:     opt.fixedThreshold(),
 		stall:         opt.MaintenanceStall,
 		fenceSender:   true,
 		fenceReceiver: true,

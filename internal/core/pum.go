@@ -30,7 +30,7 @@ func RunPuM(m *sim.Machine, msg []bool, opt Options) (Result, error) {
 		return channel{
 			name:          "IMPACT-PuM",
 			banks:         banks,
-			threshold:     opt.thresholdOr(DefaultThresholdCycles),
+			threshold:     opt.fixedThreshold(),
 			stall:         opt.MaintenanceStall,
 			fenceSender:   true,
 			fenceReceiver: true,
