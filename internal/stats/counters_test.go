@@ -35,15 +35,32 @@ func TestCountersSnapshotIsCopy(t *testing.T) {
 }
 
 func TestCountersReset(t *testing.T) {
-	c := NewFixed("x", "y")
+	c := NewFixed("x")
+	c.Add(0, 7)
+	c.Reset()
+	if got := c.Get("x"); got != 0 {
+		t.Fatalf("after Reset x = %d, want 0", got)
+	}
+	if len(c.Names()) != 0 {
+		t.Fatalf("after Reset names = %v, want empty", c.Names())
+	}
+}
+
+func TestFixedReset(t *testing.T) {
+	c := NewFixed("a", "b")
 	c.Add(0, 7)
 	c.Add(1, 2)
 	c.Reset()
-	if c.Value(0) != 0 || c.Get("x") != 0 || c.Get("y") != 0 {
+	if c.Value(0) != 0 || c.Value(1) != 0 || c.Get("a") != 0 || c.Get("b") != 0 {
 		t.Fatalf("Reset left values: %s", c)
 	}
 	if len(c.Names()) != 0 {
 		t.Fatalf("after Reset names = %v, want empty", c.Names())
+	}
+	// The slots stay registered: counting resumes from zero after Reset.
+	c.Add(1, 3)
+	if got := c.Get("b"); got != 3 {
+		t.Fatalf("after Reset and Add b = %d, want 3", got)
 	}
 }
 
