@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-extra lint build test benchsuite-test race bench-smoke bench serve sweep-smoke client-smoke loadtest-smoke loadtest jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke objsweep
+.PHONY: ci fmt vet vet-extra lint build test benchsuite-test race bench-smoke bench serve sweep-smoke client-smoke loadtest-smoke loadtest jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke objsweep figures-full
 
-ci: fmt vet vet-extra build lint test benchsuite-test race sweep-smoke client-smoke loadtest-smoke jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke bench-smoke
+ci: fmt vet vet-extra build lint test benchsuite-test race sweep-smoke client-smoke loadtest-smoke jobs-smoke recovery-smoke objsweep-smoke fuzz-smoke coldpath-smoke cluster-smoke bench-smoke figures-full
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -80,6 +80,20 @@ coldpath-smoke:
 	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestGolden|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed'
 	$(GO) test -race ./internal/exp -count=1 -run TestPooledSweepParallelDeterminism
 	$(GO) test -run xxx -bench 'BenchmarkColdRun/pooled|BenchmarkSweepExpand/lazy' -benchtime 3x -benchmem .
+
+# The -full paper figures, pinned by digest: the SHA-256 of
+# `impact-figures -full -json` must equal the committed
+# cmd/impact-figures/testdata/full.sha256. It is the only check that
+# reaches the -full point lists (Figures 2, 3 and 9, §7.4); at ~46 s on
+# 2 vCPUs, 44 s of it Figure 12, it is too slow for `make test`.
+figures-full:
+	@want=$$(cat cmd/impact-figures/testdata/full.sha256); \
+	got=$$($(GO) run ./cmd/impact-figures -full -json | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" = "$$want" ]; then \
+		echo "figures-full: -full figures hash to $$want"; \
+	else \
+		echo "figures-full: -full figures hash to $$got, want $$want"; exit 1; \
+	fi
 
 bench:
 	$(GO) test -bench . -benchmem .

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -16,13 +17,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "impact-covert:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("impact-covert", flag.ContinueOnError)
 	var (
 		bits     = fs.Int("bits", 4096, "message length in bits")
@@ -42,48 +43,48 @@ func run(args []string) error {
 
 	switch *sweep {
 	case "":
-		fmt.Printf("%-16s %12s %10s %14s %14s\n", "channel", "Mb/s", "err%", "sender cyc", "receiver cyc")
+		fmt.Fprintf(stdout, "%-16s %12s %10s %14s %14s\n", "channel", "Mb/s", "err%", "sender cyc", "receiver cyc")
 		for _, name := range names {
 			res, err := runChannel(strings.TrimSpace(name), msg, *llcMB<<20, *llcWays, *noise)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-16s %12.2f %10.2f %14d %14d\n",
+			fmt.Fprintf(stdout, "%-16s %12.2f %10.2f %14d %14d\n",
 				res.Channel, res.ThroughputMbps, res.ErrorRate*100, res.SenderCycles, res.ReceiverCycles)
 		}
 	case "size":
-		fmt.Printf("%-10s", "LLC(MB)")
+		fmt.Fprintf(stdout, "%-10s", "LLC(MB)")
 		for _, n := range names {
-			fmt.Printf(" %14s", strings.TrimSpace(n))
+			fmt.Fprintf(stdout, " %14s", strings.TrimSpace(n))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, mb := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-			fmt.Printf("%-10d", mb)
+			fmt.Fprintf(stdout, "%-10d", mb)
 			for _, name := range names {
 				res, err := runChannel(strings.TrimSpace(name), msg, mb<<20, *llcWays, *noise)
 				if err != nil {
 					return err
 				}
-				fmt.Printf(" %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
+				fmt.Fprintf(stdout, " %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	case "ways":
-		fmt.Printf("%-10s", "ways")
+		fmt.Fprintf(stdout, "%-10s", "ways")
 		for _, n := range names {
-			fmt.Printf(" %14s", strings.TrimSpace(n))
+			fmt.Fprintf(stdout, " %14s", strings.TrimSpace(n))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, ways := range []int{2, 4, 8, 16, 32, 64, 128} {
-			fmt.Printf("%-10d", ways)
+			fmt.Fprintf(stdout, "%-10d", ways)
 			for _, name := range names {
 				res, err := runChannel(strings.TrimSpace(name), msg, *llcMB<<20, ways, *noise)
 				if err != nil {
 					return err
 				}
-				fmt.Printf(" %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
+				fmt.Fprintf(stdout, " %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	default:
 		return fmt.Errorf("unknown sweep %q (want 'size' or 'ways')", *sweep)

@@ -1,6 +1,30 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// checkGolden fails t unless got equals testdata/name byte for byte. Each
+// file is the program's own stdout for the arguments the test passes, so
+// regenerate one with, for example,
+//
+//	go run ./cmd/impact-covert -bits 64 -sweep size > cmd/impact-covert/testdata/sweep-size.txt
+//
+// and only when a byte change is intended.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from testdata/%s:\n got:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
 func TestRunChannelDispatch(t *testing.T) {
 	msg := make([]bool, 64)
@@ -19,16 +43,35 @@ func TestRunChannelDispatch(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	if err := run([]string{"-sweep", "nonsense", "-bits", "16"}); err == nil {
+	if err := run([]string{"-sweep", "nonsense", "-bits", "16"}, io.Discard); err == nil {
 		t.Fatal("invalid sweep accepted")
 	}
-	if err := run([]string{"-not-a-flag"}); err == nil {
+	if err := run([]string{"-not-a-flag"}, io.Discard); err == nil {
 		t.Fatal("invalid flag accepted")
 	}
 }
 
+// TestRunDefaultTable pins the default invocation, whose channel list
+// spells the DRAMA baselines "clflush" and "eviction".
 func TestRunDefaultTable(t *testing.T) {
-	if err := run([]string{"-bits", "64", "-channels", "pnm"}); err != nil {
+	if err := run([]string{"-bits", "64", "-channels", "pnm"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "default.txt", out.Bytes())
+}
+
+func TestRunSweep(t *testing.T) {
+	for _, sweep := range []string{"size", "ways"} {
+		t.Run(sweep, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-bits", "64", "-sweep", sweep}, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "sweep-"+sweep+".txt", out.Bytes())
+		})
 	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -16,13 +17,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "impact-defense:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("impact-defense", flag.ContinueOnError)
 	var (
 		small      = fs.Bool("small", false, "use the reduced workload suite")
@@ -43,30 +44,30 @@ func run(args []string) error {
 	}
 
 	names := []string{"BC", "BFS", "CC", "TC", "XS"}
-	fmt.Printf("%-18s", "defense")
+	fmt.Fprintf(stdout, "%-18s", "defense")
 	for _, n := range names {
-		fmt.Printf(" %8s", n)
+		fmt.Fprintf(stdout, " %8s", n)
 	}
-	fmt.Printf(" %8s\n", "GMEAN")
+	fmt.Fprintf(stdout, " %8s\n", "GMEAN")
 	for _, row := range rows {
-		fmt.Printf("%-18s", row.Defense)
+		fmt.Fprintf(stdout, "%-18s", row.Defense)
 		for _, n := range names {
-			fmt.Printf(" %8.3f", row.Normalized[n])
+			fmt.Fprintf(stdout, " %8.3f", row.Normalized[n])
 		}
-		fmt.Printf(" %8.3f\n", row.GMean)
+		fmt.Fprintf(stdout, " %8.3f\n", row.GMean)
 	}
 
 	if !*throughput {
 		return nil
 	}
-	fmt.Println()
-	fmt.Println("IMPACT-PnM throughput under ACT (Section 7.4):")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "IMPACT-PnM throughput under ACT (Section 7.4):")
 	msg := core.RandomMessage(*bits, 99)
 	baseline, err := runPnMWith(memctrl.DefaultConfig(), msg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-18s %10.2f Mb/s effective (err %.1f%%)\n", "no defense", baseline.EffectiveThroughputMbps, baseline.ErrorRate*100)
+	fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%)\n", "no defense", baseline.EffectiveThroughputMbps, baseline.ErrorRate*100)
 	for _, d := range workloads.DefenseConfigs() {
 		res, err := runPnMWith(d, msg)
 		if err != nil {
@@ -76,7 +77,7 @@ func run(args []string) error {
 		if baseline.EffectiveThroughputMbps > 0 {
 			reduction = 100 * (1 - res.EffectiveThroughputMbps/baseline.EffectiveThroughputMbps)
 		}
-		fmt.Printf("%-18s %10.2f Mb/s effective (err %.1f%%, reduction %.0f%%)\n",
+		fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%, reduction %.0f%%)\n",
 			workloads.DefenseName(d), res.EffectiveThroughputMbps, res.ErrorRate*100, reduction)
 	}
 	return nil

@@ -1,12 +1,31 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
+// TestRunSmallSuite pins the reduced suite's output. Regenerate the golden
+// with
+//
+//	go run ./cmd/impact-defense -small -bits 256 > cmd/impact-defense/testdata/small-bits-256.txt
+//
+// and only when a byte change is intended.
 func TestRunSmallSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("defense suite in -short mode")
 	}
-	if err := run([]string{"-small", "-bits", "256"}); err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-small", "-bits", "256"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "small-bits-256.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("output differs from testdata/small-bits-256.txt:\n got:\n%s\nwant:\n%s", out.Bytes(), want)
 	}
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -14,13 +15,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "impact-sidechannel:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("impact-sidechannel", flag.ContinueOnError)
 	var (
 		refLen = fs.Int("ref-len", 1<<20, "reference genome length (bases)")
@@ -37,13 +38,13 @@ func run(args []string) error {
 	if *single > 0 {
 		bankCounts = []int{*single}
 	}
-	fmt.Printf("%-8s %12s %10s %14s %14s\n", "banks", "Mb/s", "err%", "reads mapped", "victim acc%")
+	fmt.Fprintf(stdout, "%-8s %12s %10s %14s %14s\n", "banks", "Mb/s", "err%", "reads mapped", "victim acc%")
 	for _, banks := range bankCounts {
 		res, err := RunOnce(banks, *refLen, *reads, *sweeps, *seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8d %12.2f %10.2f %14d %14.2f\n",
+		fmt.Fprintf(stdout, "%-8d %12.2f %10.2f %14d %14.2f\n",
 			banks, res.ThroughputMbps, res.ErrorRate*100, res.VictimReadsMapped, res.VictimAccuracy*100)
 	}
 	return nil

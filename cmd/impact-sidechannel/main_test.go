@@ -1,6 +1,29 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// checkGolden fails t unless got equals testdata/name byte for byte. Each
+// file is the program's own stdout for the arguments the test passes, so
+// regenerate one with, for example,
+//
+//	go run ./cmd/impact-sidechannel > cmd/impact-sidechannel/testdata/default.txt
+//
+// and only when a byte change is intended.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from testdata/%s:\n got:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
 func TestRunOnceSmall(t *testing.T) {
 	res, err := RunOnce(64, 1<<16, 500, 2, 7)
@@ -13,7 +36,19 @@ func TestRunOnceSmall(t *testing.T) {
 }
 
 func TestRunSingleBankCount(t *testing.T) {
-	if err := run([]string{"-banks", "64", "-ref-len", "65536", "-reads", "500", "-sweeps", "2"}); err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-banks", "64", "-ref-len", "65536", "-reads", "500", "-sweeps", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "banks-64.txt", out.Bytes())
+}
+
+// TestRunFigure11Sweep pins the default invocation: the Figure 11 sweep
+// over 1024 to 8192 banks.
+func TestRunFigure11Sweep(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "default.txt", out.Bytes())
 }

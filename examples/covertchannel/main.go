@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -13,13 +14,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "covertchannel:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	msg := core.RandomMessage(8192, 1234)
 
 	type channel struct {
@@ -34,7 +35,7 @@ func run() error {
 		{"DMA", core.RunDMA},
 	}
 
-	fmt.Printf("%-16s %10s %8s %12s\n", "channel", "Mb/s", "err%", "cycles")
+	fmt.Fprintf(stdout, "%-16s %10s %8s %12s\n", "channel", "Mb/s", "err%", "cycles")
 	for _, ch := range channels {
 		m, err := sim.New(sim.DefaultConfig())
 		if err != nil {
@@ -44,11 +45,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-16s %10.2f %8.2f %12d\n", res.Channel, res.ThroughputMbps, res.ErrorRate*100, res.Cycles)
+		fmt.Fprintf(stdout, "%-16s %10.2f %8.2f %12d\n", res.Channel, res.ThroughputMbps, res.ErrorRate*100, res.Cycles)
 	}
 
 	// Figure 8 view: one 16-bit batch with the receiver's raw latencies.
-	fmt.Println("\nreceiver latency trace for one 16-bit PnM batch (threshold 150):")
+	fmt.Fprintln(stdout, "\nreceiver latency trace for one 16-bit PnM batch (threshold 150):")
 	m, err := sim.New(sim.DefaultConfig())
 	if err != nil {
 		return err
@@ -67,7 +68,7 @@ func run() error {
 		if res.Decoded[i] {
 			decoded = 1
 		}
-		fmt.Printf("  bank %2d: sent %d, measured %3d cycles, decoded %d\n", i, bit, lat, decoded)
+		fmt.Fprintf(stdout, "  bank %2d: sent %d, measured %3d cycles, decoded %d\n", i, bit, lat, decoded)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -15,13 +16,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "defensetuning:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	msg := core.RandomMessage(2048, 5)
 	baseline, err := attackUnder(memctrl.DefaultConfig(), msg)
 	if err != nil {
@@ -39,7 +40,7 @@ func run() error {
 	}
 
 	suite := workloads.SmallSuiteConfig()
-	fmt.Printf("%-42s %14s %16s\n", "ACT configuration", "slowdown", "attack residual")
+	fmt.Fprintf(stdout, "%-42s %14s %16s\n", "ACT configuration", "slowdown", "attack residual")
 	for _, act := range configs {
 		mem := memctrl.DefaultConfig()
 		mem.Defense = memctrl.DefenseAdaptive
@@ -57,11 +58,11 @@ func run() error {
 		if baseline.EffectiveThroughputMbps > 0 {
 			residual = 100 * attack.EffectiveThroughputMbps / baseline.EffectiveThroughputMbps
 		}
-		fmt.Printf("epoch=%5dcyc threshold=%d penalty=%4d epochs %13.3fx %15.1f%%\n",
+		fmt.Fprintf(stdout, "epoch=%5dcyc threshold=%d penalty=%4d epochs %13.3fx %15.1f%%\n",
 			act.EpochCycles, act.ConflictThreshold, act.PenaltyEpochs, rows[0].GMean, residual)
 	}
-	fmt.Println("\nslowdown = GMEAN normalized execution time over BC/BFS/CC/TC/XS")
-	fmt.Println("attack residual = IMPACT-PnM effective throughput vs. an undefended system")
+	fmt.Fprintln(stdout, "\nslowdown = GMEAN normalized execution time over BC/BFS/CC/TC/XS")
+	fmt.Fprintln(stdout, "attack residual = IMPACT-PnM effective throughput vs. an undefended system")
 	return nil
 }
 

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -15,13 +16,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "genomeleak:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(stdout io.Writer) error {
 	const banks = 1024
 
 	cfg := sim.DefaultConfig()
@@ -55,16 +56,16 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("victim: genomic read mapping with PiM-offloaded seeding")
-	fmt.Printf("  reads mapped: %d (%.1f%% placed within 64 bp of the true locus)\n",
+	fmt.Fprintln(stdout, "victim: genomic read mapping with PiM-offloaded seeding")
+	fmt.Fprintf(stdout, "  reads mapped: %d (%.1f%% placed within 64 bp of the true locus)\n",
 		res.VictimReadsMapped, res.VictimAccuracy*100)
-	fmt.Println("attacker: row-buffer probes over the shared hash table")
-	fmt.Printf("  leakage: %.2f Mb/s at %.2f%% error over %d banks\n",
+	fmt.Fprintln(stdout, "attacker: row-buffer probes over the shared hash table")
+	fmt.Fprintf(stdout, "  leakage: %.2f Mb/s at %.2f%% error over %d banks\n",
 		res.ThroughputMbps, res.ErrorRate*100, res.Banks)
-	fmt.Printf("  %d probes, %d correct, %d false positives, %d false negatives\n",
+	fmt.Fprintf(stdout, "  %d probes, %d correct, %d false positives, %d false negatives\n",
 		res.Probes, res.Correct, res.FalsePositives, res.FalseNegatives)
-	fmt.Println("each correct probe tells the attacker whether the victim's query genome")
-	fmt.Println("contains a seed hashing into that bank's hash-table rows — the input to")
-	fmt.Println("a completion/imputation attack on the private genome (paper §4.3).")
+	fmt.Fprintln(stdout, "each correct probe tells the attacker whether the victim's query genome")
+	fmt.Fprintln(stdout, "contains a seed hashing into that bank's hash-table rows — the input to")
+	fmt.Fprintln(stdout, "a completion/imputation attack on the private genome (paper §4.3).")
 	return nil
 }

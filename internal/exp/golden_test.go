@@ -90,9 +90,9 @@ func summarizeExpansion(t *testing.T, spec Spec) expansionGolden {
 	return line
 }
 
-// TestGolden pins expansion, the served bytes of the example sweep and
-// every scenario's quick-scale report against the committed corpus under
-// testdata/golden.
+// TestGolden pins expansion, the served bytes of the example sweep, every
+// scenario's quick-scale report and the GET /v1/scenarios listing against
+// the committed corpus under testdata/golden.
 func TestGolden(t *testing.T) {
 	t.Run("expansion", func(t *testing.T) {
 		// Each line carries its own spec, so -update recomputes the digests
@@ -179,5 +179,12 @@ func TestGolden(t *testing.T) {
 			got.Write(rec.Body.Bytes())
 		}
 		checkGolden(t, "scenarios.quick.ndjson", got.Bytes())
+	})
+	t.Run("scenarios.list", func(t *testing.T) {
+		rec := doRequest(t, NewServer(NewEngine()).Handler(), http.MethodGet, "/v1/scenarios", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/scenarios = %d: %s", rec.Code, rec.Body)
+		}
+		checkGolden(t, "scenarios.list.json", rec.Body.Bytes())
 	})
 }
