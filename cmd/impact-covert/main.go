@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -41,58 +40,62 @@ func run(args []string, stdout io.Writer) error {
 	msg := core.RandomMessage(*bits, *seed)
 	names := strings.Split(*channels, ",")
 
+	var label string
+	var points []int
+	var dim *int // the flag each sweep point overrides
 	switch *sweep {
 	case "":
 		fmt.Fprintf(stdout, "%-16s %12s %10s %14s %14s\n", "channel", "Mb/s", "err%", "sender cyc", "receiver cyc")
 		for _, name := range names {
-			res, err := runChannel(strings.TrimSpace(name), msg, *llcMB<<20, *llcWays, *noise)
+			res, err := runChannel(name, msg, *llcMB<<20, *llcWays, *noise)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "%-16s %12.2f %10.2f %14d %14d\n",
 				res.Channel, res.ThroughputMbps, res.ErrorRate*100, res.SenderCycles, res.ReceiverCycles)
 		}
+		return nil
 	case "size":
-		fmt.Fprintf(stdout, "%-10s", "LLC(MB)")
-		for _, n := range names {
-			fmt.Fprintf(stdout, " %14s", strings.TrimSpace(n))
-		}
-		fmt.Fprintln(stdout)
-		for _, mb := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-			fmt.Fprintf(stdout, "%-10d", mb)
-			for _, name := range names {
-				res, err := runChannel(strings.TrimSpace(name), msg, mb<<20, *llcWays, *noise)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, " %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
-			}
-			fmt.Fprintln(stdout)
-		}
+		label, points, dim = "LLC(MB)", []int{1, 2, 4, 8, 16, 32, 64, 128}, llcMB
 	case "ways":
-		fmt.Fprintf(stdout, "%-10s", "ways")
-		for _, n := range names {
-			fmt.Fprintf(stdout, " %14s", strings.TrimSpace(n))
-		}
-		fmt.Fprintln(stdout)
-		for _, ways := range []int{2, 4, 8, 16, 32, 64, 128} {
-			fmt.Fprintf(stdout, "%-10d", ways)
-			for _, name := range names {
-				res, err := runChannel(strings.TrimSpace(name), msg, *llcMB<<20, ways, *noise)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(stdout, " %14s", strconv.FormatFloat(res.ThroughputMbps, 'f', 2, 64))
-			}
-			fmt.Fprintln(stdout)
-		}
+		label, points, dim = "ways", []int{2, 4, 8, 16, 32, 64, 128}, llcWays
 	default:
 		return fmt.Errorf("unknown sweep %q (want 'size' or 'ways')", *sweep)
+	}
+
+	fmt.Fprintf(stdout, "%-10s", label)
+	for _, name := range names {
+		fmt.Fprintf(stdout, " %14s", strings.TrimSpace(name))
+	}
+	fmt.Fprintln(stdout)
+	for _, p := range points {
+		*dim = p
+		fmt.Fprintf(stdout, "%-10d", p)
+		for _, name := range names {
+			res, err := runChannel(name, msg, *llcMB<<20, *llcWays, *noise)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, " %14.2f", res.ThroughputMbps)
+		}
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }
 
+// shortNames maps this command's spellings of the two DRAMA baselines,
+// which the default -channels value uses, to their core.Channels names.
+var shortNames = map[string]string{"clflush": "drama-clflush", "eviction": "drama-eviction"}
+
 func runChannel(name string, msg []bool, llcBytes, llcWays int, noise float64) (core.Result, error) {
+	name = strings.TrimSpace(name)
+	if long, ok := shortNames[name]; ok {
+		name = long
+	}
+	ch, ok := core.ChannelByName(name)
+	if !ok {
+		return core.Result{}, fmt.Errorf("unknown channel %q", name)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.LLCBytes = llcBytes
 	cfg.LLCWays = llcWays
@@ -101,21 +104,5 @@ func runChannel(name string, msg []bool, llcBytes, llcWays int, noise float64) (
 	if err != nil {
 		return core.Result{}, err
 	}
-	opt := core.Options{}
-	switch name {
-	case "pnm":
-		return core.RunPnM(m, msg, opt)
-	case "pum":
-		return core.RunPuM(m, msg, opt)
-	case "clflush":
-		return core.RunDRAMAClflush(m, msg, opt)
-	case "eviction":
-		return core.RunDRAMAEviction(m, msg, opt)
-	case "dma":
-		return core.RunDMA(m, msg, opt)
-	case "direct":
-		return core.RunDirect(m, msg, opt)
-	default:
-		return core.Result{}, fmt.Errorf("unknown channel %q", name)
-	}
+	return ch.Run(m, msg, core.Options{})
 }

@@ -11,8 +11,7 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/memctrl"
-	"repro/internal/sim"
+	"repro/internal/figures"
 	"repro/internal/workloads"
 )
 
@@ -60,35 +59,18 @@ func run(args []string, stdout io.Writer) error {
 	if !*throughput {
 		return nil
 	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintln(stdout, "IMPACT-PnM throughput under ACT (Section 7.4):")
-	msg := core.RandomMessage(*bits, 99)
-	baseline, err := runPnMWith(memctrl.DefaultConfig(), msg)
+	attacks, err := figures.AttackUnderDefenses(core.RandomMessage(*bits, 99))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%)\n", "no defense", baseline.EffectiveThroughputMbps, baseline.ErrorRate*100)
-	for _, d := range workloads.DefenseConfigs() {
-		res, err := runPnMWith(d, msg)
-		if err != nil {
-			return err
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "IMPACT-PnM throughput under ACT (Section 7.4):")
+	for i, a := range attacks {
+		fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%", a.Defense, a.Result.EffectiveThroughputMbps, a.Result.ErrorRate*100)
+		if i > 0 {
+			fmt.Fprintf(stdout, ", reduction %.0f%%", a.Reduction)
 		}
-		reduction := 0.0
-		if baseline.EffectiveThroughputMbps > 0 {
-			reduction = 100 * (1 - res.EffectiveThroughputMbps/baseline.EffectiveThroughputMbps)
-		}
-		fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%, reduction %.0f%%)\n",
-			workloads.DefenseName(d), res.EffectiveThroughputMbps, res.ErrorRate*100, reduction)
+		fmt.Fprintln(stdout, ")")
 	}
 	return nil
-}
-
-func runPnMWith(mem memctrl.Config, msg []bool) (core.Result, error) {
-	cfg := sim.DefaultConfig()
-	cfg.Mem = mem
-	m, err := sim.New(cfg)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.RunPnM(m, msg, core.Options{})
 }

@@ -9,9 +9,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/genomics"
-	"repro/internal/sim"
+	"repro/internal/figures"
 )
 
 func main() {
@@ -40,7 +38,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%-8s %12s %10s %14s %14s\n", "banks", "Mb/s", "err%", "reads mapped", "victim acc%")
 	for _, banks := range bankCounts {
-		res, err := RunOnce(banks, *refLen, *reads, *sweeps, *seed)
+		res, err := figures.SideChannelOnce(banks, *refLen, *reads, *sweeps, *seed)
 		if err != nil {
 			return err
 		}
@@ -48,33 +46,4 @@ func run(args []string, stdout io.Writer) error {
 			banks, res.ThroughputMbps, res.ErrorRate*100, res.VictimReadsMapped, res.VictimAccuracy*100)
 	}
 	return nil
-}
-
-// RunOnce builds a machine with the given bank count and runs one attack.
-func RunOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.SideChannelResult, error) {
-	cfg := sim.DefaultConfig()
-	cfg.DRAM = cfg.DRAM.WithBanks(banks)
-	// Background activity scales with machine size: a PiM system with 8x
-	// the banks hosts proportionally more co-running processes, which is
-	// what makes the attack "more prone to noise" as banks grow (§6.3).
-	cfg.Noise.EventsPerMCycle = 90 * float64(banks) / 1024
-	m, err := sim.New(cfg)
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
-
-	ref := genomics.NewReference(refLen, seed)
-	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
-	rds, err := genomics.SampleReads(ref, numReads, 150, 0.02, seed+1)
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
-	victim, err := genomics.NewMapper(m, m.Core(2), ref, idx, genomics.DefaultBankLayout(banks), rds, genomics.DefaultCosts())
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
-	return core.RunSideChannel(m, victim, core.SideChannelOptions{Sweeps: sweeps})
 }

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/figures"
 )
 
 // checkGolden fails t unless got equals testdata/name byte for byte. Each
@@ -26,7 +28,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestRunOnceSmall(t *testing.T) {
-	res, err := RunOnce(64, 1<<16, 500, 2, 7)
+	res, err := figures.SideChannelOnce(64, 1<<16, 500, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

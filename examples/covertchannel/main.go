@@ -1,7 +1,7 @@
 // Covert-channel comparison: transmit a 1 KiB message over every channel
-// variant the paper evaluates (IMPACT-PnM, IMPACT-PuM, DRAMA-clflush,
-// DRAMA-eviction, DMA) and show the per-bank latency trace a receiver sees
-// while decoding one batch — the view of the paper's Figure 8.
+// variant the paper evaluates (IMPACT-PnM, IMPACT-PuM, direct access,
+// DRAMA-clflush, DRAMA-eviction, DMA) and show the per-bank latency trace a
+// receiver sees while decoding one batch — the view of the paper's Figure 8.
 package main
 
 import (
@@ -23,25 +23,13 @@ func main() {
 func run(stdout io.Writer) error {
 	msg := core.RandomMessage(8192, 1234)
 
-	type channel struct {
-		name string
-		run  func(*sim.Machine, []bool, core.Options) (core.Result, error)
-	}
-	channels := []channel{
-		{"IMPACT-PnM", core.RunPnM},
-		{"IMPACT-PuM", core.RunPuM},
-		{"DRAMA-clflush", core.RunDRAMAClflush},
-		{"DRAMA-eviction", core.RunDRAMAEviction},
-		{"DMA", core.RunDMA},
-	}
-
 	fmt.Fprintf(stdout, "%-16s %10s %8s %12s\n", "channel", "Mb/s", "err%", "cycles")
-	for _, ch := range channels {
+	for _, ch := range core.Channels() {
 		m, err := sim.New(sim.DefaultConfig())
 		if err != nil {
 			return err
 		}
-		res, err := ch.run(m, msg, core.Options{})
+		res, err := ch.Run(m, msg, core.Options{})
 		if err != nil {
 			return err
 		}

@@ -10,8 +10,8 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/figures"
 	"repro/internal/memctrl"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -24,7 +24,7 @@ func main() {
 
 func run(stdout io.Writer) error {
 	msg := core.RandomMessage(2048, 5)
-	baseline, err := attackUnder(memctrl.DefaultConfig(), msg)
+	baseline, err := figures.RunPnMUnder(memctrl.DefaultConfig(), msg)
 	if err != nil {
 		return err
 	}
@@ -50,7 +50,7 @@ func run(stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		attack, err := attackUnder(mem, msg)
+		attack, err := figures.RunPnMUnder(mem, msg)
 		if err != nil {
 			return err
 		}
@@ -64,14 +64,4 @@ func run(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "\nslowdown = GMEAN normalized execution time over BC/BFS/CC/TC/XS")
 	fmt.Fprintln(stdout, "attack residual = IMPACT-PnM effective throughput vs. an undefended system")
 	return nil
-}
-
-func attackUnder(mem memctrl.Config, msg []bool) (core.Result, error) {
-	cfg := sim.DefaultConfig()
-	cfg.Mem = mem
-	m, err := sim.New(cfg)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.RunPnM(m, msg, core.Options{})
 }

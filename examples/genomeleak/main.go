@@ -10,9 +10,7 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/genomics"
-	"repro/internal/sim"
+	"repro/internal/figures"
 )
 
 func main() {
@@ -23,35 +21,10 @@ func main() {
 }
 
 func run(stdout io.Writer) error {
-	const banks = 1024
-
-	cfg := sim.DefaultConfig()
-	cfg.DRAM = cfg.DRAM.WithBanks(banks)
-	cfg.Noise.EventsPerMCycle = 90
-	machine, err := sim.New(cfg)
-	if err != nil {
-		return err
-	}
-
-	// The victim's world: a reference genome, its seeding index spread
-	// over DRAM banks, and a batch of reads to map.
-	ref := genomics.NewReference(1<<20, 2024)
-	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
-	if err != nil {
-		return err
-	}
-	reads, err := genomics.SampleReads(ref, 20000, 150, 0.02, 2025)
-	if err != nil {
-		return err
-	}
-	victim, err := genomics.NewMapper(
-		machine, machine.Core(2), ref, idx, genomics.DefaultBankLayout(banks), reads, genomics.DefaultCosts())
-	if err != nil {
-		return err
-	}
-
-	// The attacker: core 3, continuously sweeping all banks.
-	res, err := core.RunSideChannel(machine, victim, core.SideChannelOptions{Sweeps: 6})
+	// The victim, on core 2, maps 20000 reads against a 1 Mbase reference
+	// whose seeding hash table spreads over 1024 DRAM banks; the attacker,
+	// on core 3, sweeps all of them six times.
+	res, err := figures.SideChannelOnce(1024, 1<<20, 20000, 6, 2024)
 	if err != nil {
 		return err
 	}

@@ -38,14 +38,14 @@ func acquireMachine(pool *sim.Pool, cfg sim.Config) (*sim.Machine, func(), error
 	return m, func() { pool.Put(m) }, err
 }
 
-// covertRunner adapts one covert-channel protocol into a scenario. Each
-// scenario gets its own message seed (mirroring the figure generators) so
-// no two scenarios ever transmit the same bit string.
-func covertRunner(name, desc string, seed uint64,
-	fn func(*sim.Machine, []bool, core.Options) (core.Result, error)) scenario {
+// covertRunner adapts one channel of the core table into the scenario
+// covert-<name>. Each scenario gets its own message seed (mirroring the
+// figure generators) so no two scenarios ever transmit the same bit string.
+func covertRunner(ch core.NamedChannel, seed uint64) scenario {
+	name := "covert-" + ch.Name
 	return scenario{
 		Name:            name,
-		Description:     desc,
+		Description:     ch.Description,
 		ConfigSensitive: true,
 		run: func(pool *sim.Pool, cfg sim.Config, scale figures.Scale) (figures.Report, error) {
 			m, release, err := acquireMachine(pool, cfg)
@@ -54,7 +54,7 @@ func covertRunner(name, desc string, seed uint64,
 			}
 			defer release()
 			msg := core.RandomMessage(scale.Bits(), seed)
-			res, err := fn(m, msg, core.Options{})
+			res, err := ch.Run(m, msg, core.Options{})
 			if err != nil {
 				return figures.Report{}, err
 			}
@@ -86,16 +86,13 @@ func covertReport(name string, res core.Result) figures.Report {
 var testScenarios []scenario
 
 // builtinScenarios is the production registry in presentation order: the
-// config-sensitive covert channels first, then every paper artifact from
-// the figures registry. It is built once per process and never written.
+// config-sensitive covert channels of core.Channels first, the i-th with
+// message seed 101+i, then every paper artifact from the figures registry.
+// It is built once per process and never written.
 var builtinScenarios = sync.OnceValue(func() []scenario {
-	out := []scenario{
-		covertRunner("covert-pnm", "IMPACT PnM covert channel (PEI row-buffer probes)", 101, core.RunPnM),
-		covertRunner("covert-pum", "IMPACT PuM covert channel (RowClone row-buffer probes)", 102, core.RunPuM),
-		covertRunner("covert-direct", "direct-access covert channel (uncached loads)", 103, core.RunDirect),
-		covertRunner("covert-drama-clflush", "DRAMA baseline, clflush variant", 104, core.RunDRAMAClflush),
-		covertRunner("covert-drama-eviction", "DRAMA baseline, eviction-set variant", 105, core.RunDRAMAEviction),
-		covertRunner("covert-dma", "DMA-engine covert channel", 106, core.RunDMA),
+	var out []scenario
+	for i, ch := range core.Channels() {
+		out = append(out, covertRunner(ch, uint64(101+i)))
 	}
 	for _, id := range figures.IDs() {
 		id := id

@@ -94,6 +94,32 @@ func Table2(Scale) (Report, error) {
 	}, nil
 }
 
+// llcPoint measures one (LLC size, ways) point of Figures 2 and 3 into a
+// row's Measured column: the direct-access attack and the DRAMA-eviction
+// baseline, each on a fresh machine, plus the CACTI-modeled eviction
+// latency.
+func llcPoint(msg []bool, mb, ways int) (Row, error) {
+	m, err := newMachine(mb<<20, ways)
+	if err != nil {
+		return Row{}, err
+	}
+	direct, err := core.RunDirect(m, msg, core.Options{})
+	if err != nil {
+		return Row{}, err
+	}
+	m, err = newMachine(mb<<20, ways)
+	if err != nil {
+		return Row{}, err
+	}
+	baseline, err := core.RunDRAMAEviction(m, msg, core.Options{})
+	if err != nil {
+		return Row{}, err
+	}
+	evLat := cacti.EvictionLatency(float64(mb), ways, 104, sim.DefaultSoftCosts().EvictionMLP)
+	return Row{Measured: fmt.Sprintf("direct %s, baseline %s, eviction %s",
+		fmtMbps(direct.ThroughputMbps), fmtMbps(baseline.ThroughputMbps), fmtCycles(evLat))}, nil
+}
+
 // Fig2 reproduces the LLC-size sweep of Section 3.3: direct-access attack
 // throughput (flat, ~11.27 Mb/s) vs. the eviction-based baseline (falling),
 // plus the eviction latency curve.
@@ -105,30 +131,13 @@ func Fig2(scale Scale) (Report, error) {
 		sizes = []int{4, 16, 128}
 	}
 	for _, mb := range sizes {
-		m, err := newMachine(mb<<20, 16)
+		row, err := llcPoint(msg, mb, 16)
 		if err != nil {
 			return Report{}, err
 		}
-		direct, err := core.RunDirect(m, msg, core.Options{})
-		if err != nil {
-			return Report{}, err
-		}
-		m2, err := newMachine(mb<<20, 16)
-		if err != nil {
-			return Report{}, err
-		}
-		baseline, err := core.RunDRAMAEviction(m2, msg, core.Options{})
-		if err != nil {
-			return Report{}, err
-		}
-		evLat := cacti.EvictionLatency(float64(mb), 16, 104, sim.DefaultSoftCosts().EvictionMLP)
-		paper := "direct 11.27 flat; baseline <=2.29 falling"
-		rep.Rows = append(rep.Rows, Row{
-			Label: fmt.Sprintf("LLC %3d MB", mb),
-			Paper: paper,
-			Measured: fmt.Sprintf("direct %s, baseline %s, eviction %s",
-				fmtMbps(direct.ThroughputMbps), fmtMbps(baseline.ThroughputMbps), fmtCycles(evLat)),
-		})
+		row.Label = fmt.Sprintf("LLC %3d MB", mb)
+		row.Paper = "direct 11.27 flat; baseline <=2.29 falling"
+		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }
@@ -142,29 +151,13 @@ func Fig3(scale Scale) (Report, error) {
 		ways = []int{2, 16, 128}
 	}
 	for _, w := range ways {
-		m, err := newMachine(16<<20, w)
+		row, err := llcPoint(msg, 16, w)
 		if err != nil {
 			return Report{}, err
 		}
-		direct, err := core.RunDirect(m, msg, core.Options{})
-		if err != nil {
-			return Report{}, err
-		}
-		m2, err := newMachine(16<<20, w)
-		if err != nil {
-			return Report{}, err
-		}
-		baseline, err := core.RunDRAMAEviction(m2, msg, core.Options{})
-		if err != nil {
-			return Report{}, err
-		}
-		evLat := cacti.EvictionLatency(16, w, 104, sim.DefaultSoftCosts().EvictionMLP)
-		rep.Rows = append(rep.Rows, Row{
-			Label: fmt.Sprintf("%3d ways", w),
-			Paper: "direct flat; baseline falls with ways",
-			Measured: fmt.Sprintf("direct %s, baseline %s, eviction %s",
-				fmtMbps(direct.ThroughputMbps), fmtMbps(baseline.ThroughputMbps), fmtCycles(evLat)),
-		})
+		row.Label = fmt.Sprintf("%3d ways", w)
+		row.Paper = "direct flat; baseline falls with ways"
+		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }
@@ -226,40 +219,43 @@ func Fig8(Scale) (Report, error) {
 	return rep, nil
 }
 
-// Fig9 reproduces the headline throughput comparison across LLC sizes.
+// Fig9 reproduces the headline throughput comparison across LLC sizes,
+// one series per channel of core.Channels that the figure plots.
 func Fig9(scale Scale) (Report, error) {
 	rep := Report{ID: "Figure 9", Title: "Covert-channel leakage throughput vs. LLC size"}
 	msg := core.RandomMessage(scale.Bits(), 4)
-	type variant struct {
-		name  string
-		paper string
-		run   func(*sim.Machine) (core.Result, error)
-	}
-	variants := []variant{
-		{"IMPACT-PnM", "8.2 Mb/s flat", func(m *sim.Machine) (core.Result, error) { return core.RunPnM(m, msg, core.Options{}) }},
-		{"IMPACT-PuM", "14.8 Mb/s flat", func(m *sim.Machine) (core.Result, error) { return core.RunPuM(m, msg, core.Options{}) }},
-		{"DRAMA-clflush", "~2.3 Mb/s falling", func(m *sim.Machine) (core.Result, error) { return core.RunDRAMAClflush(m, msg, core.Options{}) }},
-		{"DRAMA-eviction", "lowest, falling", func(m *sim.Machine) (core.Result, error) { return core.RunDRAMAEviction(m, msg, core.Options{}) }},
-		{"DMA engine", "0.81 Mb/s flat", func(m *sim.Machine) (core.Result, error) { return core.RunDMA(m, msg, core.Options{}) }},
+	// Each plotted channel's series label and paper value. Direct access
+	// has no series: it is Figure 2's idealized attack.
+	series := map[string]Row{
+		"pnm":            {Label: "IMPACT-PnM", Paper: "8.2 Mb/s flat"},
+		"pum":            {Label: "IMPACT-PuM", Paper: "14.8 Mb/s flat"},
+		"drama-clflush":  {Label: "DRAMA-clflush", Paper: "~2.3 Mb/s falling"},
+		"drama-eviction": {Label: "DRAMA-eviction", Paper: "lowest, falling"},
+		"dma":            {Label: "DMA engine", Paper: "0.81 Mb/s flat"},
 	}
 	sizes := []int{1, 8, 128}
 	if scale == ScaleFull {
 		sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
 	}
-	for _, v := range variants {
+	for _, ch := range core.Channels() {
+		row, ok := series[ch.Name]
+		if !ok {
+			continue
+		}
 		vals := make([]string, 0, len(sizes))
 		for _, mb := range sizes {
 			m, err := newMachine(mb<<20, 16)
 			if err != nil {
 				return Report{}, err
 			}
-			res, err := v.run(m)
+			res, err := ch.Run(m, msg, core.Options{})
 			if err != nil {
 				return Report{}, err
 			}
 			vals = append(vals, fmt.Sprintf("%dMB:%.2f", mb, res.ThroughputMbps))
 		}
-		rep.Rows = append(rep.Rows, Row{Label: v.name, Paper: v.paper, Measured: join(vals...)})
+		row.Measured = join(vals...)
+		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // SideChannelOnce runs the Section 4.3 attack against a fresh machine with
-// the given bank count (shared by Fig11, the CLI, and the benches).
+// the given bank count. Fig11, impact-sidechannel, the genomeleak example
+// and the benches share it.
 func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
@@ -101,54 +102,72 @@ func Fig12(scale Scale) (Report, error) {
 	return rep, nil
 }
 
-// ACTReduction reproduces the Section 7.4 attack-throughput analysis: how
-// much each defense cuts IMPACT-PnM's effective (capacity-adjusted)
-// throughput.
-func ACTReduction(scale Scale) (Report, error) {
-	msg := core.RandomMessage(scale.Bits(), 99)
-	run := func(mem memctrl.Config) (core.Result, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Mem = mem
-		m, err := sim.New(cfg)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return core.RunPnM(m, msg, core.Options{})
-	}
-	baseline, err := run(memctrl.DefaultConfig())
+// RunPnMUnder runs IMPACT-PnM with msg on a fresh default machine whose
+// memory controller is mem, typically a defense.
+func RunPnMUnder(mem memctrl.Config, msg []bool) (core.Result, error) {
+	cfg := sim.DefaultConfig()
+	cfg.Mem = mem
+	m, err := sim.New(cfg)
 	if err != nil {
-		return Report{}, err
+		return core.Result{}, err
 	}
-	paper := map[string]string{
-		"CTD":              "prevents completely",
-		"ACT-Aggressive":   "-72% on average",
-		"ACT-Mild":         "cannot reduce",
-		"ACT-Conservative": "cannot reduce",
+	return core.RunPnM(m, msg, core.Options{})
+}
+
+// DefenseAttack is IMPACT-PnM's result under one defense: Defense is "no
+// defense" or the defense's workloads.DefenseName, and Reduction is the
+// percentage by which it cuts effective throughput relative to no defense.
+type DefenseAttack struct {
+	Defense   string
+	Result    core.Result
+	Reduction float64
+}
+
+// AttackUnderDefenses runs IMPACT-PnM with msg with no defense, then under
+// each Figure 12 defense (workloads.DefenseConfigs), and reports each
+// defense's throughput reduction. The first entry is the undefended run.
+func AttackUnderDefenses(msg []bool) ([]DefenseAttack, error) {
+	baseline, err := RunPnMUnder(memctrl.DefaultConfig(), msg)
+	if err != nil {
+		return nil, err
 	}
-	rep := Report{
-		ID:    "§7.4",
-		Title: "IMPACT-PnM effective throughput under defenses",
-		Rows: []Row{{
-			Label:    "no defense",
-			Paper:    "8.2 Mb/s",
-			Measured: fmtMbps(baseline.EffectiveThroughputMbps),
-		}},
-	}
+	out := []DefenseAttack{{Defense: "no defense", Result: baseline}}
 	for _, d := range workloads.DefenseConfigs() {
-		res, err := run(d)
+		res, err := RunPnMUnder(d, msg)
 		if err != nil {
-			return Report{}, err
+			return nil, err
 		}
 		reduction := 0.0
 		if baseline.EffectiveThroughputMbps > 0 {
 			reduction = 100 * (1 - res.EffectiveThroughputMbps/baseline.EffectiveThroughputMbps)
 		}
-		name := workloads.DefenseName(d)
-		rep.Rows = append(rep.Rows, Row{
-			Label:    name,
-			Paper:    paper[name],
-			Measured: fmt.Sprintf("%s (reduction %.0f%%)", fmtMbps(res.EffectiveThroughputMbps), reduction),
-		})
+		out = append(out, DefenseAttack{Defense: workloads.DefenseName(d), Result: res, Reduction: reduction})
+	}
+	return out, nil
+}
+
+// ACTReduction reproduces the Section 7.4 attack-throughput analysis: how
+// much each defense cuts IMPACT-PnM's effective (capacity-adjusted)
+// throughput.
+func ACTReduction(scale Scale) (Report, error) {
+	attacks, err := AttackUnderDefenses(core.RandomMessage(scale.Bits(), 99))
+	if err != nil {
+		return Report{}, err
+	}
+	paper := map[string]string{
+		"no defense":       "8.2 Mb/s",
+		"CTD":              "prevents completely",
+		"ACT-Aggressive":   "-72% on average",
+		"ACT-Mild":         "cannot reduce",
+		"ACT-Conservative": "cannot reduce",
+	}
+	rep := Report{ID: "§7.4", Title: "IMPACT-PnM effective throughput under defenses"}
+	for i, a := range attacks {
+		measured := fmtMbps(a.Result.EffectiveThroughputMbps)
+		if i > 0 {
+			measured = fmt.Sprintf("%s (reduction %.0f%%)", measured, a.Reduction)
+		}
+		rep.Rows = append(rep.Rows, Row{Label: a.Defense, Paper: paper[a.Defense], Measured: measured})
 	}
 	rep.Notes = append(rep.Notes,
 		"ACT-Aggressive eliminates the channel here rather than reducing it 72%: with 4000-epoch penalties every bank stays padded (see EXPERIMENTS.md)")
