@@ -49,15 +49,6 @@ func DefaultHierarchyConfig(llcBytes, llcWays int, llcLatency int64) HierarchyCo
 	}
 }
 
-// NewHierarchy builds the hierarchy over the given backend.
-func NewHierarchy(cfg HierarchyConfig, backend Level) (*Hierarchy, error) {
-	llc, err := New(cfg.LLC, backend)
-	if err != nil {
-		return nil, fmt.Errorf("llc: %w", err)
-	}
-	return NewHierarchySharedLLC(cfg, llc, backend)
-}
-
 // NewHierarchySharedLLC builds private L1/L2 levels over an existing
 // (shared) LLC, as in the paper's Table 2 system where four cores share the
 // last-level cache. backend is the memory level below the LLC, needed for

@@ -7,7 +7,11 @@ func testHierarchy(t *testing.T, prefetch bool) (*Hierarchy, *fixedMem) {
 	mem := &fixedMem{latency: 120}
 	cfg := DefaultHierarchyConfig(8<<20, 16, 50)
 	cfg.EnablePrefetchers = prefetch
-	h, err := NewHierarchy(cfg, mem)
+	llc, err := New(cfg.LLC, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHierarchySharedLLC(cfg, llc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
