@@ -36,6 +36,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *bits < 0 {
+		return fmt.Errorf("-bits must not be negative, got %d", *bits)
+	}
 
 	msg := core.RandomMessage(*bits, *seed)
 	names := strings.Split(*channels, ",")

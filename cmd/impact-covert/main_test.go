@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,11 +44,22 @@ func TestRunChannelDispatch(t *testing.T) {
 }
 
 func TestRunFlagErrors(t *testing.T) {
-	if err := run([]string{"-sweep", "nonsense", "-bits", "16"}, io.Discard); err == nil {
-		t.Fatal("invalid sweep accepted")
-	}
-	if err := run([]string{"-not-a-flag"}, io.Discard); err == nil {
-		t.Fatal("invalid flag accepted")
+	for _, tc := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{[]string{"-sweep", "nonsense", "-bits", "16"}, "nonsense"},
+		{[]string{"-not-a-flag"}, "not-a-flag"},
+		{[]string{"-bits", "-1"}, "-bits"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%q) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Fatalf("run(%q) printed %q before failing", tc.args, out.String())
+		}
 	}
 }
 

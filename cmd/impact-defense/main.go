@@ -32,6 +32,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *bits < 0 {
+		return fmt.Errorf("-bits must not be negative, got %d", *bits)
+	}
 
 	suiteCfg := workloads.DefaultSuiteConfig()
 	if *small {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -27,5 +28,24 @@ func TestRunSmallSuite(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatalf("output differs from testdata/small-bits-256.txt:\n got:\n%s\nwant:\n%s", out.Bytes(), want)
+	}
+}
+
+func TestRunFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{[]string{"-small", "-bits", "-5"}, "-bits"},
+		{[]string{"-not-a-flag"}, "not-a-flag"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%q) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Fatalf("run(%q) printed %q before failing", tc.args, out.String())
+		}
 	}
 }

@@ -31,6 +31,14 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"ref-len", *refLen}, {"reads", *reads}, {"banks", *single}} {
+		if f.value < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.value)
+		}
+	}
 
 	bankCounts := []int{1024, 2048, 4096, 8192}
 	if *single > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/figures"
@@ -53,4 +54,25 @@ func TestRunFigure11Sweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "default.txt", out.Bytes())
+}
+
+func TestRunFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{[]string{"-reads", "-1"}, "-reads"},
+		{[]string{"-ref-len", "-5"}, "-ref-len"},
+		{[]string{"-banks", "-4"}, "-banks"},
+		{[]string{"-not-a-flag"}, "not-a-flag"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%q) = %v, want an error naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Fatalf("run(%q) printed %q before failing", tc.args, out.String())
+		}
+	}
 }
