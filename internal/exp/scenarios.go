@@ -38,31 +38,6 @@ func acquireMachine(pool *sim.Pool, cfg sim.Config) (*sim.Machine, func(), error
 	return m, func() { pool.Put(m) }, err
 }
 
-// covertRunner adapts one channel of the core table into the scenario
-// covert-<name>. Each scenario gets its own message seed (mirroring the
-// figure generators) so no two scenarios ever transmit the same bit string.
-func covertRunner(ch core.NamedChannel, seed uint64) scenario {
-	name := "covert-" + ch.Name
-	return scenario{
-		Name:            name,
-		Description:     ch.Description,
-		ConfigSensitive: true,
-		run: func(pool *sim.Pool, cfg sim.Config, scale figures.Scale) (figures.Report, error) {
-			m, release, err := acquireMachine(pool, cfg)
-			if err != nil {
-				return figures.Report{}, err
-			}
-			defer release()
-			msg := core.RandomMessage(scale.Bits(), seed)
-			res, err := ch.Run(m, msg, core.Options{})
-			if err != nil {
-				return figures.Report{}, err
-			}
-			return covertReport(name, res), nil
-		},
-	}
-}
-
 // covertReport renders one covert-channel result in the same Report shape
 // the figure generators emit, so every scenario serializes identically.
 func covertReport(name string, res core.Result) figures.Report {
@@ -85,17 +60,36 @@ func covertReport(name string, res core.Result) figures.Report {
 // memory-bound sweep affordable). Production code never appends to it.
 var testScenarios []scenario
 
-// builtinScenarios is the production registry in presentation order: the
-// config-sensitive covert channels of core.Channels first, the i-th with
-// message seed 101+i, then every paper artifact from the figures registry.
-// It is built once per process and never written.
+// builtinScenarios is the production registry in presentation order: one
+// config-sensitive scenario covert-<name> per entry of core.Channels, the
+// i-th with message seed 101+i, then every paper artifact from the figures
+// registry. It is built once per process and never written.
 var builtinScenarios = sync.OnceValue(func() []scenario {
 	var out []scenario
 	for i, ch := range core.Channels() {
-		out = append(out, covertRunner(ch, uint64(101+i)))
+		// Each covert scenario has its own message seed (mirroring the
+		// figure generators), so no two transmit the same bit string.
+		name, seed := "covert-"+ch.Name, uint64(101+i)
+		out = append(out, scenario{
+			Name:            name,
+			Description:     ch.Description,
+			ConfigSensitive: true,
+			run: func(pool *sim.Pool, cfg sim.Config, scale figures.Scale) (figures.Report, error) {
+				m, release, err := acquireMachine(pool, cfg)
+				if err != nil {
+					return figures.Report{}, err
+				}
+				defer release()
+				msg := core.RandomMessage(scale.Bits(), seed)
+				res, err := ch.Run(m, msg, core.Options{})
+				if err != nil {
+					return figures.Report{}, err
+				}
+				return covertReport(name, res), nil
+			},
+		})
 	}
 	for _, id := range figures.IDs() {
-		id := id
 		out = append(out, scenario{
 			Name:        id,
 			Description: fmt.Sprintf("paper artifact %q from the figures registry", id),

@@ -95,9 +95,8 @@ func Table2(Scale) (Report, error) {
 }
 
 // llcPoint measures one (LLC size, ways) point of Figures 2 and 3 into a
-// row's Measured column: the direct-access attack and the DRAMA-eviction
-// baseline, each on a fresh machine, plus the CACTI-modeled eviction
-// latency.
+// row's Measured column: direct access and DRAMA-eviction, each on a fresh
+// machine, plus the CACTI-modeled eviction latency.
 func llcPoint(msg []bool, mb, ways int) (Row, error) {
 	m, err := newMachine(mb<<20, ways)
 	if err != nil {
