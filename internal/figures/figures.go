@@ -2,7 +2,8 @@
 // evaluation, printing the paper's reported values next to this
 // reproduction's measured values. Each function corresponds to one artifact,
 // registered under the ID that IDs lists in paper order; All runs the
-// complete set.
+// complete set. SideChannelOnce, RunPnMUnder and AttackUnderDefenses are
+// the one copy of the experiments that the CLIs and examples share.
 package figures
 
 import (
