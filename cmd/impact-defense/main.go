@@ -69,7 +69,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "IMPACT-PnM throughput under ACT (Section 7.4):")
 	for i, a := range attacks {
-		fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%", a.Defense, a.Result.EffectiveThroughputMbps, a.Result.ErrorRate*100)
+		fmt.Fprintf(stdout, "%-18s %10.2f Mb/s effective (err %.1f%%",
+			a.Defense, a.Result.EffectiveThroughputMbps, a.Result.ErrorRate*100)
 		if i > 0 {
 			fmt.Fprintf(stdout, ", reduction %.0f%%", a.Reduction)
 		}
