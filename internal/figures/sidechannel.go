@@ -123,9 +123,10 @@ type DefenseAttack struct {
 	Reduction float64
 }
 
-// AttackUnderDefenses runs IMPACT-PnM with msg with no defense, then under
-// each Figure 12 defense (workloads.DefenseConfigs), and reports each
-// defense's throughput reduction. The first entry is the undefended run.
+// AttackUnderDefenses runs IMPACT-PnM with msg on an undefended controller,
+// then under each Figure 12 defense (workloads.DefenseConfigs), and reports
+// each defense's throughput reduction. The first entry is the undefended
+// run.
 func AttackUnderDefenses(msg []bool) ([]DefenseAttack, error) {
 	baseline, err := RunPnMUnder(memctrl.DefaultConfig(), msg)
 	if err != nil {
