@@ -94,8 +94,11 @@ type Cache struct {
 	setMask  uint64
 	// direct marks a direct-mapped (1-way) geometry, whose miss path can
 	// skip victim selection (the probe is already a single tag compare).
-	direct   bool
-	lines    [][]line
+	direct bool
+	// lines holds every set's ways back to back: way w of set s is
+	// lines[s*Ways+w]. One slice per level keeps a build to one
+	// allocation however many sets the geometry has.
+	lines    []line
 	next     Level
 	counters *stats.Counters
 	tick     int64  // logical use counter for LRU ordering
@@ -123,10 +126,6 @@ func New(cfg Config, next Level) (*Cache, error) {
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		lineBits++
 	}
-	lines := make([][]line, sets)
-	for i := range lines {
-		lines[i] = make([]line, cfg.Ways)
-	}
 	setShift := uint(setBits(sets))
 	return &Cache{
 		cfg:      cfg,
@@ -136,7 +135,7 @@ func New(cfg Config, next Level) (*Cache, error) {
 		tagShift: lineBits + setShift,
 		setMask:  uint64(sets - 1),
 		direct:   cfg.Ways == 1,
-		lines:    lines,
+		lines:    make([]line, numLines),
 		next:     next,
 		counters: newCounters(),
 		epoch:    1,
@@ -175,6 +174,16 @@ func setBits(sets int) int {
 	return b
 }
 
+// set returns the ways of set s. The slice's capacity ends at the set's
+// last way, so no write through it can reach the next set.
+//
+//impact:hotpath
+func (c *Cache) set(s int) []line {
+	lo := s * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	return c.lines[lo:hi:hi]
+}
+
 // Access serves a load or store, returning its latency.
 //
 //impact:hotpath
@@ -182,7 +191,7 @@ func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 	c.tick++
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
-	ways := c.lines[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].epoch == c.epoch && ways[i].tag == tag {
 			c.counters.Add(CounterHit, 1)
@@ -278,7 +287,7 @@ func (c *Cache) SetEvictHook(hook func(addr uint64)) {
 func (c *Cache) Contains(addr uint64) bool {
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
-	for _, l := range c.lines[set] {
+	for _, l := range c.set(set) {
 		if l.epoch == c.epoch && l.tag == tag {
 			return true
 		}
@@ -291,7 +300,7 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	set := c.SetIndex(addr)
 	tag := c.tagOf(addr)
-	ways := c.lines[set]
+	ways := c.set(set)
 	for i := range ways {
 		if ways[i].epoch == c.epoch && ways[i].tag == tag {
 			present, dirty = true, ways[i].dirty
@@ -304,11 +313,7 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 
 // FlushAll invalidates every line (used between experiments).
 func (c *Cache) FlushAll() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			c.lines[s][w] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Reset returns the cache to its just-constructed state in O(1): bumping

@@ -33,6 +33,18 @@ func TestMachineConstruction(t *testing.T) {
 	if m.Core(-1) != nil || m.Core(4) != nil {
 		t.Error("out-of-range Core returned non-nil")
 	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	// A slice per cache or TLB set would cost thousands of allocations
+	// per build; the pin keeps each level a single slice.
+	if allocs := testing.AllocsPerRun(3, func() {
+		if _, err := New(quietConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 400 {
+		t.Errorf("New makes %.0f allocations, want <= 400", allocs)
+	}
 }
 
 func TestMachineRejectsZeroCores(t *testing.T) {

@@ -33,9 +33,11 @@ type tlbEntry struct {
 
 // TLB is a set-associative translation cache keyed by virtual page number.
 type TLB struct {
-	cfg   Config
-	sets  int
-	lines [][]tlbEntry
+	cfg  Config
+	sets int
+	// lines holds every set's ways back to back: way w of set s is
+	// lines[s*Ways+w].
+	lines []tlbEntry
 	tick  int64
 }
 
@@ -47,11 +49,7 @@ func New(cfg Config) *TLB {
 	if sets < 1 {
 		sets = 1
 	}
-	lines := make([][]tlbEntry, sets)
-	for i := range lines {
-		lines[i] = make([]tlbEntry, cfg.Ways)
-	}
-	return &TLB{cfg: cfg, sets: sets, lines: lines}
+	return &TLB{cfg: cfg, sets: sets, lines: make([]tlbEntry, sets*cfg.Ways)}
 }
 
 // Lookup probes the TLB for the page containing vaddr, inserting on miss.
@@ -60,8 +58,9 @@ func New(cfg Config) *TLB {
 func (t *TLB) Lookup(vaddr uint64) bool {
 	t.tick++
 	vpn := vaddr >> t.cfg.PageBits
-	set := int(vpn % uint64(t.sets))
-	ways := t.lines[set]
+	lo := int(vpn%uint64(t.sets)) * t.cfg.Ways
+	hi := lo + t.cfg.Ways
+	ways := t.lines[lo:hi:hi]
 	for i := range ways {
 		if ways[i].valid && ways[i].vpn == vpn {
 			ways[i].lru = t.tick
@@ -87,11 +86,7 @@ func (t *TLB) Latency() int64 { return t.cfg.Latency }
 
 // FlushAll empties the TLB.
 func (t *TLB) FlushAll() {
-	for s := range t.lines {
-		for w := range t.lines[s] {
-			t.lines[s][w] = tlbEntry{}
-		}
-	}
+	clear(t.lines)
 }
 
 // Reset returns the TLB to its just-constructed state: entries cleared and
