@@ -91,15 +91,34 @@ type AddrMapper struct {
 // NewAddrMapper builds a mapper for the device configuration. The row size
 // and total bank count must be powers of two.
 func NewAddrMapper(cfg Config, scheme MappingScheme) (*AddrMapper, error) {
+	m, err := newAddrMapper(cfg, scheme)
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// Reconfigure turns m into the mapper NewAddrMapper(cfg, scheme) builds.
+// It reports whether cfg was valid and leaves m untouched when not.
+func (m *AddrMapper) Reconfigure(cfg Config, scheme MappingScheme) bool {
+	next, err := newAddrMapper(cfg, scheme)
+	if err != nil {
+		return false
+	}
+	*m = next
+	return true
+}
+
+func newAddrMapper(cfg Config, scheme MappingScheme) (AddrMapper, error) {
 	colBits, ok := log2(uint64(cfg.RowBytes))
 	if !ok {
-		return nil, fmt.Errorf("dram: row size %d is not a power of two", cfg.RowBytes)
+		return AddrMapper{}, fmt.Errorf("dram: row size %d is not a power of two", cfg.RowBytes)
 	}
 	bankBits, ok := log2(uint64(cfg.TotalBanks()))
 	if !ok {
-		return nil, fmt.Errorf("dram: total banks %d is not a power of two", cfg.TotalBanks())
+		return AddrMapper{}, fmt.Errorf("dram: total banks %d is not a power of two", cfg.TotalBanks())
 	}
-	return &AddrMapper{cfg: cfg, scheme: scheme, colBits: colBits, bankBits: bankBits}, nil
+	return AddrMapper{cfg: cfg, scheme: scheme, colBits: colBits, bankBits: bankBits}, nil
 }
 
 // log2 returns the base-2 log of v if v is a power of two.

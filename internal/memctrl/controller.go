@@ -183,17 +183,27 @@ type Controller struct {
 // New builds a controller over the given device.
 func New(dev *dram.Device, cfg Config) *Controller {
 	n := dev.NumBanks()
-	owners := make([]int, n)
-	for i := range owners {
-		owners[i] = -1
-	}
-	return &Controller{
+	c := &Controller{
 		dev:      dev,
-		cfg:      cfg,
 		actState: make([]actBankState, n),
-		owners:   owners,
+		owners:   make([]int, n),
 		counters: stats.NewFixed("requests", "act_padded", "partition_violation"),
 	}
+	c.Reconfigure(cfg)
+	return c
+}
+
+// Reconfigure returns the controller to the state New(dev, cfg) builds over
+// its device, reusing the per-bank arrays: ACT accounting cleared, every
+// bank unowned, counters zeroed. The device keeps its bank count, so the
+// arrays always fit.
+func (c *Controller) Reconfigure(cfg Config) {
+	c.cfg = cfg
+	clear(c.actState)
+	for i := range c.owners {
+		c.owners[i] = -1
+	}
+	c.counters.Reset()
 }
 
 // Device returns the underlying DRAM device.

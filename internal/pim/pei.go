@@ -107,6 +107,14 @@ func NewLocalityMonitor(max int) *LocalityMonitor {
 	}
 }
 
+// Reset forgets every tracked line, returning the monitor to the state
+// NewLocalityMonitor builds without reallocating its arrays.
+func (m *LocalityMonitor) Reset() {
+	m.nodes = m.nodes[:1]
+	m.nodes[0] = lruNode{}
+	clear(m.index)
+}
+
 // Observe records a touch of the cache line containing addr and returns
 // whether the line was already being tracked (= high locality).
 //
@@ -215,6 +223,15 @@ func NewPEIEngine(ctrl *memctrl.Controller, mapper *dram.AddrMapper, host cache.
 		costs:    costs,
 		counters: stats.NewFixed("host_side", "memory_side"),
 	}
+}
+
+// Reconfigure returns the engine to the state NewPEIEngine builds over the
+// same controller, mapper and host path, with new costs: the locality
+// monitor emptied and the counters zeroed.
+func (e *PEIEngine) Reconfigure(costs PEICosts) {
+	e.costs = costs
+	e.monitor.Reset()
+	e.counters.Reset()
 }
 
 // Costs returns the engine's cost constants.

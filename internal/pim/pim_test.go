@@ -100,7 +100,9 @@ func (m *refMonitor) Observe(addr uint64) bool {
 // model with the same seeded address streams and requires the same answer
 // at every step. Streams draw from fewer lines than the capacity (hits
 // only after warm-up), about as many, and many more (evictions dominate);
-// the strides spread tags over low and high address bits.
+// the strides spread tags over low and high address bits. In the reset
+// streams the monitor is Reset halfway and the reference replaced by a
+// fresh one, so a reset monitor must answer exactly as a new one does.
 func TestLocalityMonitorMatchesReference(t *testing.T) {
 	steps := 50_000
 	if testing.Short() {
@@ -113,13 +115,19 @@ func TestLocalityMonitorMatchesReference(t *testing.T) {
 		}
 		for _, span := range []int{lines/2 + 1, lines, lines + 1, 2 * lines, 8*lines + 3} {
 			for _, stride := range []uint64{64, 64 << 17} {
-				got, want := NewLocalityMonitor(max), newRefMonitor(max)
-				rng := stats.NewRNG(uint64(max+2)<<32 ^ uint64(span)<<8 ^ stride)
-				for i := 0; i < steps; i++ {
-					addr := uint64(rng.Intn(span))*stride + uint64(rng.Intn(64))
-					if g, w := got.Observe(addr), want.Observe(addr); g != w {
-						t.Fatalf("max %d span %d stride %#x: step %d (addr %#x) hit=%v, reference %v",
-							max, span, stride, i, addr, g, w)
+				for _, reset := range []bool{false, true} {
+					got, want := NewLocalityMonitor(max), newRefMonitor(max)
+					rng := stats.NewRNG(uint64(max+2)<<32 ^ uint64(span)<<8 ^ stride)
+					for i := 0; i < steps; i++ {
+						if reset && i == steps/2 {
+							got.Reset()
+							want = newRefMonitor(max)
+						}
+						addr := uint64(rng.Intn(span))*stride + uint64(rng.Intn(64))
+						if g, w := got.Observe(addr), want.Observe(addr); g != w {
+							t.Fatalf("max %d span %d stride %#x reset %v: step %d (addr %#x) hit=%v, reference %v",
+								max, span, stride, reset, i, addr, g, w)
+						}
 					}
 				}
 			}

@@ -61,6 +61,13 @@ func NewRowCloneEngine(ctrl *memctrl.Controller, costs RowCloneCosts) *RowCloneE
 	return &RowCloneEngine{ctrl: ctrl, costs: costs, counters: stats.NewFixed("ops", "requests")}
 }
 
+// Reconfigure returns the engine to the state NewRowCloneEngine builds over
+// the same controller, with new costs and zeroed counters.
+func (e *RowCloneEngine) Reconfigure(costs RowCloneCosts) {
+	e.costs = costs
+	e.counters.Reset()
+}
+
 // Costs returns the engine's cost constants.
 func (e *RowCloneEngine) Costs() RowCloneCosts { return e.costs }
 

@@ -82,10 +82,11 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state New(cfg) would produce,
-// reusing the expensive allocations — DRAM banks with their row buffers and
-// every cache level's line arrays (~9 MB, ~17k allocations per machine) —
-// when the new configuration's allocation shape matches the old one. It
-// reports whether reuse was possible; on false the machine is left
+// rebuilding nothing. A build allocates ~7 MB in ~240 objects, almost all
+// of it DRAM banks with their row buffers and the cache levels' line
+// arrays; Reset reuses every object, reconfiguring each component in
+// place, when the new configuration's allocation shape matches the old
+// one. It reports whether reuse was possible; on false the machine is left
 // untouched and the caller must build a fresh one with New.
 //
 // Reuse requires: same core count, same DRAM bank count and row size, same
@@ -112,16 +113,15 @@ func (m *Machine) Reset(cfg Config) bool {
 	if hcfg.LLC.SizeBytes != llcCfg.SizeBytes || hcfg.LLC.Ways != llcCfg.Ways || hcfg.LLC.LineBytes != llcCfg.LineBytes {
 		return false
 	}
-	mapper, err := dram.NewAddrMapper(cfg.DRAM, cfg.Mapping)
-	if err != nil {
+	// The mapper is the last step that can refuse, and it is left
+	// untouched when it does. Past it every step succeeds, so the
+	// machine can never be left half-reconfigured.
+	if !m.mapper.Reconfigure(cfg.DRAM, cfg.Mapping) {
 		return false
 	}
-	// All checks passed: commit. From here every step succeeds, so the
-	// machine can never be left half-reconfigured.
 	m.cfg = cfg
 	m.device.Reconfigure(cfg.DRAM)
-	m.ctrl = memctrl.New(m.device, cfg.Mem)
-	m.mapper = mapper
+	m.ctrl.Reconfigure(cfg.Mem)
 	m.llc.Reconfigure(hcfg.LLC)
 	for _, c := range m.cores {
 		c.hier.ResetPrivate()
@@ -129,12 +129,11 @@ func (m *Machine) Reset(cfg Config) bool {
 		c.mmu.Reset()
 		c.Reset()
 	}
-	// The tiny engines close over the controller/mapper just rebuilt, so
-	// they are rebuilt rather than reset; their cost is a few map/struct
-	// allocations, not the megabytes the reuse path exists to save.
-	m.pei = pim.NewPEIEngine(m.ctrl, m.mapper, m.llc, cfg.PEICosts)
-	m.rowClone = pim.NewRowCloneEngine(m.ctrl, cfg.RowCloneCosts)
-	m.noise = newNoise(m, cfg.Noise)
+	// The engines keep their pointers to the controller, mapper and LLC
+	// reconfigured above.
+	m.pei.Reconfigure(cfg.PEICosts)
+	m.rowClone.Reconfigure(cfg.RowCloneCosts)
+	m.noise.reset(cfg.Noise)
 	return true
 }
 

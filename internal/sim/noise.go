@@ -10,7 +10,7 @@ import "repro/internal/stats"
 type Noise struct {
 	m    *Machine
 	cfg  NoiseConfig
-	rng  *stats.RNG
+	rng  stats.RNG
 	last int64
 	// gap is the mean inter-event gap in cycles (0 disables noise).
 	gap float64
@@ -20,12 +20,19 @@ type Noise struct {
 }
 
 func newNoise(m *Machine, cfg NoiseConfig) *Noise {
-	n := &Noise{m: m, cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
+	n := &Noise{m: m}
+	n.reset(cfg)
+	return n
+}
+
+// reset returns the source to the state newNoise builds for cfg: the RNG
+// reseeded, the event count zeroed and the first event redrawn.
+func (n *Noise) reset(cfg NoiseConfig) {
+	*n = Noise{m: n.m, cfg: cfg, rng: *stats.NewRNG(cfg.Seed)}
 	if cfg.EventsPerMCycle > 0 {
 		n.gap = 1e6 / cfg.EventsPerMCycle
 		n.next = n.draw(0)
 	}
-	return n
 }
 
 // draw samples the next event time after t with an exponential-ish gap
