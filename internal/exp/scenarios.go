@@ -12,30 +12,18 @@ import (
 )
 
 // scenario is one runnable experiment kind. Config-sensitive scenarios
-// acquire a sim.Machine for the run's resolved sim.Config from the
-// engine's machine pool (falling back to sim.New when pool is nil), so
-// grids over config fields sweep real system parameters without paying
-// full machine assembly per run; figure scenarios replay a paper
-// artifact, which constructs its own fixed machines and ignores the pool.
+// take a sim.Machine for the run's resolved sim.Config from the engine's
+// machine pool (a nil pool builds fresh), so grids over config fields
+// sweep real system parameters without paying full machine assembly per
+// run. Figure scenarios replay a paper artifact at its fixed configs;
+// they ignore this pool and draw their machines from the figures
+// package's own.
 type scenario struct {
 	Name            string `json:"name"`
 	Description     string `json:"description"`
 	ConfigSensitive bool   `json:"config_sensitive"`
 
 	run func(pool *sim.Pool, cfg sim.Config, scale figures.Scale) (figures.Report, error)
-}
-
-// acquireMachine builds a machine for cfg, through the pool when one is
-// provided. The pool's Get is exactly equivalent to sim.New — Reset is
-// provably state-free (TestPooledMachineDeterminism) — so callers cannot
-// observe which path produced the machine.
-func acquireMachine(pool *sim.Pool, cfg sim.Config) (*sim.Machine, func(), error) {
-	if pool == nil {
-		m, err := sim.New(cfg)
-		return m, func() {}, err
-	}
-	m, err := pool.Get(cfg)
-	return m, func() { pool.Put(m) }, err
 }
 
 // covertReport renders one covert-channel result in the same Report shape
@@ -75,11 +63,11 @@ var builtinScenarios = sync.OnceValue(func() []scenario {
 			Description:     ch.Description,
 			ConfigSensitive: true,
 			run: func(pool *sim.Pool, cfg sim.Config, scale figures.Scale) (figures.Report, error) {
-				m, release, err := acquireMachine(pool, cfg)
+				m, err := pool.Get(cfg)
 				if err != nil {
 					return figures.Report{}, err
 				}
-				defer release()
+				defer pool.Put(m)
 				msg := core.RandomMessage(scale.Bits(), seed)
 				res, err := ch.Run(m, msg, core.Options{})
 				if err != nil {

@@ -1,29 +1,30 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
 // Pool recycles Machine allocations across runs. Building a machine costs
-// ~9 MB and ~17k allocations (DRAM banks, three cache levels' line arrays),
-// which is roughly half of a cold run; a pooled machine whose allocation
-// shape matches the requested configuration is Reset in microseconds
-// instead. Machines are pooled per shape — the tuple of everything
-// Machine.Reset refuses to change (core count, prefetcher wiring, DRAM
-// bank geometry, LLC geometry) — so a sweep alternating between, say, two
-// LLC sizes reuses a machine of each shape instead of thrashing one slot.
+// ~7 MB in ~240 allocations (DRAM banks, three cache levels' line arrays),
+// most of a quick cold run; a pooled machine whose allocation shape
+// matches the requested configuration is Reset in microseconds instead.
+// Machines are pooled per shape — the tuple of everything Machine.Reset
+// refuses to change (core count, prefetcher wiring, DRAM bank geometry,
+// LLC geometry) — so a sweep alternating between, say, two LLC sizes
+// reuses a machine of each shape instead of thrashing one slot.
 //
 // Pool is safe for concurrent use. Get hands out machines configured
 // exactly as New(cfg) would produce them — Reset is provably state-free
 // (see TestPooledMachineDeterminism in internal/exp) — and Put returns a
 // machine for reuse in any state, since the next Get fully reinitializes
 // it. Machines are retained under sync.Pool semantics: idle ones may be
-// dropped at any GC, so the pool never pins memory under low load.
+// dropped at any GC, so the pool never pins memory under low load. A nil
+// *Pool pools nothing: its Get builds with New and its Put drops the
+// machine.
 type Pool struct {
 	mu     sync.Mutex
-	shapes map[string]*sync.Pool
+	shapes map[shapeKey]*sync.Pool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -32,7 +33,7 @@ type Pool struct {
 
 // NewPool returns an empty machine pool.
 func NewPool() *Pool {
-	return &Pool{shapes: make(map[string]*sync.Pool)}
+	return &Pool{shapes: make(map[shapeKey]*sync.Pool)}
 }
 
 // PoolStats counts pool traffic: Hits reused a pooled machine, Misses built
@@ -45,19 +46,28 @@ type PoolStats struct {
 	Drops  int64 `json:"drops"`
 }
 
-// shapeKey renders the allocation shape Machine.Reset requires to match:
-// two configs with equal keys differ only in parameters Reset can apply
-// in place. LLC line size is fixed by hierarchyConfig, so bytes+ways
+// shapeKey is the allocation shape Machine.Reset requires to match: two
+// configs with equal keys differ only in parameters Reset can apply in
+// place. LLC line size is fixed by hierarchyConfig, so bytes+ways
 // determine the LLC arrays.
-func shapeKey(cfg Config) string {
-	return fmt.Sprintf("c%d,p%t,b%d,r%d,l%d/%d",
-		cfg.Cores, cfg.EnablePrefetchers,
-		cfg.DRAM.TotalBanks(), cfg.DRAM.RowBytes,
-		cfg.LLCBytes, cfg.LLCWays)
+type shapeKey struct {
+	cores, banks, rowBytes, llcBytes, llcWays int
+	prefetchers                               bool
+}
+
+func shapeOf(cfg Config) shapeKey {
+	return shapeKey{
+		cores:       cfg.Cores,
+		banks:       cfg.DRAM.TotalBanks(),
+		rowBytes:    cfg.DRAM.RowBytes,
+		llcBytes:    cfg.LLCBytes,
+		llcWays:     cfg.LLCWays,
+		prefetchers: cfg.EnablePrefetchers,
+	}
 }
 
 // shape returns the sync.Pool for one allocation shape.
-func (p *Pool) shape(key string) *sync.Pool {
+func (p *Pool) shape(key shapeKey) *sync.Pool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sp := p.shapes[key]
@@ -71,7 +81,10 @@ func (p *Pool) shape(key string) *sync.Pool {
 // Get returns a machine configured as New(cfg) would produce, reusing a
 // pooled machine's allocations when possible.
 func (p *Pool) Get(cfg Config) (*Machine, error) {
-	sp := p.shape(shapeKey(cfg))
+	if p == nil {
+		return New(cfg)
+	}
+	sp := p.shape(shapeOf(cfg))
 	if m, _ := sp.Get().(*Machine); m != nil {
 		if m.Reset(cfg) {
 			p.hits.Add(1)
@@ -94,8 +107,8 @@ func (p *Pool) Get(cfg Config) (*Machine, error) {
 // It accepts machines in any state (including mid-run state after a
 // panic): Get fully reinitializes them before reuse. Put(nil) is a no-op.
 func (p *Pool) Put(m *Machine) {
-	if m != nil {
-		p.shape(shapeKey(m.Config())).Put(m)
+	if p != nil && m != nil {
+		p.shape(shapeOf(m.Config())).Put(m)
 	}
 }
 
