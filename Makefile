@@ -71,13 +71,15 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive' -benchtime 3x -benchmem .
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
-# must be provably state-free, sequentially and under 8-way contention),
-# the expansion and sweep goldens, the overflow-safe grid guard, a
-# trimmed streaming memory-bound run, and the >= 2x pooled cold-run
-# speedup pin. The full 10^5-run memory bound runs in `make test`
-# (it is testing.Short-gated, not smoke-gated).
+# must be provably state-free, sequentially and under 8-way contention,
+# for the engine's pool and for the figures' pool), the expansion and
+# sweep goldens, the overflow-safe grid guard, a trimmed streaming
+# memory-bound run, and the >= 2x pooled cold-run speedup pin. The full
+# 10^5-run memory bound runs in `make test` (it is testing.Short-gated,
+# not smoke-gated).
 coldpath-smoke:
 	$(GO) test ./internal/exp -count=1 -run 'TestPooledMachineDeterminism|TestGolden|TestGridTooLarge|TestServerGridTooLarge|TestStreamingSweepMemoryBoundTrimmed'
+	$(GO) test ./internal/figures -count=1 -run TestPooledFiguresMatchFresh
 	$(GO) test -race ./internal/exp -count=1 -run TestPooledSweepParallelDeterminism
 	$(GO) test -run xxx -bench 'BenchmarkColdRun/pooled|BenchmarkSweepExpand/lazy' -benchtime 3x -benchmem .
 

@@ -51,8 +51,10 @@ func TestPooledMachineDeterminism(t *testing.T) {
 	for _, scn := range scenarios() {
 		configs := []sim.Config{cfgA, cfgB, cfgC}
 		if !scn.ConfigSensitive {
-			// Figure replays build their own fixed machines; one config
-			// point pins that the pooled path cannot perturb them either.
+			// Figure replays ignore this pool: their machines come from
+			// the figures package's own, whose pooled-versus-fresh check
+			// is TestPooledFiguresMatchFresh. One config point pins that
+			// this pool cannot perturb them either.
 			configs = configs[:1]
 		}
 		want := make([][]byte, len(configs))

@@ -8,22 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
-// newMachine builds a default machine with the given LLC geometry.
-func newMachine(llcBytes, llcWays int) (*sim.Machine, error) {
+// llcConfig is the default machine with the given LLC geometry.
+func llcConfig(llcBytes, llcWays int) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.LLCBytes = llcBytes
 	cfg.LLCWays = llcWays
-	return sim.New(cfg)
+	return cfg
 }
 
 // RowBufferGap reproduces the Section 3.1 microbenchmark: the latency
 // difference between a row-buffer conflict and a hit, which the paper
 // reports as 74 CPU cycles at 2.6 GHz.
 func RowBufferGap(Scale) (Report, error) {
-	m, err := newMachine(8<<20, 16)
+	m, err := machines.Get(sim.DefaultConfig())
 	if err != nil {
 		return Report{}, err
 	}
+	defer machines.Put(m)
 	c := m.Core(0)
 	// Warm translations so the microbenchmark isolates DRAM timing, then
 	// open a row, measure a hit, and measure a conflict far enough from
@@ -48,10 +49,11 @@ func RowBufferGap(Scale) (Report, error) {
 
 // Table1 reproduces the attack-primitive property matrix.
 func Table1(Scale) (Report, error) {
-	m, err := newMachine(8<<20, 16)
+	m, err := machines.Get(sim.DefaultConfig())
 	if err != nil {
 		return Report{}, err
 	}
+	defer machines.Put(m)
 	rep := Report{ID: "Table 1", Title: "Efficiency and effectiveness of attack primitives"}
 	mark := func(b bool) string {
 		if b {
@@ -95,22 +97,24 @@ func Table2(Scale) (Report, error) {
 }
 
 // llcPoint measures one (LLC size, ways) point of Figures 2 and 3 into a
-// row's Measured column: direct access and DRAMA-eviction, each on a fresh
-// machine, plus the CACTI-modeled eviction latency.
+// row's Measured column: direct access and DRAMA-eviction, each on its own
+// machine as New builds it, plus the CACTI-modeled eviction latency.
 func llcPoint(msg []bool, mb, ways int) (Row, error) {
-	m, err := newMachine(mb<<20, ways)
+	cfg := llcConfig(mb<<20, ways)
+	m, err := machines.Get(cfg)
 	if err != nil {
 		return Row{}, err
 	}
 	direct, err := core.RunDirect(m, msg, core.Options{})
+	machines.Put(m)
 	if err != nil {
 		return Row{}, err
 	}
-	m, err = newMachine(mb<<20, ways)
-	if err != nil {
+	if m, err = machines.Get(cfg); err != nil {
 		return Row{}, err
 	}
 	baseline, err := core.RunDRAMAEviction(m, msg, core.Options{})
+	machines.Put(m)
 	if err != nil {
 		return Row{}, err
 	}
@@ -167,20 +171,21 @@ func Fig8(Scale) (Report, error) {
 	msg := []bool{true, true, true, false, false, true, false, false, true, true, true, false, false, true, false, false}
 	rep := Report{ID: "Figure 8", Title: "PoC: receiver latency per bank decoding a 16-bit message (threshold 150)"}
 
-	m, err := newMachine(8<<20, 16)
+	m, err := machines.Get(sim.DefaultConfig())
 	if err != nil {
 		return Report{}, err
 	}
 	pnm, err := core.RunPnM(m, msg, core.Options{RecordLatencies: true})
+	machines.Put(m)
 	if err != nil {
 		return Report{}, err
 	}
-	m2, err := newMachine(8<<20, 16)
-	if err != nil {
+	if m, err = machines.Get(sim.DefaultConfig()); err != nil {
 		return Report{}, err
 	}
 	pumMsg := []bool{false, false, false, true, true, false, true, true, false, false, false, true, true, false, true, true}
-	pum, err := core.RunPuM(m2, pumMsg, core.Options{RecordLatencies: true})
+	pum, err := core.RunPuM(m, pumMsg, core.Options{RecordLatencies: true})
+	machines.Put(m)
 	if err != nil {
 		return Report{}, err
 	}
@@ -243,11 +248,12 @@ func Fig9(scale Scale) (Report, error) {
 		}
 		vals := make([]string, 0, len(sizes))
 		for _, mb := range sizes {
-			m, err := newMachine(mb<<20, 16)
+			m, err := machines.Get(llcConfig(mb<<20, 16))
 			if err != nil {
 				return Report{}, err
 			}
 			res, err := ch.Run(m, msg, core.Options{})
+			machines.Put(m)
 			if err != nil {
 				return Report{}, err
 			}
@@ -264,19 +270,20 @@ func Fig9(scale Scale) (Report, error) {
 func Fig10(scale Scale) (Report, error) {
 	bits := scale.Bits()
 	msg := core.RandomMessage(bits, 5)
-	m, err := newMachine(8<<20, 16)
+	m, err := machines.Get(sim.DefaultConfig())
 	if err != nil {
 		return Report{}, err
 	}
 	pnm, err := core.RunPnM(m, msg, core.Options{})
+	machines.Put(m)
 	if err != nil {
 		return Report{}, err
 	}
-	m2, err := newMachine(8<<20, 16)
-	if err != nil {
+	if m, err = machines.Get(sim.DefaultConfig()); err != nil {
 		return Report{}, err
 	}
-	pum, err := core.RunPuM(m2, msg, core.Options{})
+	pum, err := core.RunPuM(m, msg, core.Options{})
+	machines.Put(m)
 	if err != nil {
 		return Report{}, err
 	}

@@ -22,10 +22,11 @@ func Section84(scale Scale) (Report, error) {
 		cfg := sim.DefaultConfig()
 		cfg.Noise.EventsPerMCycle = 0
 		cfg.DRAM = cfg.DRAM.WithBanks(banks)
-		m, err := sim.New(cfg)
+		m, err := machines.Get(cfg)
 		if err != nil {
 			return core.Result{}, err
 		}
+		defer machines.Put(m)
 		set := make([]int, banks)
 		for i := range set {
 			set[i] = i
@@ -55,10 +56,11 @@ func Section84(scale Scale) (Report, error) {
 		cfg := sim.DefaultConfig()
 		cfg.Noise.EventsPerMCycle = 0
 		cfg.DRAM.Maintenance = maint
-		m, err := sim.New(cfg)
+		m, err := machines.Get(cfg)
 		if err != nil {
 			return core.Result{}, err
 		}
+		defer machines.Put(m)
 		return core.RunPnM(m, core.RandomMessage(bits, 22), opt)
 	}
 	plain, err := runPnM(dram.Maintenance{}, core.Options{})
@@ -99,10 +101,11 @@ func AdaptiveAttacker(scale Scale) (Report, error) {
 		cfg := sim.DefaultConfig()
 		cfg.Noise.EventsPerMCycle = 0
 		cfg.Mem = mem
-		m, err := sim.New(cfg)
+		m, err := machines.Get(cfg)
 		if err != nil {
 			return core.Result{}, err
 		}
+		defer machines.Put(m)
 		if adaptive {
 			return core.RunPnMAdaptive(m, core.RandomMessage(bits, 23), core.Options{})
 		}
@@ -140,10 +143,11 @@ func AdaptiveAttacker(scale Scale) (Report, error) {
 func ReliableFraming(scale Scale) (Report, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Noise.EventsPerMCycle = 250
-	m, err := sim.New(cfg)
+	m, err := machines.Get(cfg)
 	if err != nil {
 		return Report{}, err
 	}
+	defer machines.Put(m)
 	data := core.RandomMessage(scale.Bits(), 24)
 	res, err := core.RunReliable(m, data, core.Options{}, core.RunPnM)
 	if err != nil {

@@ -12,7 +12,16 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+
+	"repro/internal/sim"
 )
+
+// machines supplies every machine the generators run on. Each run takes
+// one with Get and hands it back with Put when the run returns, so runs
+// of one shape reuse a machine instead of assembling a fresh one; Reset
+// is state-free, so no report can tell the difference. A nil pool builds
+// every machine fresh.
+var machines = sim.NewPool()
 
 // Row is one paper-vs-measured comparison line.
 type Row struct {
@@ -99,8 +108,8 @@ type generator struct {
 }
 
 // generators returns every artifact generator in paper order. Each
-// generator builds its own sim.Machine from fixed seeds, so generators are
-// independent and safe to run concurrently.
+// generator runs on machines from the shared pool, configured from fixed
+// seeds, so generators are independent and safe to run concurrently.
 func generators() []generator {
 	return []generator{
 		{"rowbuffer", RowBufferGap},
@@ -161,13 +170,14 @@ func All(scale Scale) ([]Report, error) {
 }
 
 // RunParallel regenerates every artifact using a pool of workers, each
-// trial on its own sim.Machine. The returned reports are identical to
-// All's — same paper order, same values (every generator is seeded) — only
-// the wall-clock time changes. workers == 0 selects runtime.NumCPU(),
-// negative worker counts are rejected, pools larger than the generator
-// count are clamped to it, and workers == 1 degenerates to the sequential
-// path. When several generators fail, the error of the earliest one in
-// paper order is returned, again matching All.
+// trial on a machine of its own from the shared machine pool. The returned
+// reports are identical to All's — same paper order, same values (every
+// generator is seeded) — only the wall-clock time changes. workers == 0
+// selects runtime.NumCPU(), negative worker counts are rejected, pools
+// larger than the generator count are clamped to it, and workers == 1
+// degenerates to the sequential path. When several generators fail, the
+// error of the earliest one in paper order is returned, again matching
+// All.
 func RunParallel(scale Scale, workers int) ([]Report, error) {
 	gens := generators()
 	if workers < 0 {

@@ -136,7 +136,7 @@ func TestFig8SeparatesBands(t *testing.T) {
 // TestRunParallelMatchesSequential pins RunParallel's determinism contract:
 // same reports, same order, same values as the sequential runner. Run under
 // -race (see the Makefile) this also exercises the worker pool for data
-// races between concurrently built machines.
+// races between workers sharing the figures' machine pool.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness in -short mode")
@@ -156,6 +156,38 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq[i], par[i]) {
 			t.Errorf("report %d (%s) differs between sequential and parallel runs:\nseq: %+v\npar: %+v",
 				i, seq[i].ID, seq[i], par[i])
+		}
+	}
+}
+
+// TestPooledFiguresMatchFresh pins the figures' machine pool against
+// fresh assembly: every report must be the same whether its machines come
+// straight from sim.New or from the pool, first as the pool stands and
+// then on machines the previous pass dirtied.
+func TestPooledFiguresMatchFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full harness in -short mode")
+	}
+	pool := machines
+	machines = nil // a nil pool builds every machine with sim.New
+	fresh, err := All(ScaleQuick)
+	machines = pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		pooled, err := All(ScaleQuick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pooled) != len(fresh) {
+			t.Fatalf("pass %d: pooled reports = %d, fresh = %d", pass, len(pooled), len(fresh))
+		}
+		for i := range fresh {
+			if !reflect.DeepEqual(pooled[i], fresh[i]) {
+				t.Errorf("pass %d: report %d (%s) differs between pooled and fresh machines:\npooled: %+v\nfresh:  %+v",
+					pass, i, fresh[i].ID, pooled[i], fresh[i])
+			}
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// SideChannelOnce runs the Section 4.3 attack against a fresh machine with
-// the given bank count. Fig11, impact-sidechannel, the genomeleak example
-// and the benches share it.
+// SideChannelOnce runs the Section 4.3 attack against a machine with the
+// given bank count, as New builds it. Fig11, impact-sidechannel, the
+// genomeleak example and the benches share it.
 func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
@@ -20,10 +20,11 @@ func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.Sid
 	// device-wide, so growing it with the bank count keeps every bank's
 	// background rate the same at every size.
 	cfg.Noise.EventsPerMCycle = 90 * float64(banks) / 1024
-	m, err := sim.New(cfg)
+	m, err := machines.Get(cfg)
 	if err != nil {
 		return core.SideChannelResult{}, err
 	}
+	defer machines.Put(m)
 	ref := genomics.NewReference(refLen, seed)
 	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
 	if err != nil {
@@ -102,15 +103,16 @@ func Fig12(scale Scale) (Report, error) {
 	return rep, nil
 }
 
-// RunPnMUnder runs IMPACT-PnM with msg on a fresh default machine whose
-// memory controller is mem, typically a defense.
+// RunPnMUnder runs IMPACT-PnM with msg on a default machine, as New builds
+// it, whose memory controller is mem, typically a defense.
 func RunPnMUnder(mem memctrl.Config, msg []bool) (core.Result, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Mem = mem
-	m, err := sim.New(cfg)
+	m, err := machines.Get(cfg)
 	if err != nil {
 		return core.Result{}, err
 	}
+	defer machines.Put(m)
 	return core.RunPnM(m, msg, core.Options{})
 }
 

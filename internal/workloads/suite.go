@@ -104,13 +104,15 @@ func DefenseName(cfg memctrl.Config) string {
 // RunDefenseComparison executes every workload under the baseline and each
 // defense, returning normalized execution times (Figure 12). It also checks
 // that defenses never change computed results, returning an error if a
-// checksum diverges.
+// checksum diverges. Every run has the same machine shape, so one pooled
+// machine serves them all.
 func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]DefenseRow, error) {
 	suite := Suite(suiteCfg)
+	pool := sim.NewPool()
 
 	baseline := make(map[string]Result, len(suite))
 	for _, w := range suite {
-		res, err := runOne(w, memctrl.DefaultConfig())
+		res, err := runOne(pool, w, memctrl.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +124,7 @@ func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]De
 		row := DefenseRow{Defense: DefenseName(d), Normalized: make(map[string]float64, len(suite))}
 		norms := make([]float64, 0, len(suite))
 		for _, w := range suite {
-			res, err := runOne(w, d)
+			res, err := runOne(pool, w, d)
 			if err != nil {
 				return nil, err
 			}
@@ -141,17 +143,18 @@ func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]De
 	return rows, nil
 }
 
-// runOne executes a workload on a fresh machine with the given memory
-// controller configuration.
-func runOne(w Workload, mem memctrl.Config) (Result, error) {
+// runOne executes a workload on a machine from pool, as New builds it, with
+// the given memory controller configuration.
+func runOne(pool *sim.Pool, w Workload, mem memctrl.Config) (Result, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Mem = mem
 	// Workload runs measure steady application behaviour, not attack
 	// noise.
 	cfg.Noise.EventsPerMCycle = 0
-	m, err := sim.New(cfg)
+	m, err := pool.Get(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	defer pool.Put(m)
 	return w.Run(m.Core(0)), nil
 }
