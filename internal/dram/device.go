@@ -56,13 +56,42 @@ func (c Config) TotalBanks() int {
 	return c.Channels * c.Ranks * c.BankGroups * c.BanksPerGroup
 }
 
-// Validate reports configuration errors early.
+// Geometry caps. A device allocates per bank and per row, so an unbounded
+// geometry lets one config exhaust host memory before any run starts. Each
+// cap is at least twice what any figure, test or example uses (8192 banks,
+// 8 KiB rows).
+const (
+	maxBanks    = 1 << 16
+	maxRowBytes = 64 << 10
+)
+
+// Validate reports configuration errors early, naming fields by their
+// JSON tags.
 func (c Config) Validate() error {
-	if c.TotalBanks() <= 0 {
-		return fmt.Errorf("dram: non-positive bank count %d", c.TotalBanks())
+	banks := 1
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"channels", c.Channels},
+		{"ranks", c.Ranks},
+		{"bank_groups", c.BankGroups},
+		{"banks_per_group", c.BanksPerGroup},
+	} {
+		if f.v < 1 || f.v > maxBanks {
+			return fmt.Errorf("dram: field %q: must be in 1..%d (got %d)", f.name, maxBanks, f.v)
+		}
+		// Both factors are at most maxBanks, so the product cannot
+		// overflow before it is checked.
+		if banks *= f.v; banks > maxBanks {
+			return fmt.Errorf("dram: total banks (channels x ranks x bank_groups x banks_per_group) must be <= %d", maxBanks)
+		}
 	}
 	if c.RowBytes <= 0 {
 		return fmt.Errorf("dram: non-positive row size %d", c.RowBytes)
+	}
+	if c.RowBytes > maxRowBytes {
+		return fmt.Errorf(`dram: field "row_bytes": must be <= %d (got %d)`, maxRowBytes, c.RowBytes)
 	}
 	if c.RowsPerBank <= 0 {
 		return fmt.Errorf("dram: non-positive rows per bank %d", c.RowsPerBank)

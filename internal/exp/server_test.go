@@ -188,6 +188,7 @@ func TestServerErrors(t *testing.T) {
 		{"unknown spec field", http.MethodPost, "/v1/run", `{"scenario": "rowbuffer", "grids": {}}`, http.StatusBadRequest, "grids"},
 		{"unknown scenario", http.MethodPost, "/v1/run", `{"scenario": "covert-warp"}`, http.StatusNotFound, "covert-warp"},
 		{"invalid config", http.MethodPost, "/v1/run", `{"scenario": "covert-pnm", "config": {"cores": 0}}`, http.StatusBadRequest, "cores"},
+		{"oversized LLC", http.MethodPost, "/v1/run", `{"scenario":"covert-pnm","config":{"llc_bytes":68719476736}}`, http.StatusBadRequest, `"code":"invalid_spec","message":"exp: sim: field \"llc_bytes\"`},
 		{"config on figure replay", http.MethodPost, "/v1/run", `{"scenario": "rowbuffer", "config": {"cores": 2}}`, http.StatusBadRequest, "ignores sim.Config"},
 		{"wrong method", http.MethodGet, "/v1/run", "", http.StatusMethodNotAllowed, ""},
 	}

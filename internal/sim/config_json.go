@@ -33,14 +33,30 @@ func (c Config) ToJSON() ([]byte, error) {
 	return json.Marshal(c)
 }
 
+// Size caps. A spec reaches sim.New from any /v1/run or /v1/jobs caller,
+// and an oversized machine kills the process with an out-of-memory fault
+// that recover cannot catch. Each cap is at least twice what any figure,
+// test or example uses (128 MiB LLC, 8 cores); the DRAM geometry caps live
+// in dram.Config.Validate.
+const (
+	maxLLCBytes = 256 << 20
+	maxCores    = 64
+)
+
 // Validate reports configuration errors, naming fields by their JSON tags
 // so server clients can fix specs without reading Go source.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf(`sim: field "cores": must be > 0 (got %d)`, c.Cores)
 	}
+	if c.Cores > maxCores {
+		return fmt.Errorf(`sim: field "cores": must be <= %d (got %d)`, maxCores, c.Cores)
+	}
 	if c.LLCBytes <= 0 {
 		return fmt.Errorf(`sim: field "llc_bytes": must be > 0 (got %d)`, c.LLCBytes)
+	}
+	if c.LLCBytes > maxLLCBytes {
+		return fmt.Errorf(`sim: field "llc_bytes": must be <= %d (got %d)`, maxLLCBytes, c.LLCBytes)
 	}
 	if c.LLCWays <= 0 {
 		return fmt.Errorf(`sim: field "llc_ways": must be > 0 (got %d)`, c.LLCWays)

@@ -106,6 +106,13 @@ func TestFromJSONErrorsNameFields(t *testing.T) {
 		{"invalid value", `{"llc_ways": -1}`, `"llc_ways"`},
 		{"invalid nested", `{"dram": {"row_bytes": 0}}`, `"dram"`},
 		{"act without config", `{"mem": {"defense": "act"}}`, `"act.epoch_cycles"`},
+		// Size caps: a config past any of them would exhaust host memory
+		// in New, so validation stops it first.
+		{"llc cap", `{"llc_bytes": 268435457}`, `"llc_bytes"`},
+		{"cores cap", `{"cores": 65}`, `"cores"`},
+		{"geometry factor cap", `{"dram": {"banks_per_group": 65537}}`, `"banks_per_group"`},
+		{"total banks cap", `{"dram": {"channels": 256, "ranks": 256, "bank_groups": 2, "banks_per_group": 1}}`, `bank_groups`},
+		{"row cap", `{"dram": {"row_bytes": 131072}}`, `"row_bytes"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
