@@ -1,9 +1,10 @@
 package dram
 
-// Bank models one DRAM bank: a two-dimensional array of cells fronted by a
-// row buffer. The row buffer is the shared microarchitectural state that the
-// IMPACT timing channel exploits. Banks also hold functional row contents so
-// that RowClone bulk copies can be verified end to end, not just timed.
+// Bank models the timing of one DRAM bank: the row latched in its row
+// buffer, when it is next free, and the maintenance stalls it owes. The
+// row buffer is the shared microarchitectural state the IMPACT timing
+// channel exploits. Banks hold no row contents: the attacks decode
+// latency, never data.
 type Bank struct {
 	timing Timing
 	maint  Maintenance
@@ -22,19 +23,11 @@ type Bank struct {
 	// lastTouch is the cycle of the most recent access, used by the
 	// open-row timeout policy.
 	lastTouch int64
-
-	rowBytes int
-	rows     map[int64][]byte
 }
 
-// NewBank returns a precharged bank with the given timing and row size.
-func NewBank(timing Timing, rowBytes int) *Bank {
-	return &Bank{
-		timing:   timing,
-		openRow:  -1,
-		rowBytes: rowBytes,
-		rows:     make(map[int64][]byte),
-	}
+// NewBank returns a precharged bank with the given timing.
+func NewBank(timing Timing) *Bank {
+	return &Bank{timing: timing, openRow: -1}
 }
 
 // SetMaintenance configures refresh and RowHammer-mitigation behaviour.
@@ -91,73 +84,56 @@ func (b *Bank) activationPenalty() int64 {
 	return 0
 }
 
-// Access performs a read or write of the given row, returning the access
-// latency relative to now and the row-buffer outcome.
+// command runs the activation sequence every row command shares. When
+// hitRow is latched the command is a hit costing hitLat. Otherwise it
+// activates, after a precharge (which first waits out tRAS) when another
+// row is open, and then pays tail. Either way openRow is latched after.
 //
 //impact:hotpath
-func (b *Bank) Access(now int64, row int64) AccessResult {
+func (b *Bank) command(now, hitRow, openRow, hitLat, tail int64) AccessResult {
 	b.applyTimeout(now)
 	start := b.start(now)
 	var outcome Outcome
 	var deviceLat int64
 	switch {
-	case b.openRow == row:
+	case b.openRow == hitRow:
 		outcome = OutcomeHit
-		deviceLat = b.timing.HitLatency()
+		deviceLat = hitLat
 	case b.openRow < 0:
 		outcome = OutcomeEmpty
-		deviceLat = b.timing.EmptyLatency() + b.activationPenalty()
+		deviceLat = b.timing.TRCD + tail + b.activationPenalty()
 		b.activatedAt = start
 	default:
 		outcome = OutcomeConflict
-		// The precharge cannot begin until tRAS has elapsed since the
-		// open row's activation.
-		rasReady := b.activatedAt + b.timing.TRAS
-		if rasReady > start {
+		if rasReady := b.activatedAt + b.timing.TRAS; rasReady > start {
 			start = rasReady
 		}
-		deviceLat = b.timing.ConflictLatency() + b.activationPenalty()
+		deviceLat = b.timing.TRP + b.timing.TRCD + tail + b.activationPenalty()
 		b.activatedAt = start + b.timing.TRP
 	}
 	done := start + deviceLat
-	b.openRow = row
+	b.openRow = openRow
 	b.busyUntil = done
 	b.lastTouch = done
 	return AccessResult{Latency: done - now, Outcome: outcome, CompletedAt: done}
 }
 
+// Access performs a read or write of the given row, returning the access
+// latency relative to now and the row-buffer outcome.
+//
+//impact:hotpath
+func (b *Bank) Access(now int64, row int64) AccessResult {
+	lat := b.timing.HitLatency()
+	return b.command(now, row, row, lat, lat)
+}
+
 // Activate opens the given row without transferring data (used by sender
 // PEIs that only need to perturb the row buffer). Latency accounting matches
-// Access minus the column access and burst.
+// Access minus the column access and burst; a hit costs one cycle.
 //
 //impact:hotpath
 func (b *Bank) Activate(now int64, row int64) AccessResult {
-	b.applyTimeout(now)
-	start := b.start(now)
-	var outcome Outcome
-	var deviceLat int64
-	switch {
-	case b.openRow == row:
-		outcome = OutcomeHit
-		deviceLat = 1 // row already open; nothing to do
-	case b.openRow < 0:
-		outcome = OutcomeEmpty
-		deviceLat = b.timing.TRCD + b.activationPenalty()
-		b.activatedAt = start
-	default:
-		outcome = OutcomeConflict
-		rasReady := b.activatedAt + b.timing.TRAS
-		if rasReady > start {
-			start = rasReady
-		}
-		deviceLat = b.timing.TRP + b.timing.TRCD + b.activationPenalty()
-		b.activatedAt = start + b.timing.TRP
-	}
-	done := start + deviceLat
-	b.openRow = row
-	b.busyUntil = done
-	b.lastTouch = done
-	return AccessResult{Latency: done - now, Outcome: outcome, CompletedAt: done}
+	return b.command(now, row, row, 1, 0)
 }
 
 // Precharge closes the bank's open row. It is idempotent.
@@ -182,99 +158,18 @@ func (b *Bank) Precharge(now int64) AccessResult {
 
 // RowClone performs an in-DRAM Fast-Parallel-Mode copy of srcRow into
 // dstRow: the first activation latches srcRow into the row buffer, the
-// second connects dstRow so the buffered data overwrites it. If a different
-// row is open the bank must first precharge, which is the timing signal the
-// IMPACT-PuM receiver decodes.
+// second connects dstRow, which is left open. If a different row is open
+// the bank must first precharge, which is the timing signal the IMPACT-PuM
+// receiver decodes.
+//
+//impact:hotpath
 func (b *Bank) RowClone(now int64, srcRow, dstRow int64) AccessResult {
-	b.applyTimeout(now)
-	start := b.start(now)
-	var outcome Outcome
-	var deviceLat int64
-	switch {
-	case b.openRow == srcRow:
-		// Source already latched: only the second activation is needed.
-		outcome = OutcomeHit
-		deviceLat = b.timing.RowCloneFPM
-	case b.openRow < 0:
-		outcome = OutcomeEmpty
-		deviceLat = b.timing.TRCD + b.timing.RowCloneFPM + b.activationPenalty()
-		b.activatedAt = start
-	default:
-		outcome = OutcomeConflict
-		rasReady := b.activatedAt + b.timing.TRAS
-		if rasReady > start {
-			start = rasReady
-		}
-		deviceLat = b.timing.TRP + b.timing.TRCD + b.timing.RowCloneFPM + b.activationPenalty()
-		b.activatedAt = start + b.timing.TRP
-	}
-	// Functional copy: dst becomes a copy of src.
-	copy(b.row(dstRow), b.row(srcRow))
-	done := start + deviceLat
-	// After FPM the destination row is the open row.
-	b.openRow = dstRow
-	b.busyUntil = done
-	b.lastTouch = done
-	return AccessResult{Latency: done - now, Outcome: outcome, CompletedAt: done}
+	return b.command(now, srcRow, dstRow, b.timing.RowCloneFPM, b.timing.RowCloneFPM)
 }
 
-// row returns the functional contents of a row, allocating lazily.
-func (b *Bank) row(row int64) []byte {
-	data, ok := b.rows[row]
-	if !ok {
-		data = make([]byte, b.rowBytes)
-		b.rows[row] = data
-	}
-	return data
-}
-
-// ReadBytes copies row contents starting at col into dst and returns the
-// number of bytes copied. Reads past the end of the row are truncated.
-func (b *Bank) ReadBytes(row int64, col int, dst []byte) int {
-	data := b.row(row)
-	if col < 0 || col >= len(data) {
-		return 0
-	}
-	return copy(dst, data[col:])
-}
-
-// WriteBytes copies src into the row starting at col and returns the number
-// of bytes written. Writes past the end of the row are truncated.
-func (b *Bank) WriteBytes(row int64, col int, src []byte) int {
-	data := b.row(row)
-	if col < 0 || col >= len(data) {
-		return 0
-	}
-	return copy(data[col:], src)
-}
-
-// Reset precharges the bank and clears busy state, keeping row contents.
-func (b *Bank) Reset() {
-	b.openRow = -1
-	b.busyUntil = 0
-	b.activatedAt = 0
-	b.lastTouch = 0
-	b.raa = 0
-}
-
-// ResetFull returns the bank to its just-constructed state: timing state
-// cleared AND functional row contents zeroed. RowClone and WriteBytes leak
-// data between runs otherwise, so pooled machines must use this, not Reset.
-// Row buffers stay allocated (a fresh bank lazily materializes zeroed rows,
-// so zeroing in place is behaviorally identical and allocation-free).
-func (b *Bank) ResetFull() {
-	b.Reset()
-	for _, data := range b.rows {
-		for i := range data {
-			data[i] = 0
-		}
-	}
-}
-
-// Reconfigure fully resets the bank under new timing and maintenance
-// parameters, reusing the allocated row buffers.
+// Reconfigure returns the bank to the state NewBank builds, under new
+// timing and maintenance parameters: precharged, idle, with no activations
+// counted.
 func (b *Bank) Reconfigure(t Timing, m Maintenance) {
-	b.timing = t
-	b.maint = m
-	b.ResetFull()
+	*b = Bank{timing: t, maint: m, openRow: -1}
 }

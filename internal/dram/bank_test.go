@@ -11,7 +11,7 @@ func testTiming() Timing {
 }
 
 func TestBankFirstAccessIsEmpty(t *testing.T) {
-	b := NewBank(testTiming(), 8192)
+	b := NewBank(testTiming())
 	res := b.Access(0, 5)
 	if res.Outcome != OutcomeEmpty {
 		t.Fatalf("first access outcome = %v, want empty", res.Outcome)
@@ -22,7 +22,7 @@ func TestBankFirstAccessIsEmpty(t *testing.T) {
 }
 
 func TestBankHitAfterOpen(t *testing.T) {
-	b := NewBank(testTiming(), 8192)
+	b := NewBank(testTiming())
 	first := b.Access(0, 5)
 	res := b.Access(first.CompletedAt+10, 5)
 	if res.Outcome != OutcomeHit {
@@ -35,7 +35,7 @@ func TestBankHitAfterOpen(t *testing.T) {
 
 func TestBankConflictLatency(t *testing.T) {
 	tm := testTiming()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	first := b.Access(0, 5)
 	// Access a different row well past tRAS so no stall applies.
 	res := b.Access(first.CompletedAt+tm.TRAS+100, 6)
@@ -49,7 +49,7 @@ func TestBankConflictLatency(t *testing.T) {
 
 func TestBankConflictWaitsForTRAS(t *testing.T) {
 	tm := testTiming()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	b.Access(0, 5) // activation at cycle 0
 	// Conflict immediately after the access completes: the precharge must
 	// wait until tRAS has elapsed since activation.
@@ -62,7 +62,7 @@ func TestBankConflictWaitsForTRAS(t *testing.T) {
 
 func TestBankBusyStall(t *testing.T) {
 	tm := testTiming()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	first := b.Access(0, 5)
 	// Issue while the bank is still busy: the access must stall.
 	res := b.Access(first.CompletedAt-10, 5)
@@ -74,7 +74,7 @@ func TestBankBusyStall(t *testing.T) {
 func TestBankRowTimeoutClosesRow(t *testing.T) {
 	tm := testTiming()
 	tm.RowTimeout = 100
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	first := b.Access(0, 5)
 	res := b.Access(first.CompletedAt+101, 5)
 	if res.Outcome != OutcomeEmpty {
@@ -85,7 +85,7 @@ func TestBankRowTimeoutClosesRow(t *testing.T) {
 func TestBankNoTimeoutWhenDisabled(t *testing.T) {
 	tm := testTiming()
 	tm.RowTimeout = 0
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	first := b.Access(0, 5)
 	res := b.Access(first.CompletedAt+1_000_000, 5)
 	if res.Outcome != OutcomeHit {
@@ -94,7 +94,7 @@ func TestBankNoTimeoutWhenDisabled(t *testing.T) {
 }
 
 func TestBankPrechargeIdempotent(t *testing.T) {
-	b := NewBank(testTiming(), 8192)
+	b := NewBank(testTiming())
 	first := b.Access(0, 5)
 	pre := b.Precharge(first.CompletedAt + 200)
 	if b.OpenRow() != -1 {
@@ -108,7 +108,7 @@ func TestBankPrechargeIdempotent(t *testing.T) {
 
 func TestBankActivateOpensWithoutData(t *testing.T) {
 	tm := testTiming()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	res := b.Activate(0, 7)
 	if res.Outcome != OutcomeEmpty || res.Latency != tm.TRCD {
 		t.Fatalf("activate = %+v, want empty with tRCD", res)
@@ -119,27 +119,29 @@ func TestBankActivateOpensWithoutData(t *testing.T) {
 }
 
 func TestBankRowCloneCopiesData(t *testing.T) {
-	b := NewBank(testTiming(), 128)
-	payload := []byte("the row buffer is a covert channel")
-	b.WriteBytes(3, 0, payload)
-	b.Access(0, 3) // latch source
-	res := b.RowClone(200, 3, 4)
-	if res.Outcome != OutcomeHit {
-		t.Fatalf("rowclone with latched source outcome = %v, want hit", res.Outcome)
-	}
-	got := make([]byte, len(payload))
-	b.ReadBytes(4, 0, got)
-	if string(got) != string(payload) {
-		t.Fatalf("destination row = %q, want %q", got, payload)
+	tm := testTiming()
+	b := NewBank(tm)
+	first := b.Access(0, 3) // latch source
+	res := b.RowClone(first.CompletedAt+200, 3, 4)
+	if res.Outcome != OutcomeHit || res.Latency != tm.RowCloneFPM {
+		t.Fatalf("rowclone with latched source = %+v, want a hit costing %d", res, tm.RowCloneFPM)
 	}
 	if b.OpenRow() != 4 {
 		t.Fatalf("open row after rowclone = %d, want destination 4", b.OpenRow())
+	}
+	// The copy leaves the destination in the row buffer: reading it back
+	// hits, and returning to the source conflicts.
+	if got := b.Access(res.CompletedAt+200, 4); got.Outcome != OutcomeHit {
+		t.Fatalf("access to destination = %v, want hit", got.Outcome)
+	}
+	if got := b.Access(res.CompletedAt+tm.TRAS+400, 3); got.Outcome != OutcomeConflict {
+		t.Fatalf("access to source = %v, want conflict", got.Outcome)
 	}
 }
 
 func TestBankRowCloneConflictTiming(t *testing.T) {
 	tm := testTiming()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	first := b.Access(0, 9) // open an unrelated row
 	res := b.RowClone(first.CompletedAt+tm.TRAS+100, 3, 4)
 	if res.Outcome != OutcomeConflict {
@@ -152,26 +154,42 @@ func TestBankRowCloneConflictTiming(t *testing.T) {
 }
 
 func TestBankReadWriteBounds(t *testing.T) {
-	b := NewBank(testTiming(), 64)
-	if n := b.WriteBytes(0, -1, []byte{1}); n != 0 {
-		t.Errorf("negative col write wrote %d bytes", n)
+	dev, err := NewDevice(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := b.WriteBytes(0, 64, []byte{1}); n != 0 {
-		t.Errorf("past-end write wrote %d bytes", n)
+	commands := map[string]func(bank int) error{
+		"access": func(bank int) error {
+			_, err := dev.Access(0, bank, 1)
+			return err
+		},
+		"activate": func(bank int) error {
+			_, err := dev.Activate(0, bank, 1)
+			return err
+		},
+		"rowclone": func(bank int) error {
+			_, err := dev.RowClone(0, bank, 1, 2)
+			return err
+		},
 	}
-	if n := b.WriteBytes(0, 60, []byte{1, 2, 3, 4, 5, 6}); n != 4 {
-		t.Errorf("truncated write = %d bytes, want 4", n)
+	for name, run := range commands {
+		for _, bank := range []int{-1, dev.NumBanks()} {
+			if err := run(bank); err == nil {
+				t.Errorf("%s accepted bank %d of %d", name, bank, dev.NumBanks())
+			}
+		}
 	}
-	buf := make([]byte, 8)
-	if n := b.ReadBytes(0, 60, buf); n != 4 {
-		t.Errorf("truncated read = %d bytes, want 4", n)
+	for _, name := range dev.Counters().Names() {
+		if got := dev.Counters().Get(name); got != 0 {
+			t.Errorf("counter %s = %d after rejected commands, want 0", name, got)
+		}
 	}
 }
 
 func TestBankLatencyMonotonicity(t *testing.T) {
 	// Property: for any access sequence, CompletedAt never decreases.
 	check := func(rows []uint8, gaps []uint8) bool {
-		b := NewBank(testTiming(), 8192)
+		b := NewBank(testTiming())
 		now := int64(0)
 		var lastDone int64
 		for i, r := range rows {

@@ -56,8 +56,10 @@ func (c Config) TotalBanks() int {
 	return c.Channels * c.Ranks * c.BankGroups * c.BanksPerGroup
 }
 
-// Geometry caps. A device allocates per bank and per row, so an unbounded
-// geometry lets one config exhaust host memory before any run starts. Each
+// Geometry caps. A device allocates per bank, so an unbounded bank count
+// lets one config exhaust host memory before any run starts. The row size
+// sets the column bits of every physical address, and its cap keeps the
+// addresses composed from row, bank and column well inside 64 bits. Each
 // cap is at least twice what any figure, test or example uses (8192 banks,
 // 8 KiB rows).
 const (
@@ -112,7 +114,7 @@ const (
 // encoded by AddrMapper) with shared timing and access statistics.
 type Device struct {
 	cfg      Config
-	banks    []*Bank
+	banks    []Bank
 	counters *stats.Counters
 }
 
@@ -121,16 +123,12 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	banks := make([]*Bank, cfg.TotalBanks())
-	for i := range banks {
-		banks[i] = NewBank(cfg.Timing, cfg.RowBytes)
-		banks[i].SetMaintenance(cfg.Maintenance)
-	}
-	return &Device{
-		cfg:      cfg,
-		banks:    banks,
+	d := &Device{
+		banks:    make([]Bank, cfg.TotalBanks()),
 		counters: stats.NewFixed("hit", "empty", "conflict", "rowclone"),
-	}, nil
+	}
+	d.Reconfigure(cfg)
+	return d, nil
 }
 
 // Config returns the device configuration.
@@ -146,7 +144,13 @@ func (d *Device) Bank(i int) *Bank {
 	if i < 0 || i >= len(d.banks) {
 		return nil
 	}
-	return d.banks[i]
+	return &d.banks[i]
+}
+
+// outOfRange is the error every command reports for a bank index that
+// Bank rejects.
+func (d *Device) outOfRange(bank int) error {
+	return fmt.Errorf("dram: bank %d out of range [0,%d)", bank, len(d.banks))
 }
 
 // Access performs a data access (read or write share the same timing at
@@ -154,72 +158,42 @@ func (d *Device) Bank(i int) *Bank {
 func (d *Device) Access(now int64, bank int, row int64) (AccessResult, error) {
 	b := d.Bank(bank)
 	if b == nil {
-		return AccessResult{}, fmt.Errorf("dram: bank %d out of range [0,%d)", bank, len(d.banks))
+		return AccessResult{}, d.outOfRange(bank)
 	}
-	res := b.Access(now, row)
-	d.record(res.Outcome)
-	return res, nil
+	return d.record(b.Access(now, row)), nil
 }
 
 // Activate opens a row without a data transfer.
 func (d *Device) Activate(now int64, bank int, row int64) (AccessResult, error) {
 	b := d.Bank(bank)
 	if b == nil {
-		return AccessResult{}, fmt.Errorf("dram: bank %d out of range [0,%d)", bank, len(d.banks))
+		return AccessResult{}, d.outOfRange(bank)
 	}
-	res := b.Activate(now, row)
-	d.record(res.Outcome)
-	return res, nil
+	return d.record(b.Activate(now, row)), nil
 }
 
 // RowClone performs an in-DRAM copy within one bank.
 func (d *Device) RowClone(now int64, bank int, srcRow, dstRow int64) (AccessResult, error) {
 	b := d.Bank(bank)
 	if b == nil {
-		return AccessResult{}, fmt.Errorf("dram: bank %d out of range [0,%d)", bank, len(d.banks))
+		return AccessResult{}, d.outOfRange(bank)
 	}
-	res := b.RowClone(now, srcRow, dstRow)
-	d.record(res.Outcome)
 	d.counters.Add(CounterRowClone, 1)
-	return res, nil
+	return d.record(b.RowClone(now, srcRow, dstRow)), nil
 }
 
-// PrechargeAll closes every bank (used between experiments).
-func (d *Device) PrechargeAll(now int64) {
-	for _, b := range d.banks {
-		b.Precharge(now)
-	}
-}
-
-// Reset precharges all banks and clears busy state without dropping row
-// contents or statistics.
-func (d *Device) Reset() {
-	for _, b := range d.banks {
-		b.Reset()
-	}
-}
-
-// ResetFull returns the device to its just-constructed state: every bank
-// fully reset (timing state and row contents) and statistics zeroed, so a
-// pooled machine starts each run indistinguishable from a fresh one.
-func (d *Device) ResetFull() {
-	for _, b := range d.banks {
-		b.ResetFull()
-	}
-	d.counters.Reset()
-}
-
-// Reconfigure fully resets the device under a new configuration, reusing
-// the allocated banks and row buffers. Reuse requires the allocation shape
-// — bank count and row size — to be unchanged; Reconfigure reports whether
-// it was possible and leaves the device untouched when it was not.
+// Reconfigure returns the device to the state NewDevice(cfg) builds,
+// reusing the bank array: every bank precharged and idle under the new
+// timing and maintenance, statistics zeroed. Reuse requires the bank count
+// to be unchanged; Reconfigure reports whether cfg was valid and fit, and
+// leaves the device untouched when not.
 func (d *Device) Reconfigure(cfg Config) bool {
-	if cfg.Validate() != nil || cfg.TotalBanks() != d.cfg.TotalBanks() || cfg.RowBytes != d.cfg.RowBytes {
+	if cfg.Validate() != nil || cfg.TotalBanks() != len(d.banks) {
 		return false
 	}
 	d.cfg = cfg
-	for _, b := range d.banks {
-		b.Reconfigure(cfg.Timing, cfg.Maintenance)
+	for i := range d.banks {
+		d.banks[i].Reconfigure(cfg.Timing, cfg.Maintenance)
 	}
 	d.counters.Reset()
 	return true
@@ -228,8 +202,9 @@ func (d *Device) Reconfigure(cfg Config) bool {
 // Counters exposes access statistics: hits, empties, conflicts, rowclones.
 func (d *Device) Counters() *stats.Counters { return d.counters }
 
-func (d *Device) record(o Outcome) {
-	switch o {
+// record counts a command's row-buffer outcome and passes its result on.
+func (d *Device) record(res AccessResult) AccessResult {
+	switch res.Outcome {
 	case OutcomeHit:
 		d.counters.Add(CounterHit, 1)
 	case OutcomeEmpty:
@@ -237,4 +212,5 @@ func (d *Device) record(o Outcome) {
 	case OutcomeConflict:
 		d.counters.Add(CounterConflict, 1)
 	}
+	return res
 }

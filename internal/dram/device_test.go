@@ -85,16 +85,29 @@ func TestDevicePrechargeAllAndReset(t *testing.T) {
 	for b := 0; b < dev.NumBanks(); b++ {
 		dev.Access(0, b, 42)
 	}
-	dev.PrechargeAll(10_000)
+	if dev.Counters().Get("empty") == 0 {
+		t.Fatal("accesses counted nothing")
+	}
+	if dev.Reconfigure(DefaultConfig().WithBanks(2 * dev.NumBanks())) {
+		t.Fatal("Reconfigure accepted a different bank count")
+	}
+	if got := dev.Bank(0).OpenRow(); got != 42 {
+		t.Fatalf("refused Reconfigure changed bank 0: open row %d, want 42", got)
+	}
+	if !dev.Reconfigure(DefaultConfig()) {
+		t.Fatal("Reconfigure refused the device's own configuration")
+	}
 	for b := 0; b < dev.NumBanks(); b++ {
 		if got := dev.Bank(b).OpenRow(); got != -1 {
-			t.Fatalf("bank %d open row = %d after PrechargeAll", b, got)
+			t.Fatalf("bank %d open row = %d after Reconfigure", b, got)
+		}
+		if got := dev.Bank(b).BusyUntil(); got != 0 {
+			t.Fatalf("bank %d busyUntil = %d after Reconfigure", b, got)
 		}
 	}
-	dev.Reset()
-	for b := 0; b < dev.NumBanks(); b++ {
-		if got := dev.Bank(b).BusyUntil(); got != 0 {
-			t.Fatalf("bank %d busyUntil = %d after Reset", b, got)
+	for _, name := range dev.Counters().Names() {
+		if got := dev.Counters().Get(name); got != 0 {
+			t.Errorf("counter %s = %d after Reconfigure, want 0", name, got)
 		}
 	}
 }
@@ -118,16 +131,19 @@ func TestRowCloneIsFunctionalAcrossDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte{0xde, 0xad, 0xbe, 0xef}
-	dev.Bank(2).WriteBytes(100, 0, payload)
 	if _, err := dev.RowClone(0, 2, 100, 200); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 4)
-	dev.Bank(2).ReadBytes(200, 0, got)
-	for i := range payload {
-		if got[i] != payload[i] {
-			t.Fatalf("cloned row byte %d = %#x, want %#x", i, got[i], payload[i])
+	for b := 0; b < dev.NumBanks(); b++ {
+		want := int64(-1)
+		if b == 2 {
+			want = 200
 		}
+		if got := dev.Bank(b).OpenRow(); got != want {
+			t.Fatalf("bank %d open row = %d after a RowClone in bank 2, want %d", b, got, want)
+		}
+	}
+	if got := dev.Counters().Get("rowclone"); got != 1 {
+		t.Fatalf("rowclone = %d, want 1", got)
 	}
 }

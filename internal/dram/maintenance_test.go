@@ -4,7 +4,7 @@ import "testing"
 
 func TestRefreshWindowStallsAccess(t *testing.T) {
 	tm := DDR4_2400()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	maint := DDR4Refresh()
 	b.SetMaintenance(maint)
 	// An access issued right at a refresh boundary waits out tRFC.
@@ -17,7 +17,7 @@ func TestRefreshWindowStallsAccess(t *testing.T) {
 
 func TestRefreshClosesOpenRows(t *testing.T) {
 	tm := DDR4_2400()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	maint := DDR4Refresh()
 	b.SetMaintenance(maint)
 	first := b.Access(100, 5)
@@ -31,7 +31,7 @@ func TestRefreshClosesOpenRows(t *testing.T) {
 
 func TestRefreshNoEffectWithinWindow(t *testing.T) {
 	tm := DDR4_2400()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	b.SetMaintenance(DDR4Refresh())
 	first := b.Access(1000, 5)
 	res := b.Access(first.CompletedAt+100, 5)
@@ -45,7 +45,7 @@ func TestRefreshNoEffectWithinWindow(t *testing.T) {
 
 func TestMitigationTriggersEveryThresholdActivations(t *testing.T) {
 	tm := DDR4_2400()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	maint := Maintenance{MitigationThreshold: 4, MitigationPenalty: 910}
 	b.SetMaintenance(maint)
 	now := int64(0)
@@ -64,7 +64,7 @@ func TestMitigationTriggersEveryThresholdActivations(t *testing.T) {
 
 func TestMitigationIgnoresRowHits(t *testing.T) {
 	tm := DDR4_2400()
-	b := NewBank(tm, 8192)
+	b := NewBank(tm)
 	b.SetMaintenance(Maintenance{MitigationThreshold: 2, MitigationPenalty: 910})
 	first := b.Access(0, 5) // activation 1
 	now := first.CompletedAt + 10

@@ -37,19 +37,22 @@ func reportBytes(t testing.TB, scn scenario, pool *sim.Pool, cfg sim.Config) []b
 // scenario, a report produced on a pooled machine — deliberately dirtied
 // by other scenarios and other configs first — must be byte-identical to
 // one produced on a freshly assembled machine. The config sequence
-// exercises both pool routes: B shares A's shape (the reset fast path)
-// and C changes the LLC geometry (its own pool shard), so every round
-// interleaves reuse across two live shapes.
+// exercises both pool routes: B and D share A's shape (the reset fast
+// path; D halves the row size, which only remaps addresses) and C changes
+// the LLC geometry (its own pool shard), so every round interleaves reuse
+// across two live shapes.
 func TestPooledMachineDeterminism(t *testing.T) {
 	cfgA := sim.DefaultConfig()
 	cfgB := sim.DefaultConfig()
 	cfgB.Costs.FlushOverhead += 100 // same machine shape, different behavior
 	cfgC := sim.DefaultConfig()
 	cfgC.LLCBytes = 4 << 20 // different LLC geometry: separate pool shard
+	cfgD := sim.DefaultConfig()
+	cfgD.DRAM.RowBytes = 4096 // same machine shape, different address map
 
 	pool := sim.NewPool()
 	for _, scn := range scenarios() {
-		configs := []sim.Config{cfgA, cfgB, cfgC}
+		configs := []sim.Config{cfgA, cfgB, cfgC, cfgD}
 		if !scn.ConfigSensitive {
 			// Figure replays ignore this pool: their machines come from
 			// the figures package's own, whose pooled-versus-fresh check

@@ -82,16 +82,17 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state New(cfg) would produce,
-// rebuilding nothing. A build allocates ~7 MB in ~240 objects, almost all
-// of it DRAM banks with their row buffers and the cache levels' line
-// arrays; Reset reuses every object, reconfiguring each component in
-// place, when the new configuration's allocation shape matches the old
-// one. It reports whether reuse was possible; on false the machine is left
-// untouched and the caller must build a fresh one with New.
+// rebuilding nothing. A build allocates ~7 MB in ~200 objects, almost all
+// of it the cache levels' and TLBs' line arrays; DRAM banks hold timing
+// state only, one array for the device. Reset reuses every object,
+// reconfiguring each component in place, when the new configuration's
+// allocation shape matches the old one. It reports whether reuse was
+// possible; on false the machine is left untouched and the caller must
+// build a fresh one with New.
 //
-// Reuse requires: same core count, same DRAM bank count and row size, same
-// LLC geometry (bytes/ways), and the same prefetcher setting. Everything
-// else (timing, defenses, costs, noise seed, LLC latency) reconfigures in
+// Reuse requires: same core count, same DRAM bank count, same LLC geometry
+// (bytes/ways), and the same prefetcher setting. Everything else (timing,
+// row size, defenses, costs, noise seed, LLC latency) reconfigures in
 // place. Reset must be provably state-free: the pool-purity test suite in
 // internal/exp runs every scenario on pooled and fresh machines and
 // requires byte-identical reports.
@@ -99,9 +100,7 @@ func (m *Machine) Reset(cfg Config) bool {
 	if cfg.Cores != m.cfg.Cores || cfg.Cores < 1 || cfg.EnablePrefetchers != m.cfg.EnablePrefetchers {
 		return false
 	}
-	if cfg.DRAM.Validate() != nil ||
-		cfg.DRAM.TotalBanks() != m.cfg.DRAM.TotalBanks() ||
-		cfg.DRAM.RowBytes != m.cfg.DRAM.RowBytes {
+	if cfg.DRAM.Validate() != nil || cfg.DRAM.TotalBanks() != m.cfg.DRAM.TotalBanks() {
 		return false
 	}
 	llcLatency := cfg.LLCLatency

@@ -6,13 +6,14 @@ import (
 )
 
 // Pool recycles Machine allocations across runs. Building a machine costs
-// ~7 MB in ~240 allocations (DRAM banks, three cache levels' line arrays),
-// most of a quick cold run; a pooled machine whose allocation shape
-// matches the requested configuration is Reset in microseconds instead.
-// Machines are pooled per shape — the tuple of everything Machine.Reset
-// refuses to change (core count, prefetcher wiring, DRAM bank geometry,
-// LLC geometry) — so a sweep alternating between, say, two LLC sizes
-// reuses a machine of each shape instead of thrashing one slot.
+// ~7 MB in ~200 allocations (three cache levels' and the TLBs' line
+// arrays, one DRAM bank array), most of a quick cold run; a pooled machine
+// whose allocation shape matches the requested configuration is Reset in
+// microseconds instead. Machines are pooled per shape — the tuple of
+// everything Machine.Reset refuses to change (core count, prefetcher
+// wiring, DRAM bank count, LLC geometry) — so a sweep alternating between,
+// say, two LLC sizes reuses a machine of each shape instead of thrashing
+// one slot.
 //
 // Pool is safe for concurrent use. Get hands out machines configured
 // exactly as New(cfg) would produce them — Reset is provably state-free
@@ -51,15 +52,14 @@ type PoolStats struct {
 // place. LLC line size is fixed by hierarchyConfig, so bytes+ways
 // determine the LLC arrays.
 type shapeKey struct {
-	cores, banks, rowBytes, llcBytes, llcWays int
-	prefetchers                               bool
+	cores, banks, llcBytes, llcWays int
+	prefetchers                     bool
 }
 
 func shapeOf(cfg Config) shapeKey {
 	return shapeKey{
 		cores:       cfg.Cores,
 		banks:       cfg.DRAM.TotalBanks(),
-		rowBytes:    cfg.DRAM.RowBytes,
 		llcBytes:    cfg.LLCBytes,
 		llcWays:     cfg.LLCWays,
 		prefetchers: cfg.EnablePrefetchers,

@@ -6,10 +6,10 @@ import (
 )
 
 // TestPoolShapeSharding pins the pool's routing: configs that differ only
-// in Reset-applicable parameters share a shard (reuse), configs with a
-// different allocation shape get their own shard (no thrash between
-// alternating shapes), and a shape-matching config that Reset still
-// refuses is dropped rather than handed out.
+// in Reset-applicable parameters, row size included, share a shard
+// (reuse), configs with a different allocation shape get their own shard
+// (no thrash between alternating shapes), and a shape-matching config
+// that Reset still refuses is dropped rather than handed out.
 func TestPoolShapeSharding(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; exact hit/miss pins cannot hold")
@@ -21,6 +21,8 @@ func TestPoolShapeSharding(t *testing.T) {
 	cfgB.Costs.FlushOverhead += 100 // same shape as A
 	cfgC := DefaultConfig()
 	cfgC.LLCBytes = 4 << 20 // different LLC geometry: own shard
+	cfgD := DefaultConfig()
+	cfgD.DRAM.RowBytes = 4096 // banks hold no rows: same shape as A
 
 	mA, err := pool.Get(cfgA)
 	if err != nil {
@@ -42,17 +44,31 @@ func TestPoolShapeSharding(t *testing.T) {
 	if got, want := mB.Config().Costs.FlushOverhead, cfgB.Costs.FlushOverhead; got != want {
 		t.Fatalf("reused machine kept stale config: flush overhead %d, want %d", got, want)
 	}
+	pool.Put(mB)
 
-	// Different LLC geometry while mB is checked out: fresh build in a
+	// A different row size changes only the address mapping: must reuse
+	// the same machine too.
+	mD, err := pool.Get(cfgD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mD != mA {
+		t.Fatal("a different row size missed the pooled machine")
+	}
+	if got := mD.Mapper().RowOf(uint64(cfgD.DRAM.RowBytes) * uint64(cfgD.DRAM.TotalBanks())); got != 1 {
+		t.Fatalf("reused machine kept the stale address mapping: row %d, want 1", got)
+	}
+
+	// Different LLC geometry while mD is checked out: fresh build in a
 	// separate shard, and returning both machines keeps both shapes pooled.
 	mC, err := pool.Get(cfgC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mC == mB {
+	if mC == mD {
 		t.Fatal("different-shape Get reused a machine whose LLC arrays cannot fit")
 	}
-	pool.Put(mB)
+	pool.Put(mD)
 	pool.Put(mC)
 
 	// Alternate shapes: each Get must hit its own shard, never dropping.
@@ -71,8 +87,8 @@ func TestPoolShapeSharding(t *testing.T) {
 	if st.Drops != 0 {
 		t.Fatalf("stats %+v: alternating shapes dropped machines instead of sharding", st)
 	}
-	if st.Hits < 5 { // mB reuse + 4 alternating reuses (sync.Pool may GC-drop, but not in this window)
-		t.Fatalf("stats %+v: expected at least 5 reset reuses", st)
+	if st.Hits < 6 { // mB and mD reuses + 4 alternating reuses (sync.Pool may GC-drop, but not in this window)
+		t.Fatalf("stats %+v: expected at least 6 reset reuses", st)
 	}
 	if st.Misses != 2 {
 		t.Fatalf("stats %+v: expected exactly one fresh build per shape", st)
@@ -96,7 +112,7 @@ func TestPoolDropOnResetRefusal(t *testing.T) {
 	pool.Put(m)
 
 	bad := DefaultConfig()
-	bad.DRAM.RowsPerBank = 0 // same TotalBanks/RowBytes, fails Validate
+	bad.DRAM.RowsPerBank = 0 // same bank count, fails Validate
 	if _, err := pool.Get(bad); err == nil || !strings.Contains(err.Error(), "rows per bank") {
 		t.Fatalf("Get(invalid config) error = %v, want rows-per-bank validation failure", err)
 	}
