@@ -71,3 +71,11 @@ func (t Timing) ConflictLatency() int64 {
 func (t Timing) WorstCaseLatency() int64 {
 	return t.TRAS + t.TRP + t.TRCD + t.TCAS + t.TBurst
 }
+
+// WorstCaseRowClone returns the constant-time defense latency of a
+// RowClone: a conflict against a row activated immediately beforehand, so
+// the precharge first waits out tRAS, then the source activation and the
+// Fast-Parallel-Mode copy.
+func (t Timing) WorstCaseRowClone() int64 {
+	return t.TRAS + t.TRP + t.TRCD + t.RowCloneFPM
+}

@@ -233,124 +233,96 @@ func (c *Controller) SetOwner(bank, proc int) error {
 //
 //impact:hotpath
 func (c *Controller) Access(now int64, bank int, row int64, proc int) (dram.AccessResult, error) {
-	if c.cfg.Defense == DefensePartition {
-		if bank >= 0 && bank < len(c.owners) {
-			if owner := c.owners[bank]; owner >= 0 && owner != proc {
-				c.counters.Add(CounterPartitionViolation, 1)
-				return dram.AccessResult{}, ErrPartitionViolation
-			}
-		}
+	if err := c.admit(bank, proc); err != nil {
+		return dram.AccessResult{}, err
 	}
-
 	res, err := c.dev.Access(now+c.cfg.RequestOverhead, bank, row)
 	if err != nil {
 		return dram.AccessResult{}, err
 	}
-	res.Latency += c.cfg.RequestOverhead
-	c.counters.Add(CounterRequests, 1)
-
-	switch c.cfg.Defense {
-	case DefenseClosedRow:
-		// Precharge immediately after the access; the requester pays the
-		// activation on this access (Empty path) and the bank is busy
-		// through the precharge.
-		if b := c.dev.Bank(bank); b != nil {
-			b.Precharge(res.CompletedAt)
-		}
-	case DefenseConstantTime:
-		res.Latency = c.padded(res.Latency)
-	case DefenseAdaptive:
-		if c.actObserve(now, bank, res.Outcome) {
-			res.Latency = c.padded(res.Latency)
-			c.counters.Add(CounterACTPadded, 1)
-		}
-	}
-	return res, nil
+	return c.settle(now, bank, res, dram.Timing.WorstCaseLatency), nil
 }
 
-// Activate opens a row (sender-side PEIs) subject to the same defenses.
+// Activate opens a row (sender-side PEIs) subject to the same defenses,
+// except that no defense pads it: ACT only observes its outcome.
 //
 //impact:hotpath
 func (c *Controller) Activate(now int64, bank int, row int64, proc int) (dram.AccessResult, error) {
-	if c.cfg.Defense == DefensePartition {
-		if bank >= 0 && bank < len(c.owners) {
-			if owner := c.owners[bank]; owner >= 0 && owner != proc {
-				c.counters.Add(CounterPartitionViolation, 1)
-				return dram.AccessResult{}, ErrPartitionViolation
-			}
-		}
+	if err := c.admit(bank, proc); err != nil {
+		return dram.AccessResult{}, err
 	}
 	res, err := c.dev.Activate(now+c.cfg.RequestOverhead, bank, row)
 	if err != nil {
 		return dram.AccessResult{}, err
 	}
-	res.Latency += c.cfg.RequestOverhead
-	c.counters.Add(CounterRequests, 1)
-	switch c.cfg.Defense {
-	case DefenseClosedRow:
-		if b := c.dev.Bank(bank); b != nil {
-			b.Precharge(res.CompletedAt)
-		}
-	case DefenseAdaptive:
-		c.actObserve(now, bank, res.Outcome)
-	}
-	return res, nil
+	return c.settle(now, bank, res, nil), nil
 }
 
 // RowClone dispatches an in-DRAM copy subject to the active defense.
+//
+//impact:hotpath
 func (c *Controller) RowClone(now int64, bank int, srcRow, dstRow int64, proc int) (dram.AccessResult, error) {
-	if c.cfg.Defense == DefensePartition {
-		if bank >= 0 && bank < len(c.owners) {
-			if owner := c.owners[bank]; owner >= 0 && owner != proc {
-				c.counters.Add(CounterPartitionViolation, 1)
-				return dram.AccessResult{}, ErrPartitionViolation
-			}
-		}
+	if err := c.admit(bank, proc); err != nil {
+		return dram.AccessResult{}, err
 	}
 	res, err := c.dev.RowClone(now+c.cfg.RequestOverhead, bank, srcRow, dstRow)
 	if err != nil {
 		return dram.AccessResult{}, err
 	}
+	return c.settle(now, bank, res, dram.Timing.WorstCaseRowClone), nil
+}
+
+// admit is the partition check of the MPR defense: it rejects a request
+// for a bank another process owns. Out-of-range banks pass, so the device
+// reports them.
+//
+//impact:hotpath
+func (c *Controller) admit(bank, proc int) error {
+	if c.cfg.Defense == DefensePartition && bank >= 0 && bank < len(c.owners) {
+		if owner := c.owners[bank]; owner >= 0 && owner != proc {
+			c.counters.Add(CounterPartitionViolation, 1)
+			return ErrPartitionViolation
+		}
+	}
+	return nil
+}
+
+// settle finishes a request the device served: it adds the controller
+// overhead, counts the request and applies the closed-row, CTD or ACT
+// defense. worst gives the latency a padding defense pads the command to;
+// a nil worst leaves the command unpadded.
+//
+//impact:hotpath
+func (c *Controller) settle(now int64, bank int, res dram.AccessResult, worst func(dram.Timing) int64) dram.AccessResult {
 	res.Latency += c.cfg.RequestOverhead
 	c.counters.Add(CounterRequests, 1)
 	switch c.cfg.Defense {
 	case DefenseClosedRow:
-		if b := c.dev.Bank(bank); b != nil {
-			b.Precharge(res.CompletedAt)
-		}
+		// Precharge immediately after the command; the requester pays the
+		// activation on this access (Empty path) and the bank is busy
+		// through the precharge. The device served the bank, so it exists.
+		c.dev.Bank(bank).Precharge(res.CompletedAt)
 	case DefenseConstantTime:
-		res.Latency = c.paddedRowClone(res.Latency)
+		if worst != nil {
+			res.Latency = c.padded(res.Latency, worst)
+		}
 	case DefenseAdaptive:
-		if c.actObserve(now, bank, res.Outcome) {
-			res.Latency = c.paddedRowClone(res.Latency)
+		if c.actObserve(now, bank, res.Outcome) && worst != nil {
+			res.Latency = c.padded(res.Latency, worst)
 			c.counters.Add(CounterACTPadded, 1)
 		}
 	}
-	return res, nil
+	return res
 }
 
-// padded returns the constant-time access latency (never shorter than the
-// observed latency, so padding cannot speed a request up).
+// padded returns the constant-time latency of a command whose device-side
+// worst case worst computes, never shorter than the observed latency, so
+// padding cannot speed a request up. The timing is read only here, off the
+// undefended path.
 //
 //impact:hotpath
-func (c *Controller) padded(actual int64) int64 {
-	worst := c.dev.Config().Timing.WorstCaseLatency() + c.cfg.RequestOverhead
-	if actual > worst {
-		return actual
-	}
-	return worst
-}
-
-// paddedRowClone pads RowClone operations to their worst case.
-//
-//impact:hotpath
-func (c *Controller) paddedRowClone(actual int64) int64 {
-	t := c.dev.Config().Timing
-	worst := t.TRAS + t.TRP + t.TRCD + t.RowCloneFPM + c.cfg.RequestOverhead
-	if actual > worst {
-		return actual
-	}
-	return worst
+func (c *Controller) padded(actual int64, worst func(dram.Timing) int64) int64 {
+	return max(actual, worst(c.dev.Config().Timing)+c.cfg.RequestOverhead)
 }
 
 // actObserve updates per-bank ACT epoch accounting with the outcome of an
