@@ -44,9 +44,6 @@ type RowCloneResult struct {
 	IssueLatency int64
 	// CompletedAt is when the last per-bank operation finishes.
 	CompletedAt int64
-	// PerBank holds the outcome of each dispatched bank operation,
-	// indexed like the banks argument; banks masked out hold zero values.
-	PerBank []dram.AccessResult
 }
 
 // RowCloneEngine issues in-DRAM bulk copies through the memory controller.
@@ -80,11 +77,12 @@ func (e *RowCloneEngine) Counters() *stats.Counters { return e.counters }
 // throughput advantage); the controller serializes only the small per-bank
 // dispatch. The sender's clock advances by IssueLatency; a fence waits for
 // CompletedAt.
+//
+//impact:hotpath
 func (e *RowCloneEngine) Submit(now int64, banks []int, mask uint64, srcRow, dstRow int64, proc int) (RowCloneResult, error) {
 	out := RowCloneResult{
 		IssueLatency: e.costs.IssueCost,
 		CompletedAt:  now + e.costs.IssueCost,
-		PerBank:      make([]dram.AccessResult, len(banks)),
 	}
 	dispatch := now + e.costs.IssueCost
 	for i, bank := range banks {
@@ -96,7 +94,6 @@ func (e *RowCloneEngine) Submit(now int64, banks []int, mask uint64, srcRow, dst
 		if err != nil {
 			return RowCloneResult{}, err
 		}
-		out.PerBank[i] = res
 		if done := dispatch + res.Latency; done > out.CompletedAt {
 			out.CompletedAt = done
 		}
