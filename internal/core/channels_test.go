@@ -305,3 +305,51 @@ func TestTable1Properties(t *testing.T) {
 		}
 	}
 }
+
+// allocGrowthExceptions names the channels whose allocations still grow
+// with message length, with the reason. Each is tracked in ROADMAP.md.
+var allocGrowthExceptions = map[string]string{
+	"drama-eviction": "cache.StreamerPrefetcher.Observe makes a new stream map each time its table fills and a slice per prefetch (ROADMAP: \"Stop the stream prefetcher allocating per observation\")",
+}
+
+// TestChannelAllocationsFlatInMessageLength requires every covert channel
+// to allocate the same number of objects for a 512-bit and a 2048-bit
+// message: Machine.Reset plus one run on one held machine. A count that
+// grows with the message means per-bit or per-batch garbage on the
+// simulation path.
+func TestChannelAllocationsFlatInMessageLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := sim.DefaultConfig()
+	m, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, long := RandomMessage(512, 5), RandomMessage(2048, 5)
+	for _, ch := range Channels() {
+		allocs := func(msg []bool) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if !m.Reset(cfg) {
+					t.Fatal("Reset refused the machine's own configuration")
+				}
+				if _, err := ch.Run(m, msg, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a, b := allocs(short), allocs(long)
+		t.Logf("%s: %.0f allocations at 512 bits, %.0f at 2048", ch.Name, a, b)
+		if reason, ok := allocGrowthExceptions[ch.Name]; ok {
+			if a == b {
+				t.Errorf("%s no longer grows with message length; drop it from allocGrowthExceptions", ch.Name)
+			} else {
+				t.Logf("%s: known exception: %s", ch.Name, reason)
+			}
+			continue
+		}
+		if a != b {
+			t.Errorf("%s: %.0f allocations at 512 bits but %.0f at 2048: allocations grow with message length", ch.Name, a, b)
+		}
+	}
+}
