@@ -98,6 +98,30 @@ func (c Config) Validate() error {
 	if c.RowsPerBank <= 0 {
 		return fmt.Errorf("dram: non-positive rows per bank %d", c.RowsPerBank)
 	}
+	// A negative latency would let a command finish before it starts.
+	// Zero stays legal: it disables row_timeout and each maintenance
+	// operation.
+	t, m := c.Timing, c.Maintenance
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"timing.trcd", t.TRCD},
+		{"timing.trp", t.TRP},
+		{"timing.tcas", t.TCAS},
+		{"timing.tras", t.TRAS},
+		{"timing.tburst", t.TBurst},
+		{"timing.row_timeout", t.RowTimeout},
+		{"timing.rowclone_fpm", t.RowCloneFPM},
+		{"maintenance.refresh_interval", m.RefreshInterval},
+		{"maintenance.refresh_duration", m.RefreshDuration},
+		{"maintenance.mitigation_threshold", int64(m.MitigationThreshold)},
+		{"maintenance.mitigation_penalty", m.MitigationPenalty},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dram: field %q: must be >= 0 (got %d)", f.name, f.v)
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,11 @@
 package dram
 
-import "testing"
+import (
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestDeviceConfigValidation(t *testing.T) {
 	tests := []struct {
@@ -19,6 +24,31 @@ func TestDeviceConfigValidation(t *testing.T) {
 				t.Fatal("expected construction error")
 			}
 		})
+	}
+	// Every timing and maintenance field rejects a negative value and
+	// names itself by its JSON path; zero is legal.
+	cfg := DefaultConfig()
+	for _, section := range []struct {
+		name string
+		v    reflect.Value
+	}{
+		{"timing", reflect.ValueOf(&cfg.Timing).Elem()},
+		{"maintenance", reflect.ValueOf(&cfg.Maintenance).Elem()},
+	} {
+		for i := 0; i < section.v.NumField(); i++ {
+			f := section.v.Field(i)
+			path := strconv.Quote(section.name + "." + section.v.Type().Field(i).Tag.Get("json"))
+			saved := f.Int()
+			f.SetInt(-1)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("field %s = -1: Validate() = %v, want an error naming it", path, err)
+			}
+			f.SetInt(0)
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("field %s = 0: Validate() = %v, want nil", path, err)
+			}
+			f.SetInt(saved)
+		}
 	}
 }
 

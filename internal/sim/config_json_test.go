@@ -113,6 +113,9 @@ func TestFromJSONErrorsNameFields(t *testing.T) {
 		{"geometry factor cap", `{"dram": {"banks_per_group": 65537}}`, `"banks_per_group"`},
 		{"total banks cap", `{"dram": {"channels": 256, "ranks": 256, "bank_groups": 2, "banks_per_group": 1}}`, `bank_groups`},
 		{"row cap", `{"dram": {"row_bytes": 131072}}`, `"row_bytes"`},
+		// A negative latency would let a command finish before it starts.
+		{"negative timing", `{"dram": {"timing": {"trcd": -1000}}}`, `"timing.trcd"`},
+		{"negative maintenance", `{"dram": {"maintenance": {"refresh_duration": -1}}}`, `"maintenance.refresh_duration"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
