@@ -12,6 +12,9 @@ import (
 	"repro/internal/figures"
 )
 
+// maxBanks is the largest bank count the DRAM configuration accepts.
+const maxBanks = 1 << 16
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "impact-sidechannel:", err)
@@ -38,6 +41,11 @@ func run(args []string, stdout io.Writer) error {
 		if f.value < 0 {
 			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.value)
 		}
+	}
+	// The device needs a power-of-two bank count within the DRAM geometry
+	// cap; checking here keeps a bad count from failing after the header.
+	if b := *single; b != 0 && (b&(b-1) != 0 || b > maxBanks) {
+		return fmt.Errorf("-banks must be a power of two no larger than %d, got %d", maxBanks, b)
 	}
 
 	bankCounts := []int{1024, 2048, 4096, 8192}

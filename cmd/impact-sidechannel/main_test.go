@@ -64,6 +64,11 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-reads", "-1"}, "-reads"},
 		{[]string{"-ref-len", "-5"}, "-ref-len"},
 		{[]string{"-banks", "-4"}, "-banks"},
+		// WithBanks would round 18 down to 16; 3 and 131072 fail the
+		// device's geometry. All three must fail before the header.
+		{[]string{"-banks", "18"}, "-banks"},
+		{[]string{"-banks", "3"}, "-banks"},
+		{[]string{"-banks", "131072"}, "-banks"},
 		{[]string{"-not-a-flag"}, "not-a-flag"},
 	} {
 		var out bytes.Buffer
