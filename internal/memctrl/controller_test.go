@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
@@ -180,6 +181,43 @@ func TestRowCloneUnderConstantTime(t *testing.T) {
 	}
 	if hit.Latency != conflict.Latency {
 		t.Fatalf("rowclone latencies differ under CTD: %d vs %d", hit.Latency, conflict.Latency)
+	}
+}
+
+// TestActivateIsNeverPadded pins the one asymmetry of the settle step:
+// no defense pads Activate, and ACT only observes its outcome. The
+// sender's row opens are fire-and-forget, so padding them would cost
+// nothing observable, only simulated time.
+func TestActivateIsNeverPadded(t *testing.T) {
+	act := ACTConfig{EpochCycles: 1000, ConflictThreshold: 1, PenaltyEpochs: 10}
+	// Empty, conflict in epoch 0 (arming ACT), then conflict in epoch 1.
+	run := func(cfg Config) (*Controller, []int64) {
+		c := newTestController(t, cfg)
+		var lats []int64
+		for i, now := range []int64{0, 200, 1500} {
+			res, err := c.Activate(now, 0, int64(i+1), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lats = append(lats, res.Latency)
+		}
+		return c, lats
+	}
+	_, want := run(Config{Defense: DefenseNone, RequestOverhead: 15})
+	for _, cfg := range []Config{
+		{Defense: DefenseConstantTime, RequestOverhead: 15},
+		{Defense: DefenseAdaptive, RequestOverhead: 15, ACT: act},
+	} {
+		c, got := run(cfg)
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: Activate latencies %v, want the unpadded %v", cfg.Defense, got, want)
+		}
+		if n := c.Counters().Value(CounterACTPadded); n != 0 {
+			t.Errorf("%v: act_padded = %d after Activates only, want 0", cfg.Defense, n)
+		}
+		if cfg.Defense == DefenseAdaptive && !c.ConstantTimeActive(1500, 0) {
+			t.Error("ACT did not observe the conflicting Activate")
+		}
 	}
 }
 
