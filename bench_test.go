@@ -799,7 +799,7 @@ func BenchmarkResultStoreGet(b *testing.B) {
 // BenchmarkColdRun measures the cold-path provisioning win: a full
 // machine assembly plus one quick-scale PnM transmission (fresh) against
 // the path a sim.Pool hit runs (pooled): Machine.Reset on a held machine,
-// which reuses its allocated DRAM rows, cache arrays, and counter blocks,
+// which reuses its allocated bank array, cache arrays, and counter blocks,
 // then the same transmission. The pooled loop holds its machine rather
 // than cycling it through a Pool, because sync.Pool may drop the machine
 // (after a GC or a P switch) and a Get would then rebuild it inside the
@@ -808,7 +808,7 @@ func BenchmarkResultStoreGet(b *testing.B) {
 // pins the two regressions that matter: the cold-run speedup must stay
 // >= 2x (measured ~7x at -cpu 1; see docs/benchmark.md) and the pooled
 // cycle must allocate at least 8x less than assembly (measured 4
-// allocations against 240).
+// allocations against 208).
 func BenchmarkColdRun(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	msg := core.RandomMessage(512, 101)
