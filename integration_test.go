@@ -64,8 +64,7 @@ func TestMassagedChannel(t *testing.T) {
 	}
 	banks := make([]int, 0, len(massage.Pairs))
 	for _, pair := range massage.Pairs {
-		coord := m.Mapper().Map(pair[0])
-		banks = append(banks, coord.FlatBank(m.Config().DRAM))
+		banks = append(banks, m.Mapper().Map(pair[0]).Bank)
 	}
 	res, err := core.RunPnM(m, core.RandomMessage(256, 56), core.Options{Banks: banks})
 	if err != nil {

@@ -93,7 +93,7 @@ func buildFilteredEvictionSet(m *sim.Machine, c *sim.Core, target uint64, n int,
 	candidates := c.Hierarchy().EvictionSet(target, n*len(exclude)*4+n)
 	out := make([]uint64, 0, n)
 	for _, a := range candidates {
-		if exclude[m.Mapper().FlatBankOf(a)] {
+		if exclude[m.Mapper().Map(a).Bank] {
 			continue
 		}
 		out = append(out, a)

@@ -126,21 +126,19 @@ func MassageMemory(m *sim.Machine, c *sim.Core, banks int) (MassageResult, error
 // address mapping (tests and documentation; a real attacker cannot do this).
 func VerifyColocation(m *sim.Machine, res MassageResult) error {
 	mapper := m.Mapper()
-	cfg := m.Config().DRAM
 	seen := make(map[int]bool, len(res.Pairs))
 	for i, pair := range res.Pairs {
 		a, b := mapper.Map(pair[0]), mapper.Map(pair[1])
-		bankA, bankB := a.FlatBank(cfg), b.FlatBank(cfg)
-		if bankA != bankB {
-			return fmt.Errorf("pair %d spans banks %d and %d", i, bankA, bankB)
+		if a.Bank != b.Bank {
+			return fmt.Errorf("pair %d spans banks %d and %d", i, a.Bank, b.Bank)
 		}
 		if a.Row == b.Row {
 			return fmt.Errorf("pair %d shares row %d", i, a.Row)
 		}
-		if seen[bankA] {
-			return fmt.Errorf("bank %d claimed twice", bankA)
+		if seen[a.Bank] {
+			return fmt.Errorf("bank %d claimed twice", a.Bank)
 		}
-		seen[bankA] = true
+		seen[a.Bank] = true
 	}
 	return nil
 }

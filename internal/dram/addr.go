@@ -2,28 +2,18 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/jsonenum"
 )
 
-// Coord locates one DRAM word within the device hierarchy.
+// Coord locates one DRAM word: the global bank index across channels,
+// ranks and groups, which is how the device and the controller address
+// banks, plus the row and the byte offset within it.
 type Coord struct {
-	Channel   int
-	Rank      int
-	BankGroup int
-	Bank      int // bank index within the bank group
-	Row       int64
-	Col       int // byte offset within the row
-}
-
-// FlatBank returns the global bank index across channels, ranks and groups,
-// which is how the rest of the simulator addresses banks.
-func (c Coord) FlatBank(cfg Config) int {
-	idx := c.Channel
-	idx = idx*cfg.Ranks + c.Rank
-	idx = idx*cfg.BankGroups + c.BankGroup
-	idx = idx*cfg.BanksPerGroup + c.Bank
-	return idx
+	Bank int
+	Row  int64
+	Col  int
 }
 
 // MappingScheme selects how physical addresses are scattered across banks.
@@ -81,7 +71,6 @@ func (s *MappingScheme) UnmarshalJSON(data []byte) error {
 
 // AddrMapper translates physical addresses to device coordinates and back.
 type AddrMapper struct {
-	cfg    Config
 	scheme MappingScheme
 
 	colBits  uint
@@ -118,7 +107,7 @@ func newAddrMapper(cfg Config, scheme MappingScheme) (AddrMapper, error) {
 	if !ok {
 		return AddrMapper{}, fmt.Errorf("dram: total banks %d is not a power of two", cfg.TotalBanks())
 	}
-	return AddrMapper{cfg: cfg, scheme: scheme, colBits: colBits, bankBits: bankBits}, nil
+	return AddrMapper{scheme: scheme, colBits: colBits, bankBits: bankBits}, nil
 }
 
 // log2 returns the base-2 log of v if v is a power of two.
@@ -126,15 +115,12 @@ func log2(v uint64) (uint, bool) {
 	if v == 0 || v&(v-1) != 0 {
 		return 0, false
 	}
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n, true
+	return uint(bits.TrailingZeros64(v)), true
 }
 
 // Map translates a physical address into a device coordinate.
+//
+//impact:hotpath
 func (m *AddrMapper) Map(phys uint64) Coord {
 	col := int(phys & ((1 << m.colBits) - 1))
 	rest := phys >> m.colBits
@@ -143,39 +129,15 @@ func (m *AddrMapper) Map(phys uint64) Coord {
 	if m.scheme == MapBankXOR {
 		bank ^= int(uint64(row) & ((1 << m.bankBits) - 1))
 	}
-	return m.split(bank, row, col)
+	return Coord{Bank: bank, Row: row, Col: col}
 }
 
 // Compose is the inverse of Map: it builds the physical address that lands
 // at the given flat bank, row and column. Attack code uses it for memory
 // massaging (placing data in a chosen bank).
-func (m *AddrMapper) Compose(flatBank int, row int64, col int) uint64 {
-	bank := flatBank
+func (m *AddrMapper) Compose(bank int, row int64, col int) uint64 {
 	if m.scheme == MapBankXOR {
 		bank ^= int(uint64(row) & ((1 << m.bankBits) - 1))
 	}
 	return (uint64(row)<<m.bankBits|uint64(bank))<<m.colBits | uint64(col)
-}
-
-// split decomposes a flat bank index into the hierarchy coordinate.
-func (m *AddrMapper) split(flatBank int, row int64, col int) Coord {
-	cfg := m.cfg
-	bank := flatBank % cfg.BanksPerGroup
-	rest := flatBank / cfg.BanksPerGroup
-	group := rest % cfg.BankGroups
-	rest /= cfg.BankGroups
-	rank := rest % cfg.Ranks
-	channel := rest / cfg.Ranks
-	return Coord{Channel: channel, Rank: rank, BankGroup: group, Bank: bank, Row: row, Col: col}
-}
-
-// FlatBankOf is a convenience that maps an address straight to its global
-// bank index.
-func (m *AddrMapper) FlatBankOf(phys uint64) int {
-	return m.Map(phys).FlatBank(m.cfg)
-}
-
-// RowOf returns the row index an address maps to.
-func (m *AddrMapper) RowOf(phys uint64) int64 {
-	return m.Map(phys).Row
 }

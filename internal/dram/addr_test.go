@@ -20,7 +20,7 @@ func TestAddrMapperRoundTrip(t *testing.T) {
 				col := int(colRaw) % cfg.RowBytes
 				addr := m.Compose(bank, row, col)
 				coord := m.Map(addr)
-				return coord.FlatBank(cfg) == bank && coord.Row == row && coord.Col == col
+				return coord.Bank == bank && coord.Row == row && coord.Col == col
 			}
 			if err := quick.Check(check, nil); err != nil {
 				t.Fatal(err)
@@ -40,7 +40,7 @@ func TestAddrMapperXORSpreadsRows(t *testing.T) {
 	banks := make(map[int]bool)
 	for row := int64(0); row < 16; row++ {
 		addr := (uint64(row)<<4 | 0) << 13 // raw bank field 0
-		banks[m.FlatBankOf(addr)] = true
+		banks[m.Map(addr).Bank] = true
 	}
 	if len(banks) < 8 {
 		t.Fatalf("XOR mapping only used %d banks for 16 consecutive rows", len(banks))
@@ -55,7 +55,7 @@ func TestAddrMapperRowInterleavedKeepsBank(t *testing.T) {
 	}
 	base := m.Compose(3, 100, 0)
 	for col := 0; col < cfg.RowBytes; col += 1024 {
-		if got := m.FlatBankOf(base + uint64(col)); got != 3 {
+		if got := m.Map(base + uint64(col)).Bank; got != 3 {
 			t.Fatalf("col %d moved to bank %d", col, got)
 		}
 	}
@@ -74,16 +74,22 @@ func TestAddrMapperRejectsBadGeometry(t *testing.T) {
 	}
 }
 
+// TestCoordFlatBankRoundTrip composes an address in every flat bank of a
+// multi-channel, multi-rank device and requires Map to land it back in
+// that bank, row and column under both schemes.
 func TestCoordFlatBankRoundTrip(t *testing.T) {
 	cfg := Config{Channels: 2, Ranks: 2, BankGroups: 4, BanksPerGroup: 4, RowBytes: 8192, RowsPerBank: 16}
-	m, err := NewAddrMapper(cfg, MapRowInterleaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for flat := 0; flat < cfg.TotalBanks(); flat++ {
-		coord := m.split(flat, 0, 0)
-		if got := coord.FlatBank(cfg); got != flat {
-			t.Fatalf("flat bank %d round-tripped to %d (coord %+v)", flat, got, coord)
+	for _, scheme := range []MappingScheme{MapRowInterleaved, MapBankXOR} {
+		m, err := NewAddrMapper(cfg, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for flat := 0; flat < cfg.TotalBanks(); flat++ {
+			row, col := int64(flat)%cfg.RowsPerBank, 64*flat
+			want := Coord{Bank: flat, Row: row, Col: col}
+			if got := m.Map(m.Compose(flat, row, col)); got != want {
+				t.Fatalf("%s: flat bank %d round-tripped to %+v, want %+v", scheme, flat, got, want)
+			}
 		}
 	}
 }

@@ -246,27 +246,7 @@ func (e *PEIEngine) Counters() *stats.Counters { return e.counters }
 //
 //impact:hotpath
 func (e *PEIEngine) Execute(now int64, addr uint64, proc int) (PEIResult, error) {
-	highLocality := e.monitor.Observe(addr)
-	if highLocality && e.host != nil {
-		e.counters.Add(CounterHostSide, 1)
-		lat := e.costs.IssueCost + e.costs.HostExtra + e.host.Access(now+e.costs.IssueCost, addr, false)
-		return PEIResult{Latency: lat, CompletedAt: now + lat, NearMemory: false}, nil
-	}
-	e.counters.Add(CounterMemorySide, 1)
-	coord := e.mapper.Map(addr)
-	bank := coord.FlatBank(e.ctrl.Device().Config())
-	start := now + e.costs.IssueCost + e.costs.PEIOverhead
-	res, err := e.ctrl.Access(start, bank, coord.Row, proc)
-	if err != nil {
-		return PEIResult{}, err
-	}
-	lat := e.costs.IssueCost + e.costs.PEIOverhead + res.Latency
-	return PEIResult{
-		Latency:     lat,
-		CompletedAt: now + lat,
-		NearMemory:  true,
-		Outcome:     res.Outcome,
-	}, nil
+	return e.dispatch(now, addr, proc, e.costs.IssueCost, true)
 }
 
 // ExecuteAsync issues a PEI without waiting for the memory-side operation:
@@ -276,24 +256,38 @@ func (e *PEIEngine) Execute(now int64, addr uint64, proc int) (PEIResult, error)
 //
 //impact:hotpath
 func (e *PEIEngine) ExecuteAsync(now int64, addr uint64, proc int) (PEIResult, error) {
-	highLocality := e.monitor.Observe(addr)
-	if highLocality && e.host != nil {
+	res, err := e.dispatch(now, addr, proc, e.costs.AsyncIssueCost, false)
+	if err == nil {
+		res.Latency = e.costs.AsyncIssueCost
+	}
+	return res, err
+}
+
+// dispatch runs one PEI that costs the core issue cycles, with Latency the
+// whole operation from now to CompletedAt. Host-side, it goes through the
+// host path; memory-side, a PCU reads the row when read is set and only
+// opens it otherwise.
+//
+//impact:hotpath
+func (e *PEIEngine) dispatch(now int64, addr uint64, proc int, issue int64, read bool) (PEIResult, error) {
+	if e.monitor.Observe(addr) && e.host != nil {
 		e.counters.Add(CounterHostSide, 1)
-		lat := e.costs.AsyncIssueCost + e.costs.HostExtra + e.host.Access(now+e.costs.AsyncIssueCost, addr, false)
-		return PEIResult{Latency: e.costs.AsyncIssueCost, CompletedAt: now + lat, NearMemory: false}, nil
+		lat := issue + e.costs.HostExtra + e.host.Access(now+issue, addr, false)
+		return PEIResult{Latency: lat, CompletedAt: now + lat}, nil
 	}
 	e.counters.Add(CounterMemorySide, 1)
 	coord := e.mapper.Map(addr)
-	bank := coord.FlatBank(e.ctrl.Device().Config())
-	start := now + e.costs.AsyncIssueCost + e.costs.PEIOverhead
-	res, err := e.ctrl.Activate(start, bank, coord.Row, proc)
+	start := now + issue + e.costs.PEIOverhead
+	var res dram.AccessResult
+	var err error
+	if read {
+		res, err = e.ctrl.Access(start, coord.Bank, coord.Row, proc)
+	} else {
+		res, err = e.ctrl.Activate(start, coord.Bank, coord.Row, proc)
+	}
 	if err != nil {
 		return PEIResult{}, err
 	}
-	return PEIResult{
-		Latency:     e.costs.AsyncIssueCost,
-		CompletedAt: start + res.Latency,
-		NearMemory:  true,
-		Outcome:     res.Outcome,
-	}, nil
+	done := start + res.Latency
+	return PEIResult{Latency: done - now, CompletedAt: done, NearMemory: true, Outcome: res.Outcome}, nil
 }

@@ -198,6 +198,25 @@ func TestPEIHostSideWithMonitorHit(t *testing.T) {
 	if host.calls != 1 {
 		t.Fatalf("host path invoked %d times, want 1", host.calls)
 	}
+	costs := DefaultPEICosts()
+	if want := costs.IssueCost + costs.HostExtra + 50; res.Latency != want || res.CompletedAt != 1000+want {
+		t.Fatalf("host-side PEI latency %d completed at %d, want %d at %d", res.Latency, res.CompletedAt, want, 1000+want)
+	}
+	// An async PEI that hits the monitor charges the core only its issue
+	// cost and completes once the host path has run.
+	res, err = pei.ExecuteAsync(2000, addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NearMemory || host.calls != 2 {
+		t.Fatalf("hot async PEI: near memory %v, host path invoked %d times", res.NearMemory, host.calls)
+	}
+	if res.Latency != costs.AsyncIssueCost {
+		t.Fatalf("host-side async PEI latency = %d, want issue cost %d", res.Latency, costs.AsyncIssueCost)
+	}
+	if want := 2000 + costs.AsyncIssueCost + costs.HostExtra + 50; res.CompletedAt != want {
+		t.Fatalf("host-side async PEI completed at %d, want %d", res.CompletedAt, want)
+	}
 }
 
 type hostRecorder struct{ calls int }
@@ -228,9 +247,7 @@ func TestPEIAsyncOpensRow(t *testing.T) {
 	if _, err := pei.ExecuteAsync(0, addr, 0); err != nil {
 		t.Fatal(err)
 	}
-	coord := mapper.Map(addr)
-	bank := coord.FlatBank(ctrl.Device().Config())
-	if got := ctrl.Device().Bank(bank).OpenRow(); got != 200 {
+	if got := ctrl.Device().Bank(mapper.Map(addr).Bank).OpenRow(); got != 200 {
 		t.Fatalf("open row after async PEI = %d, want 200", got)
 	}
 }

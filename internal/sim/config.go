@@ -12,6 +12,7 @@ package sim
 
 import (
 	"repro/internal/cache"
+	"repro/internal/cacti"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/pim"
@@ -153,8 +154,13 @@ func ThroughputMbps(bits int64, cycles int64) float64 {
 	return float64(bits) / CyclesToSeconds(cycles) / 1e6
 }
 
-// hierarchyConfig derives the cache hierarchy configuration.
-func (c Config) hierarchyConfig(llcLatency int64) cache.HierarchyConfig {
+// hierarchyConfig derives the cache hierarchy configuration. An unset
+// LLCLatency takes CACTI's latency for the LLC's size and ways.
+func (c Config) hierarchyConfig() cache.HierarchyConfig {
+	llcLatency := c.LLCLatency
+	if llcLatency <= 0 {
+		llcLatency = cacti.LLCLatencyWays(float64(c.LLCBytes)/float64(1<<20), c.LLCWays)
+	}
 	cfg := cache.DefaultHierarchyConfig(c.LLCBytes, c.LLCWays, llcLatency)
 	cfg.EnablePrefetchers = c.EnablePrefetchers
 	return cfg

@@ -150,14 +150,7 @@ func (c *Core) LoadOverlapped(vaddr uint64, pc uint64, mlp float64) int64 {
 // still paid.
 func (c *Core) LoadUncached(vaddr uint64) int64 {
 	lat := c.mmu.Translate(c.clock, vaddr, false)
-	coord := c.m.mapper.Map(vaddr)
-	bank := coord.FlatBank(c.m.cfg.DRAM)
-	res, err := c.m.ctrl.Access(c.clock+lat, bank, coord.Row, c.id)
-	if err == nil {
-		lat += res.Latency
-	} else {
-		lat += c.m.cfg.DRAM.Timing.WorstCaseLatency()
-	}
+	lat += c.m.memAccess(c.clock+lat, vaddr, c.id)
 	c.clock += lat
 	return lat
 }
@@ -240,14 +233,7 @@ func (c *Core) RowCloneMeasure(bank int, srcRow, dstRow int64) (dram.AccessResul
 func (c *Core) DMATransfer(vaddr uint64) int64 {
 	costs := c.m.cfg.Costs
 	lat := costs.DMASyscall + costs.DMASetup
-	coord := c.m.mapper.Map(vaddr)
-	bank := coord.FlatBank(c.m.cfg.DRAM)
-	res, err := c.m.ctrl.Access(c.clock+lat, bank, coord.Row, c.id)
-	if err == nil {
-		lat += res.Latency
-	} else {
-		lat += c.m.cfg.DRAM.Timing.WorstCaseLatency()
-	}
+	lat += c.m.memAccess(c.clock+lat, vaddr, c.id)
 	c.clock += lat
 	return lat
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/cacti"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/pim"
@@ -36,11 +35,7 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 
-	llcLatency := cfg.LLCLatency
-	if llcLatency <= 0 {
-		llcLatency = cacti.LLCLatencyWays(float64(cfg.LLCBytes)/float64(1<<20), cfg.LLCWays)
-	}
-	hcfg := cfg.hierarchyConfig(llcLatency)
+	hcfg := cfg.hierarchyConfig()
 
 	m := &Machine{cfg: cfg, device: device, ctrl: ctrl, mapper: mapper}
 
@@ -103,11 +98,7 @@ func (m *Machine) Reset(cfg Config) bool {
 	if cfg.DRAM.Validate() != nil || cfg.DRAM.TotalBanks() != m.cfg.DRAM.TotalBanks() {
 		return false
 	}
-	llcLatency := cfg.LLCLatency
-	if llcLatency <= 0 {
-		llcLatency = cacti.LLCLatencyWays(float64(cfg.LLCBytes)/float64(1<<20), cfg.LLCWays)
-	}
-	hcfg := cfg.hierarchyConfig(llcLatency)
+	hcfg := cfg.hierarchyConfig()
 	llcCfg := m.llc.Config()
 	if hcfg.LLC.SizeBytes != llcCfg.SizeBytes || hcfg.LLC.Ways != llcCfg.Ways || hcfg.LLC.LineBytes != llcCfg.LineBytes {
 		return false
@@ -182,6 +173,22 @@ func (m *Machine) AddrFor(bank int, row int64, col int) uint64 {
 	return m.mapper.Compose(bank, row, col)
 }
 
+// memAccess serves one request that bypasses the caches: a cache miss or
+// writeback, an uncached load or a DMA transfer. It maps addr to its bank
+// and asks the controller at cycle now on behalf of proc. A partition
+// violation surfaces as a worst-case-latency fault rather than an error,
+// so no path above it has one to handle.
+//
+//impact:hotpath
+func (m *Machine) memAccess(now int64, addr uint64, proc int) int64 {
+	coord := m.mapper.Map(addr)
+	res, err := m.ctrl.Access(now, coord.Bank, coord.Row, proc)
+	if err != nil {
+		return m.cfg.DRAM.Timing.WorstCaseLatency()
+	}
+	return res.Latency
+}
+
 // memBackend adapts the memory controller to the cache.Level interface so
 // cache misses and writebacks reach simulated DRAM.
 type memBackend struct {
@@ -191,14 +198,7 @@ type memBackend struct {
 
 var _ cache.Level = (*memBackend)(nil)
 
+//impact:hotpath
 func (b *memBackend) Access(now int64, addr uint64, write bool) int64 {
-	coord := b.m.mapper.Map(addr)
-	bank := coord.FlatBank(b.m.cfg.DRAM)
-	res, err := b.m.ctrl.Access(now, bank, coord.Row, b.proc)
-	if err != nil {
-		// Partition violations surface as a worst-case-latency fault
-		// rather than an error in the cache path.
-		return b.m.cfg.DRAM.Timing.WorstCaseLatency()
-	}
-	return res.Latency
+	return b.m.memAccess(now, addr, b.proc)
 }

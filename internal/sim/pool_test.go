@@ -55,7 +55,7 @@ func TestPoolShapeSharding(t *testing.T) {
 	if mD != mA {
 		t.Fatal("a different row size missed the pooled machine")
 	}
-	if got := mD.Mapper().RowOf(uint64(cfgD.DRAM.RowBytes) * uint64(cfgD.DRAM.TotalBanks())); got != 1 {
+	if got := mD.Mapper().Map(uint64(cfgD.DRAM.RowBytes) * uint64(cfgD.DRAM.TotalBanks())).Row; got != 1 {
 		t.Fatalf("reused machine kept the stale address mapping: row %d, want 1", got)
 	}
 

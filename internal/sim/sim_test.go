@@ -155,8 +155,8 @@ func TestAddrForRoundTrip(t *testing.T) {
 	for bank := 0; bank < m.Device().NumBanks(); bank++ {
 		addr := m.AddrFor(bank, 123, 64)
 		coord := m.Mapper().Map(addr)
-		if got := coord.FlatBank(m.Config().DRAM); got != bank {
-			t.Fatalf("AddrFor(%d) mapped back to bank %d", bank, got)
+		if coord.Bank != bank {
+			t.Fatalf("AddrFor(%d) mapped back to bank %d", bank, coord.Bank)
 		}
 		if coord.Row != 123 || coord.Col != 64 {
 			t.Fatalf("AddrFor round trip = row %d col %d", coord.Row, coord.Col)
@@ -242,12 +242,18 @@ func TestPartitionedMachineFaultsGracefully(t *testing.T) {
 	if err := m.Controller().SetOwner(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Core 1 loading from core 0's bank must not panic; the backend
+	// Core 1 reaching core 0's bank must not panic; every uncached path
 	// reports a worst-case-latency fault.
 	c := m.Core(1)
 	addr := m.AddrFor(0, 10, 0)
-	if lat := c.LoadUncached(addr); lat <= 0 {
-		t.Fatalf("partition fault latency = %d", lat)
+	worst := cfg.DRAM.Timing.WorstCaseLatency()
+	c.TranslateTouch(addr)
+	translate := c.TranslateTouch(addr)
+	if lat := c.LoadUncached(addr); lat != translate+worst {
+		t.Fatalf("uncached load fault latency = %d, want translation %d + worst case %d", lat, translate, worst)
+	}
+	if lat, want := c.DMATransfer(addr), cfg.Costs.DMASyscall+cfg.Costs.DMASetup+worst; lat != want {
+		t.Fatalf("DMA fault latency = %d, want %d", lat, want)
 	}
 }
 
