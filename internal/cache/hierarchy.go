@@ -83,6 +83,8 @@ func (h *Hierarchy) LLC() *Cache { return h.llc }
 // Prefetchers observe the access and may issue additional fills, which
 // perturb DRAM row-buffer state (the paper's simulated noise) without
 // charging the demand load.
+//
+//impact:hotpath
 func (h *Hierarchy) Load(now int64, addr uint64, pc uint64) int64 {
 	lat := h.l1.Access(now, addr, false)
 	if h.ipStride != nil {

@@ -306,12 +306,6 @@ func TestTable1Properties(t *testing.T) {
 	}
 }
 
-// allocGrowthExceptions names the channels whose allocations still grow
-// with message length, with the reason. Each is tracked in ROADMAP.md.
-var allocGrowthExceptions = map[string]string{
-	"drama-eviction": "cache.StreamerPrefetcher.Observe makes a new stream map each time its table fills and a slice per prefetch (ROADMAP: \"Stop the stream prefetcher allocating per observation\")",
-}
-
 // TestChannelAllocationsFlatInMessageLength requires every covert channel
 // to allocate the same number of objects for a 512-bit and a 2048-bit
 // message: Machine.Reset plus one run on one held machine. A count that
@@ -340,14 +334,6 @@ func TestChannelAllocationsFlatInMessageLength(t *testing.T) {
 		}
 		a, b := allocs(short), allocs(long)
 		t.Logf("%s: %.0f allocations at 512 bits, %.0f at 2048", ch.Name, a, b)
-		if reason, ok := allocGrowthExceptions[ch.Name]; ok {
-			if a == b {
-				t.Errorf("%s no longer grows with message length; drop it from allocGrowthExceptions", ch.Name)
-			} else {
-				t.Logf("%s: known exception: %s", ch.Name, reason)
-			}
-			continue
-		}
 		if a != b {
 			t.Errorf("%s: %.0f allocations at 512 bits but %.0f at 2048: allocations grow with message length", ch.Name, a, b)
 		}
