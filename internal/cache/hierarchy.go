@@ -111,10 +111,9 @@ func (h *Hierarchy) Store(now int64, addr uint64, pc uint64) int64 {
 // serialization overhead — this is the "write-back latency on the critical
 // path" cost the paper identifies for specialized flush instructions.
 func (h *Hierarchy) Flush(now int64, addr uint64) int64 {
-	lat := h.FlushOverhead
+	lat := h.CleanFlushLatency()
 	dirty := false
 	for _, c := range []*Cache{h.l1, h.l2, h.llc} {
-		lat += c.Config().Latency
 		if present, d := c.Invalidate(addr); present && d {
 			dirty = true
 		}
@@ -123,6 +122,12 @@ func (h *Hierarchy) Flush(now int64, addr uint64) int64 {
 		lat += h.backend.Access(now+lat, addr, true)
 	}
 	return lat
+}
+
+// CleanFlushLatency is what Flush charges for a line no level holds dirty:
+// the instruction's serialization overhead plus one tag probe per level.
+func (h *Hierarchy) CleanFlushLatency() int64 {
+	return h.FlushOverhead + h.l1.cfg.Latency + h.l2.cfg.Latency + h.llc.cfg.Latency
 }
 
 // LoadUncached charges a load that bypasses all cache levels (used by the

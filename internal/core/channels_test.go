@@ -306,6 +306,30 @@ func TestTable1Properties(t *testing.T) {
 	}
 }
 
+// TestTable1FlushRowsUseMachineFlush requires the clflush-based rows to
+// charge what the machine's own Flush of a clean line costs, plus one
+// memory access, also when the LLC latency is configured rather than
+// derived from CACTI.
+func TestTable1FlushRowsUseMachineFlush(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Noise.EventsPerMCycle = 0
+	cfg.LLCLatency = 90
+	m, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flush := m.Core(0).Flush(0x1000)
+	want := flush + cfg.DRAM.Timing.EmptyLatency() + cfg.Mem.RequestOverhead
+	for _, r := range Table1(m) {
+		if r.Primitive != PrimitiveSpecialized && r.Primitive != PrimitiveNonTemporal {
+			continue
+		}
+		if r.MeasuredLatency != want {
+			t.Errorf("%s latency = %d, want flush %d + memory access = %d", r.Primitive, r.MeasuredLatency, flush, want)
+		}
+	}
+}
+
 // TestChannelAllocationsFlatInMessageLength requires every covert channel
 // to allocate the same number of objects for a 512-bit and a 2048-bit
 // message: Machine.Reset plus one run on one held machine. A count that

@@ -67,10 +67,9 @@ func Table1(m *sim.Machine) []PrimitiveProperties {
 	t := m.Config().DRAM.Timing
 	costs := m.Config().Costs
 	llcMB := float64(m.Config().LLCBytes) / float64(1<<20)
-	llcLat := cacti.LLCLatencyWays(llcMB, m.Config().LLCWays)
 	memLat := t.EmptyLatency() + m.Config().Mem.RequestOverhead
 
-	flushCost := m.Core(0).Hierarchy().FlushOverhead + 4 + 16 + llcLat // probes at each level
+	flushCost := m.Core(0).Hierarchy().CleanFlushLatency()
 	evictCost := cacti.EvictionLatency(llcMB, m.Config().LLCWays, memLat, costs.EvictionMLP)
 
 	return []PrimitiveProperties{
