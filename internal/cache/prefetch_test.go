@@ -11,21 +11,27 @@ import (
 // prefetchers: the map-based tables they replaced, which drop a full table
 // by making a new map and return a fresh slice per prefetch.
 type refIPStride struct {
-	entries map[uint64]*strideEntry
+	entries map[uint64]*refStrideEntry
 	max     int
 }
 
+type refStrideEntry struct {
+	lastAddr   uint64
+	stride     int64
+	confidence int
+}
+
 func newRefIPStride(maxEntries int) *refIPStride {
-	return &refIPStride{entries: make(map[uint64]*strideEntry, maxEntries), max: maxEntries}
+	return &refIPStride{entries: make(map[uint64]*refStrideEntry, maxEntries), max: maxEntries}
 }
 
 func (p *refIPStride) Observe(pc, addr uint64) (uint64, bool) {
 	e, ok := p.entries[pc]
 	if !ok {
 		if len(p.entries) >= p.max {
-			p.entries = make(map[uint64]*strideEntry, p.max)
+			p.entries = make(map[uint64]*refStrideEntry, p.max)
 		}
-		p.entries[pc] = &strideEntry{lastAddr: addr}
+		p.entries[pc] = &refStrideEntry{lastAddr: addr}
 		return 0, false
 	}
 	stride := int64(addr) - int64(e.lastAddr)
