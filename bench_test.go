@@ -806,9 +806,10 @@ func BenchmarkResultStoreGet(b *testing.B) {
 // timed loop, at about ten pooled cycles per rebuild.
 // TestPoolShapeSharding pins the pool's routing. The pooled subbenchmark
 // pins the two regressions that matter: the cold-run speedup must stay
-// >= 2x (measured ~7x at -cpu 1; see docs/benchmark.md) and the pooled
+// >= 2x (speedup-x read 25-49 at -cpu 1 on a 2-vCPU Xeon, where fresh
+// and pooled ns/op differ 8-10x; see docs/benchmark.md) and the pooled
 // cycle must allocate at least 8x less than assembly (measured 4
-// allocations against 208).
+// allocations against 188).
 func BenchmarkColdRun(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	msg := core.RandomMessage(512, 101)
