@@ -1,6 +1,9 @@
 package genomics
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Anchor is one seed hit: the read offset and the reference position where
 // the seed's k-mer occurs.
@@ -32,11 +35,11 @@ func ChainAnchors(anchors []Anchor) Chain {
 	}
 	sorted := make([]Anchor, len(anchors))
 	copy(sorted, anchors)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].RefPos != sorted[j].RefPos {
-			return sorted[i].RefPos < sorted[j].RefPos
+	slices.SortFunc(sorted, func(a, b Anchor) int {
+		if c := cmp.Compare(a.RefPos, b.RefPos); c != 0 {
+			return c
 		}
-		return sorted[i].ReadPos < sorted[j].ReadPos
+		return cmp.Compare(a.ReadPos, b.ReadPos)
 	})
 
 	score := make([]int, len(sorted))

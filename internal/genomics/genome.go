@@ -60,15 +60,17 @@ type Read struct {
 
 // SampleReads draws n reads of readLen bases from the reference, mutating
 // each base with probability mutationRate (sequencing error + variants).
+// The reads share one backing array, each capped at its own length.
 func SampleReads(ref *Reference, n, readLen int, mutationRate float64, seed uint64) ([]Read, error) {
 	if readLen > len(ref.Seq) {
 		return nil, fmt.Errorf("genomics: read length %d exceeds reference length %d", readLen, len(ref.Seq))
 	}
 	rng := stats.NewRNG(seed)
 	reads := make([]Read, n)
+	bases := make([]byte, n*readLen)
 	for i := range reads {
 		pos := rng.Intn(len(ref.Seq) - readLen + 1)
-		seq := make([]byte, readLen)
+		seq := bases[i*readLen : (i+1)*readLen : (i+1)*readLen]
 		copy(seq, ref.Seq[pos:pos+readLen])
 		for j := range seq {
 			if rng.Bool(mutationRate) {
@@ -105,6 +107,13 @@ func KmerHash(seq []byte, k int) uint64 {
 	for i := 0; i < k && i < len(seq); i++ {
 		packed = packed<<2 | encodeBase(seq[i])
 	}
+	return mixKmer(packed)
+}
+
+// mixKmer is KmerHash's SplitMix64 finalizer over a 2-bit-packed k-mer.
+// BuildIndex's rolling hash calls it too, so the index and the mapper's
+// queries hash alike.
+func mixKmer(packed uint64) uint64 {
 	z := packed + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -1,6 +1,9 @@
 package genomics
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // IndexConfig parameterizes seeding.
 type IndexConfig struct {
@@ -33,9 +36,12 @@ type entry struct {
 }
 
 // Index is the seeding hash table: bucket -> candidate reference positions.
+// All buckets share one entry array; bucket b holds
+// entries[start[b]:start[b+1]], in reference order.
 type Index struct {
 	cfg     IndexConfig
-	buckets [][]entry
+	start   []int32
+	entries []entry
 }
 
 // fingerprint extracts the collision-disambiguation bits of a k-mer hash.
@@ -43,21 +49,75 @@ func fingerprint(hash uint64) uint32 {
 	return uint32(hash >> 32)
 }
 
-// BuildIndex indexes every Stride-th k-mer of the reference.
+// BuildIndex indexes every Stride-th k-mer of the reference, keeping the
+// first MaxPositionsPerBucket positions of each bucket (all of them when
+// the cap is 0). It hashes the k-mers with a rolling 2-bit packing, counts
+// each bucket's entries, then fills one flat table, so the build makes
+// the same few allocations at every reference length.
 func BuildIndex(ref *Reference, cfg IndexConfig) (*Index, error) {
 	if cfg.K <= 0 || cfg.Stride <= 0 || cfg.Buckets <= 0 {
 		return nil, fmt.Errorf("genomics: invalid index config %+v", cfg)
 	}
-	ix := &Index{cfg: cfg, buckets: make([][]entry, cfg.Buckets)}
-	for pos := 0; pos+cfg.K <= len(ref.Seq); pos += cfg.Stride {
-		hash := KmerHash(ref.Seq[pos:], cfg.K)
+	if len(ref.Seq) > math.MaxInt32 {
+		return nil, fmt.Errorf("genomics: reference of %d bases exceeds the index's int32 positions", len(ref.Seq))
+	}
+	ix := &Index{cfg: cfg, start: make([]int32, cfg.Buckets+1)}
+	hashes := kmerHashes(ref.Seq, cfg.K, cfg.Stride)
+
+	// Count each bucket's entries into start[b+1], then turn the counts
+	// into offsets.
+	for _, hash := range hashes {
 		b := ix.BucketOf(hash)
-		if cfg.MaxPositionsPerBucket > 0 && len(ix.buckets[b]) >= cfg.MaxPositionsPerBucket {
-			continue
+		if cfg.MaxPositionsPerBucket <= 0 || int(ix.start[b+1]) < cfg.MaxPositionsPerBucket {
+			ix.start[b+1]++
 		}
-		ix.buckets[b] = append(ix.buckets[b], entry{fp: fingerprint(hash), pos: int32(pos)})
+	}
+	for b := 0; b < cfg.Buckets; b++ {
+		ix.start[b+1] += ix.start[b]
+	}
+
+	// Fill in position order: a bucket takes positions until it holds its
+	// count, so it keeps the first ones.
+	ix.entries = make([]entry, ix.start[cfg.Buckets])
+	next := make([]int32, cfg.Buckets)
+	copy(next, ix.start)
+	for i, hash := range hashes {
+		b := ix.BucketOf(hash)
+		if next[b] < ix.start[b+1] {
+			ix.entries[next[b]] = entry{fp: fingerprint(hash), pos: int32(i * cfg.Stride)}
+			next[b]++
+		}
 	}
 	return ix, nil
+}
+
+// kmerHashes returns KmerHash of the k-mer at every stride-th position of
+// seq, in position order. It packs each base into a rolling register once
+// instead of re-packing k bases per position. The mask keeps the last k
+// bases; from k = 32 on the shift yields 0 and the mask all ones, so the
+// register keeps its last 32 bases, as KmerHash does.
+func kmerHashes(seq []byte, k, stride int) []uint64 {
+	if len(seq) < k {
+		return nil
+	}
+	mask := uint64(1)<<(2*k) - 1
+	hashes := make([]uint64, 0, (len(seq)-k)/stride+1)
+	var packed uint64
+	// at is the last base of the next k-mer to hash.
+	at := k - 1
+	for i, b := range seq {
+		packed = (packed<<2 | encodeBase(b)) & mask
+		if i == at {
+			hashes = append(hashes, mixKmer(packed))
+			at += stride
+		}
+	}
+	return hashes
+}
+
+// bucket returns the entries of bucket b.
+func (ix *Index) bucket(b int) []entry {
+	return ix.entries[ix.start[b]:ix.start[b+1]]
 }
 
 // Config returns the index configuration.
@@ -74,7 +134,7 @@ func (ix *Index) BucketOf(hash uint64) int {
 func (ix *Index) Lookup(hash uint64) []int32 {
 	fp := fingerprint(hash)
 	var out []int32
-	for _, e := range ix.buckets[ix.BucketOf(hash)] {
+	for _, e := range ix.bucket(ix.BucketOf(hash)) {
 		if e.fp == fp {
 			out = append(out, e.pos)
 		}
@@ -87,10 +147,10 @@ func (ix *Index) NumBuckets() int { return ix.cfg.Buckets }
 
 // BucketLen returns the occupancy of bucket b.
 func (ix *Index) BucketLen(b int) int {
-	if b < 0 || b >= len(ix.buckets) {
+	if b < 0 || b >= ix.cfg.Buckets {
 		return 0
 	}
-	return len(ix.buckets[b])
+	return int(ix.start[b+1] - ix.start[b])
 }
 
 // BankLayout places hash table buckets into DRAM banks and rows, matching
