@@ -63,12 +63,14 @@ race:
 	$(GO) test -race ./pkg/client
 
 # Quick regression signal on the allocation-free hot path, the
-# allocation ceiling of a cached POST /v1/run, and every covert channel
-# timed on a held machine.
+# allocation ceiling of a cached POST /v1/run, every covert channel
+# timed on a held machine, and the genomics layer: the seeding index
+# build and Figure 11's side-channel sweep.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig11SideChannel' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchtime 3x -benchmem ./internal/genomics
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
 # must be provably state-free, sequentially and under 8-way contention,

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/figures"
@@ -34,17 +35,22 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every read must fit in the reference, whose positions the index
+	// holds as int32.
+	if *refLen < figures.VictimReadLen || *refLen > math.MaxInt32 {
+		return fmt.Errorf("-ref-len must be between %d and %d, got %d", figures.VictimReadLen, math.MaxInt32, *refLen)
+	}
 	for _, f := range []struct {
 		name  string
 		value int
-	}{{"ref-len", *refLen}, {"reads", *reads}, {"banks", *single}} {
-		if f.value < 0 {
-			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.value)
+	}{{"reads", *reads}, {"sweeps", *sweeps}} {
+		if f.value < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.value)
 		}
 	}
 	// The device needs a power-of-two bank count within the DRAM geometry
 	// cap; checking here keeps a bad count from failing after the header.
-	if b := *single; b != 0 && (b&(b-1) != 0 || b > maxBanks) {
+	if b := *single; b < 0 || b != 0 && (b&(b-1) != 0 || b > maxBanks) {
 		return fmt.Errorf("-banks must be a power of two no larger than %d, got %d", maxBanks, b)
 	}
 
@@ -52,14 +58,14 @@ func run(args []string, stdout io.Writer) error {
 	if *single > 0 {
 		bankCounts = []int{*single}
 	}
+	results, err := figures.SideChannel(bankCounts, *refLen, *reads, *sweeps, *seed)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "%-8s %12s %10s %14s %14s\n", "banks", "Mb/s", "err%", "reads mapped", "victim acc%")
-	for _, banks := range bankCounts {
-		res, err := figures.SideChannelOnce(banks, *refLen, *reads, *sweeps, *seed)
-		if err != nil {
-			return err
-		}
+	for _, res := range results {
 		fmt.Fprintf(stdout, "%-8d %12.2f %10.2f %14d %14.2f\n",
-			banks, res.ThroughputMbps, res.ErrorRate*100, res.VictimReadsMapped, res.VictimAccuracy*100)
+			res.Banks, res.ThroughputMbps, res.ErrorRate*100, res.VictimReadsMapped, res.VictimAccuracy*100)
 	}
 	return nil
 }

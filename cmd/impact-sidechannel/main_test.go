@@ -29,12 +29,12 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestRunOnceSmall(t *testing.T) {
-	res, err := figures.SideChannelOnce(64, 1<<16, 500, 2, 7)
+	results, err := figures.SideChannel([]int{64}, 1<<16, 500, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Banks != 64 || res.Probes == 0 {
-		t.Fatalf("unexpected result: %+v", res)
+	if len(results) != 1 || results[0].Banks != 64 || results[0].Probes == 0 {
+		t.Fatalf("unexpected results: %+v", results)
 	}
 }
 
@@ -62,7 +62,15 @@ func TestRunFlagErrors(t *testing.T) {
 		want string // a substring of the error
 	}{
 		{[]string{"-reads", "-1"}, "-reads"},
+		{[]string{"-reads", "0"}, "-reads"},
 		{[]string{"-ref-len", "-5"}, "-ref-len"},
+		// Shorter than one victim read, and past the index's int32
+		// positions.
+		{[]string{"-ref-len", "100"}, "-ref-len"},
+		{[]string{"-ref-len", "3000000000"}, "-ref-len"},
+		// RunSideChannel would turn a non-positive sweep count into 8.
+		{[]string{"-sweeps", "0"}, "-sweeps"},
+		{[]string{"-sweeps", "-1"}, "-sweeps"},
 		{[]string{"-banks", "-4"}, "-banks"},
 		// WithBanks would round 18 down to 16; 3 and 131072 fail the
 		// device's geometry. All three must fail before the header.

@@ -24,10 +24,11 @@ func run(stdout io.Writer) error {
 	// The victim, on core 2, maps 20000 reads against a 1 Mbase reference
 	// whose seeding hash table spreads over 1024 DRAM banks; the attacker,
 	// on core 3, sweeps all of them six times.
-	res, err := figures.SideChannelOnce(1024, 1<<20, 20000, 6, 2024)
+	results, err := figures.SideChannel([]int{1024}, 1<<20, 20000, 6, 2024)
 	if err != nil {
 		return err
 	}
+	res := results[0]
 
 	fmt.Fprintln(stdout, "victim: genomic read mapping with PiM-offloaded seeding")
 	fmt.Fprintf(stdout, "  reads mapped: %d (%.1f%% placed within 64 bp of the true locus)\n",

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestReportRender(t *testing.T) {
@@ -188,6 +190,33 @@ func TestPooledFiguresMatchFresh(t *testing.T) {
 				t.Errorf("pass %d: report %d (%s) differs between pooled and fresh machines:\npooled: %+v\nfresh:  %+v",
 					pass, i, fresh[i].ID, pooled[i], fresh[i])
 			}
+		}
+	}
+}
+
+// TestSideChannelSweepMatchesSingleRuns requires a sweep that shares one
+// reference, index and read set between bank counts to report what a
+// separate call per bank count reports, so no run leaves state in the
+// shared set-up for the next.
+func TestSideChannelSweepMatchesSingleRuns(t *testing.T) {
+	sweep, err := SideChannel([]int{64, 128}, 1<<16, 500, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var singles []core.SideChannelResult
+	for _, banks := range []int{64, 128} {
+		res, err := SideChannel([]int{banks}, 1<<16, 500, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles = append(singles, res...)
+	}
+	if !reflect.DeepEqual(sweep, singles) {
+		t.Fatalf("sweep over 64 and 128 banks:\n%+v\nsingle runs:\n%+v", sweep, singles)
+	}
+	for i, banks := range []int{64, 128} {
+		if sweep[i].Banks != banks || sweep[i].Probes == 0 || sweep[i].VictimReadsMapped == 0 {
+			t.Fatalf("run %d at %d banks: %+v", i, banks, sweep[i])
 		}
 	}
 }

@@ -10,10 +10,39 @@ import (
 	"repro/internal/workloads"
 )
 
-// SideChannelOnce runs the Section 4.3 attack against a machine with the
-// given bank count, as New builds it. Fig11, impact-sidechannel, the
-// genomeleak example and the benches share it.
-func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.SideChannelResult, error) {
+// VictimReadLen is the length in bases of each read the Section 4.3 victim
+// maps; a reference must be at least this long.
+const VictimReadLen = 150
+
+// SideChannel runs the Section 4.3 attack once per bank count, each on a
+// machine with that many banks as New builds it. The reference, its
+// seeding index and the victim's reads are built once and shared by every
+// run, which only reads them. Fig11, impact-sidechannel, the genomeleak
+// example and the benches share it.
+func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([]core.SideChannelResult, error) {
+	ref := genomics.NewReference(refLen, seed)
+	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
+	if err != nil {
+		return nil, err
+	}
+	reads, err := genomics.SampleReads(ref, numReads, VictimReadLen, 0.02, seed+1)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]core.SideChannelResult, 0, len(bankCounts))
+	for _, banks := range bankCounts {
+		res, err := sideChannelOn(banks, ref, idx, reads, sweeps)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, res)
+	}
+	return results, nil
+}
+
+// sideChannelOn runs one attack on a pooled machine with the given bank
+// count and returns the machine to the pool before the next run takes one.
+func sideChannelOn(banks int, ref *genomics.Reference, idx *genomics.Index, reads []genomics.Read, sweeps int) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
 	// Background activity scales with machine size: the noise rate is
@@ -25,15 +54,6 @@ func SideChannelOnce(banks, refLen, numReads, sweeps int, seed uint64) (core.Sid
 		return core.SideChannelResult{}, err
 	}
 	defer machines.Put(m)
-	ref := genomics.NewReference(refLen, seed)
-	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
-	reads, err := genomics.SampleReads(ref, numReads, 150, 0.02, seed+1)
-	if err != nil {
-		return core.SideChannelResult{}, err
-	}
 	victim, err := genomics.NewMapper(m, m.Core(2), ref, idx, genomics.DefaultBankLayout(banks), reads, genomics.DefaultCosts())
 	if err != nil {
 		return core.SideChannelResult{}, err
@@ -57,14 +77,14 @@ func Fig11(scale Scale) (Report, error) {
 		4096: "falling, rising err",
 		8192: "2.56 Mb/s, <15% err",
 	}
-	for _, banks := range bankCounts {
-		res, err := SideChannelOnce(banks, refLen, reads, sweeps, 7)
-		if err != nil {
-			return Report{}, err
-		}
+	results, err := SideChannel(bankCounts, refLen, reads, sweeps, 7)
+	if err != nil {
+		return Report{}, err
+	}
+	for _, res := range results {
 		rep.Rows = append(rep.Rows, Row{
-			Label: fmt.Sprintf("%d banks", banks),
-			Paper: paper[banks],
+			Label: fmt.Sprintf("%d banks", res.Banks),
+			Paper: paper[res.Banks],
 			Measured: fmt.Sprintf("%s, %s err (victim mapped %d reads at %.0f%% accuracy)",
 				fmtMbps(res.ThroughputMbps), fmtPct(res.ErrorRate*100), res.VictimReadsMapped, res.VictimAccuracy*100),
 		})
