@@ -174,7 +174,8 @@ func TestBenchClusterMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := exp.NewServer(exp.NewEngine(exp.WithStore(store)), exp.WithWorkers(2))
+		srv := exp.NewServer(exp.NewEngine(exp.WithStore(store)), exp.WithWorkers(2),
+			exp.WithNodeIdentity(members[i].ID, "memory", n-1))
 		ts.Config.Handler = srv.Handler()
 		ts.Start()
 		urls[i] = ts.URL

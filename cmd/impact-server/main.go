@@ -14,9 +14,7 @@
 // durable pack store, so a restarted server answers previously computed
 // sweeps without re-simulating. The pack store appends results into large
 // bundle files behind a compact needle index — one seek per lookup at any
-// object count, with background compaction and a CRC auditor. Booting on
-// a data dir written by the retired one-file-per-result layout migrates
-// those entries into bundles once.
+// object count, with a background CRC auditor.
 //
 // With -data-dir the async job registry is durable too: accepted jobs
 // journal their spec and lifecycle under <data-dir>/jobs, SIGINT/SIGTERM
@@ -118,10 +116,8 @@ func run(args []string, ready chan<- string) error {
 	storeLabel := "memory"
 	var localStore exp.ResultStore
 	if *dataDir != "" {
-		// The pack engine keeps its bundles under <data-dir>/pack (migrating
-		// any legacy per-file fan-out it finds beside it — a one-way
-		// upgrade) and the job journal lives under "jobs"; the names cannot
-		// collide.
+		// The pack engine keeps its bundles under <data-dir>/pack and the
+		// job journal lives under "jobs"; the names cannot collide.
 		store, err := pack.Open(*dataDir)
 		if err != nil {
 			return err
@@ -132,9 +128,6 @@ func run(args []string, ready chan<- string) error {
 		defer store.Close()
 		localStore, storeLabel = store, "pack"
 		fmt.Fprintf(os.Stderr, "impact-server: pack result store at %s\n", store.Dir())
-		if n := store.PackStats().Migrated; n > 0 {
-			fmt.Fprintf(os.Stderr, "impact-server: migrated %d per-file result(s) into bundles\n", n)
-		}
 		journal, err := exp.NewJournal(filepath.Join(*dataDir, "jobs"))
 		if err != nil {
 			return err

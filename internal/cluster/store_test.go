@@ -234,9 +234,11 @@ func TestStorePutReplicates(t *testing.T) {
 	if _, ok := local.Get(context.Background(), keyAlphaBeta); !ok {
 		t.Fatal("Put did not land in the local tier synchronously")
 	}
+	// The peer holds the blob before the replicator counts the send, so
+	// wait for both.
 	waitFor(t, "replication to beta", func() bool {
 		got, ok := beta.get(keyAlphaBeta)
-		return ok && bytes.Equal(got, blob)
+		return ok && bytes.Equal(got, blob) && s.ClusterStats().ReplSent == 1
 	})
 	if _, ok := gamma.get(keyAlphaBeta); ok {
 		t.Fatal("blob replicated to gamma, which is not in the replica set")
@@ -272,7 +274,7 @@ func TestStoreReplicationRetries(t *testing.T) {
 	s.Put(context.Background(), keyAlphaBeta, json.RawMessage(`{"v":6}`))
 	waitFor(t, "retried replication to beta", func() bool {
 		_, ok := beta.get(keyAlphaBeta)
-		return ok
+		return ok && s.ClusterStats().ReplSent == 1
 	})
 	if st := s.ClusterStats(); st.ReplRetries < 2 || st.ReplSent != 1 {
 		t.Fatalf("stats after retried replication: %+v", st)

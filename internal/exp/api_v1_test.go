@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -180,13 +181,14 @@ func TestHealthzBuildInfo(t *testing.T) {
 	}
 }
 
-// TestPeerResultEndpoints pins the internal peer wire contract: PUT
-// stores a blob into the node's local tiers, GET serves it back framed
-// exactly like every other JSON body (blob + one newline), a malformed
-// key is a 400 before any store work, an absent key is a 404 with code
-// result_not_found, and non-JSON replica payloads are refused.
+// TestPeerResultEndpoints pins the internal peer wire contract on a
+// node with peers: PUT stores a blob into the node's local tiers, GET
+// serves it back framed exactly like every other JSON body (blob + one
+// newline), a malformed key is a 400 before any store work, an absent
+// key is a 404 with code result_not_found, and replica payloads that do
+// not decode as a report are refused.
 func TestPeerResultEndpoints(t *testing.T) {
-	h := NewServer(NewEngine(), WithWorkers(1)).Handler()
+	h := NewServer(NewEngine(), WithWorkers(1), WithNodeIdentity("n1", "memory", 2)).Handler()
 	key := strings.Repeat("ab", 32)
 	blob := `{"report":{"v":1}}`
 
@@ -209,8 +211,13 @@ func TestPeerResultEndpoints(t *testing.T) {
 		t.Fatalf("miss code = %q, want result_not_found", env.Err.Code)
 	}
 
-	if rec := doRequest(t, h, http.MethodPut, "/v1/internal/results/"+key, `{"broken`); rec.Code != http.StatusBadRequest {
-		t.Fatalf("PUT invalid JSON = %d, want 400", rec.Code)
+	for _, bad := range []string{`{"broken`, `[1,2]`} {
+		if rec := doRequest(t, h, http.MethodPut, "/v1/internal/results/"+key, bad); rec.Code != http.StatusBadRequest {
+			t.Fatalf("PUT %s = %d, want 400", bad, rec.Code)
+		}
+	}
+	if rec := doRequest(t, h, http.MethodGet, "/v1/internal/results/"+key, ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET after refused PUTs = %d, want 404", rec.Code)
 	}
 
 	if rec := doRequest(t, h, http.MethodPut, "/v1/internal/results/"+key, blob); rec.Code != http.StatusOK {
@@ -222,6 +229,39 @@ func TestPeerResultEndpoints(t *testing.T) {
 	}
 	if got := rec.Body.String(); got != blob+"\n" {
 		t.Fatalf("round-tripped body %q, want %q + newline", got, blob)
+	}
+}
+
+// TestPeerRoutesNeedPeers pins that a solo node serves no internal peer
+// route: both answer 404, so a client that PUTs a forged report under a
+// real run's key plants nothing, and the next /v1/run simulates the
+// honest bytes.
+func TestPeerRoutesNeedPeers(t *testing.T) {
+	const spec = `{"scenario": "covert-pnm", "scale": "quick"}`
+	fresh := doRequest(t, NewServer(NewEngine(), WithWorkers(1)).Handler(), http.MethodPost, "/v1/run", spec)
+	if fresh.Code != http.StatusOK {
+		t.Fatalf("fresh POST = %d: %s", fresh.Code, fresh.Body)
+	}
+	var sweep api.SweepResult
+	if err := json.Unmarshal(fresh.Body.Bytes(), &sweep); err != nil || len(sweep.Runs) != 1 {
+		t.Fatalf("fresh sweep = %s (%v)", fresh.Body, err)
+	}
+	key := sweep.Runs[0].Key
+
+	h := NewServer(NewEngine(), WithWorkers(1), WithNodeIdentity("solo", "memory", 0)).Handler()
+	forged := `{"id":"covert-pnm","title":"FORGED","rows":[]}`
+	if rec := doRequest(t, h, http.MethodPut, "/v1/internal/results/"+key, forged); rec.Code != http.StatusNotFound {
+		t.Fatalf("solo PUT = %d, want 404", rec.Code)
+	}
+	if rec := doRequest(t, h, http.MethodGet, "/v1/internal/results/"+key, ""); rec.Code != http.StatusNotFound {
+		t.Fatalf("solo GET = %d, want 404", rec.Code)
+	}
+	rec := doRequest(t, h, http.MethodPost, "/v1/run", spec)
+	if got := rec.Header().Get("X-Cache"); rec.Code != http.StatusOK || got != "miss" {
+		t.Fatalf("POST after forged PUT = %d, X-Cache %q; want 200, miss", rec.Code, got)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), fresh.Body.Bytes()) {
+		t.Fatalf("POST after forged PUT differs from a fresh engine's:\n%s", rec.Body)
 	}
 }
 

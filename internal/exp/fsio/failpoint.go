@@ -22,7 +22,6 @@ import (
 //	journal.status     a job's status/progress record
 //	pack.append        a needle appended to a pack bundle
 //	pack.index         the pack engine's persisted needle index
-//	pack.compact.swap  the index swap that retires a compacted bundle
 //	engine.run         one simulation, just before it starts
 var (
 	failpointsArmed atomic.Int32

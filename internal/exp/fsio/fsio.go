@@ -2,8 +2,7 @@
 // artifact the experiment service writes: the job journal and the pack
 // engine's bundles and index all publish bytes through the same
 // atomic-write discipline and frame them under the same checksummed-header
-// record format (which the legacy per-file result layout that pack
-// migrates also used), so one implementation (and one set of crash tests)
+// record format, so one implementation (and one set of crash tests)
 // covers every write path.
 package fsio
 

@@ -1,21 +1,23 @@
 package pack
 
+import "repro/internal/metrics"
+
 // The auditor is the store's answer to silent rot: content-addressed
 // results are written once and may sit unread for weeks, so the first
 // reader of a flipped bit would otherwise be a cache Get on somebody's
 // critical path. Instead, a background pass re-verifies needle CRCs a
 // batch at a time, dropping any entry whose bytes no longer match so
 // the next Get misses cleanly and the engine re-simulates a fresh copy.
-// Every drop is persisted immediately — a crash cannot resurrect an
-// entry the auditor already refused — and the orphaned needle bytes
-// become bundle garbage for the compactor.
+// Every batch's drops are persisted before Audit returns — a crash
+// cannot resurrect an entry the auditor already refused — and the
+// orphaned needle bytes stay behind as counted bundle garbage.
 //
 // A pass walks a snapshot of the index keys; keys added after the
-// snapshot wait for the next pass, keys dropped or repointed in the
-// meantime are re-read through the live index (never a stale entry).
-// The work is incremental by design: each maintenance tick verifies at
-// most the configured batch, so audit I/O stays a bounded tax no matter
-// how large the store grows.
+// snapshot wait for the next pass, and every key is re-read through the
+// live index, so one dropped in the meantime is skipped (never a stale
+// entry). The work is incremental by design: each background tick
+// verifies at most auditBatch needles, so audit I/O stays a bounded tax
+// no matter how large the store grows.
 
 // Audit re-verifies up to limit needles, continuing the current pass or
 // starting a new one if the previous pass finished. It returns the
@@ -66,4 +68,22 @@ func (s *Store) Audit(limit int) (checked, dropped int) {
 		s.met.Add(packAuditPasses, 1)
 	}
 	return checked, dropped
+}
+
+// dropEntryLocked removes one index entry, fixes live accounting, and
+// counts the drop under counter. It reports whether e was still the live
+// entry for key; a concurrent drop or a healing re-Put makes it a no-op.
+// It does not persist the index — callers batch durability.
+func (s *Store) dropEntryLocked(key string, e indexEntry, counter metrics.CounterID) bool {
+	cur, ok := s.index[key]
+	if !ok || cur != e {
+		return false
+	}
+	delete(s.index, key)
+	if b, ok := s.bundles[e.bundle]; ok {
+		b.live -= needleSize(e.n)
+	}
+	s.met.Add(counter, 1)
+	s.dirty++
+	return true
 }

@@ -3,11 +3,12 @@ package pack
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
 // benchStore opens a store tuned for benchmarking: background audit off
-// (the benchmarks drive maintenance explicitly) and index persistence
+// (the benchmarks drive the audit explicitly) and index persistence
 // deferred so preloads are not dominated by INDEX rewrites.
 func benchStore(b *testing.B, opts ...Option) *Store {
 	b.Helper()
@@ -48,34 +49,50 @@ func BenchmarkAuditThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCompact measures one compaction pass: every sealed bundle is
-// 75% garbage, so the pass re-copies one live needle in four and
-// unlinks the victims. Reported bytes are the garbage reclaimed.
+// BenchmarkCompact times what replaced compaction: the boot that
+// unlinks dead bundles. Each iteration preloads a store, drops every
+// needle in its sealed bundles, closes it, and times the Open that
+// unlinks them. Reported bytes are the dead bundles' bytes.
 func BenchmarkCompact(b *testing.B) {
 	const n = 4000
+	opts := []Option{WithAuditInterval(0), WithIndexEvery(1 << 30), WithBundleSize(1 << 16)}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := benchStore(b, WithBundleSize(1<<18))
+		st := benchStore(b, opts...)
 		for j := 0; j < n; j++ {
 			st.Put(context.Background(), testKey(j), testBlob(j))
 		}
 		st.mu.Lock()
-		for j := 0; j < n; j++ {
-			if j%4 != 0 {
-				key := testKey(j)
-				st.dropEntryLocked(key, st.index[key], packCorrupt)
+		var dead int64
+		for key, e := range st.index {
+			if e.bundle != st.active {
+				st.dropEntryLocked(key, e, packCorrupt)
+			}
+		}
+		for id, bd := range st.bundles {
+			if id != st.active {
+				dead += bd.size
 			}
 		}
 		st.mu.Unlock()
-		b.SetBytes(st.PackStats().GarbageBytes)
+		if dead == 0 {
+			b.Fatal("no sealed bundle to unlink")
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(dead)
 		b.StartTimer()
-		moved, err := st.Compact()
+		reopened, err := Open(filepath.Dir(st.Dir()), opts...)
+		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if moved == 0 {
-			b.Fatal("compaction moved nothing")
+		if got := reopened.PackStats(); got.Bundles != 1 || got.GarbageBytes != 0 {
+			b.Fatalf("boot left %+v, want the active bundle alone", got)
 		}
+		reopened.Close()
+		b.StartTimer()
 	}
 }
 

@@ -2,17 +2,14 @@
 // lookup latency flat while the object count grows past what a
 // file-per-result layout can carry.
 //
-// The retired per-file store spent one inode, one directory entry, and
-// one directory fsync per result; past ~10^5 objects the filesystem's
-// metadata paths dominate every operation.
-// The pack engine instead appends results into a few large append-only
-// bundle files, each record framed as a checksummed needle (magic, key,
-// length, CRC — see needle.go), and keeps a compact key → (bundle,
-// offset, length) index in memory, persisted to a single atomically
-// rewritten index file (see index.go). A Get is one index probe and one
-// pread regardless of whether the store holds a thousand results or a
-// million; a Put is one sequential append, with the bundle fsync and
-// index rewrite amortized over many writes instead of paid per object.
+// The store appends results into a few large append-only bundle files,
+// each record framed as a checksummed needle (magic, key, length, CRC —
+// see needle.go), and keeps a compact key → (bundle, offset, length)
+// index in memory, persisted to a single atomically rewritten index file
+// (see index.go). A Get is one index probe and one pread regardless of
+// whether the store holds a thousand results or a million; a Put is one
+// sequential append, with the bundle fsync and index rewrite amortized
+// over many writes instead of paid per object.
 //
 // Durability follows the shared fsio discipline, weakened only where
 // the content-addressed contract allows: the index file is always
@@ -20,17 +17,16 @@
 // may be lost to a power cut between index writes — a loss the engine
 // repairs by re-simulating, never a wrong answer. On boot, Open replays
 // each bundle's un-indexed tail to rebuild what the last index write
-// missed, truncates torn tails, migrates any per-file layout it finds
-// beside the pack dir, and unlinks bundles no live needle references.
+// missed, truncates torn tails, and unlinks bundles no live needle
+// references. Open reads nothing outside its own pack directory.
 //
-// Two background maintainers keep an aging store healthy: a compactor
-// rewrites bundles whose garbage fraction (dropped needles, duplicate
-// appends) crosses a threshold, swapping the index atomically and
-// unlinking the old bundle only after the new index is durable; and an
-// auditor incrementally re-verifies needle CRCs, dropping rotted
-// entries from the index so the next lookup heals them by
-// re-simulation. Both are observable through PackStats, exported on
-// /v1/metrics.
+// Reports are content-addressed, so Put never appends a key the index
+// already holds: the only dead bytes in a bundle are needles dropped as
+// corrupt, by a Get's CRC check or by the background auditor, which
+// re-verifies needle CRCs a batch at a time. Dead bytes are counted
+// (PackStats.GarbageBytes, exported on /v1/metrics) and never
+// rewritten; a bundle left with no live needle is unlinked at the next
+// boot.
 package pack
 
 import (
@@ -57,24 +53,19 @@ const (
 	packStores
 	packCorrupt
 	packErrors
-	packMigrated
 	packRecovered
 	packIndexWrites
-	packCompactions
-	packCompactedBytes
 	packAuditPasses
 	packAudited
 	packAuditCorrupt
 )
 
 // options collects the tunables; production defaults suit a server, the
-// tests shrink everything to force rotation/compaction/audit activity.
+// tests shrink everything to force rotation and audit activity.
 type options struct {
 	bundleSize    int64         // rotate the active bundle past this size
 	indexEvery    int           // persist the index every N mutations
-	garbageRatio  float64       // compact a sealed bundle past this garbage fraction
-	auditInterval time.Duration // background maintenance cadence (0 = disabled)
-	auditBatch    int           // needles re-verified per maintenance tick
+	auditInterval time.Duration // background audit cadence (0 = disabled)
 }
 
 // Option configures a Store at Open.
@@ -87,24 +78,19 @@ func WithBundleSize(n int64) Option { return func(o *options) { o.bundleSize = n
 // index file is rewritten (lower = less scan work on boot, more fsyncs).
 func WithIndexEvery(n int) Option { return func(o *options) { o.indexEvery = n } }
 
-// WithGarbageRatio sets the garbage fraction past which a sealed bundle
-// is compacted.
-func WithGarbageRatio(f float64) Option { return func(o *options) { o.garbageRatio = f } }
-
-// WithAuditInterval sets the background maintenance cadence; 0 disables
-// the background goroutine (Audit and Compact remain callable).
+// WithAuditInterval sets the background audit cadence; 0 disables the
+// background goroutine (Audit remains callable).
 func WithAuditInterval(d time.Duration) Option { return func(o *options) { o.auditInterval = d } }
 
-// WithAuditBatch sets how many needles each audit tick re-verifies.
-func WithAuditBatch(n int) Option { return func(o *options) { o.auditBatch = n } }
+// auditBatch is how many needles each background audit tick re-verifies.
+const auditBatch = 512
 
 // bundle is one on-disk bundle file plus its accounting.
 type bundle struct {
-	id        uint32
-	f         *os.File
-	size      int64 // bytes written (append offset)
-	live      int64 // bytes referenced by live index entries
-	indexedTo int64 // bytes covered by the last persisted index
+	id   uint32
+	f    *os.File
+	size int64 // bytes written (append offset)
+	live int64 // bytes referenced by live index entries
 }
 
 // Store is a pack-engine result store rooted at <dir>/pack. It
@@ -112,7 +98,6 @@ type bundle struct {
 // entries degrade to misses and heal on the next Put. Safe for
 // concurrent use.
 type Store struct {
-	root string // the -data-dir; scanned once for per-file migration
 	dir  string // <root>/pack
 	opts options
 	met  *metrics.Set
@@ -130,19 +115,14 @@ type Store struct {
 	wg sync.WaitGroup
 }
 
-// Open opens (creating if needed) a pack store under root/pack. Any
-// per-file store layout found directly under root (the two-hex-digit
-// fan-out the retired per-file backend wrote) is migrated into bundles
-// and removed — a one-way upgrade, after which the directory serves the
-// same keys with flat lookup cost. See the package comment for the boot
-// sequence.
+// Open opens (creating if needed) a pack store under root/pack. Nothing
+// else under root is read or touched. See the package comment for the
+// boot sequence.
 func Open(root string, opts ...Option) (*Store, error) {
 	o := options{
 		bundleSize:    256 << 20,
 		indexEvery:    1024,
-		garbageRatio:  0.5,
 		auditInterval: 30 * time.Second,
-		auditBatch:    512,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -150,7 +130,7 @@ func Open(root string, opts ...Option) (*Store, error) {
 	if o.bundleSize < needleSize(0) {
 		return nil, fmt.Errorf("pack: bundle size %d below minimum needle size", o.bundleSize)
 	}
-	if o.indexEvery < 1 || o.auditBatch < 1 || o.garbageRatio <= 0 || o.garbageRatio > 1 {
+	if o.indexEvery < 1 {
 		return nil, fmt.Errorf("pack: invalid options %+v", o)
 	}
 	dir := filepath.Join(root, "pack")
@@ -158,12 +138,11 @@ func Open(root string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("pack: %v", err)
 	}
 	s := &Store{
-		root: root,
 		dir:  dir,
 		opts: o,
 		met: metrics.NewSet("hits", "misses", "stores", "corrupt_dropped", "errors",
-			"migrated", "recovered_needles", "index_writes", "compactions",
-			"compacted_bytes", "audit_passes", "audited_needles", "audit_corrupt_dropped"),
+			"recovered_needles", "index_writes", "audit_passes", "audited_needles",
+			"audit_corrupt_dropped"),
 		index:   make(map[string]indexEntry),
 		bundles: make(map[uint32]*bundle),
 		nextID:  1,
@@ -172,7 +151,6 @@ func Open(root string, opts ...Option) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	s.migrate()
 	s.mu.Lock()
 	if s.dirty > 0 {
 		s.persistIndexLocked() // best-effort; a failure re-scans on next boot
@@ -403,28 +381,16 @@ func (s *Store) Get(_ context.Context, key string) (json.RawMessage, bool) {
 	} else {
 		s.met.Add(packErrors, 1)
 	}
-	s.dropCorrupt(key, e, packCorrupt)
+	s.mu.Lock()
+	if s.dropEntryLocked(key, e, packCorrupt) {
+		// Persist the drop now, so a crash cannot resurrect an entry a
+		// reader already refused. Best-effort: if it fails, the next read
+		// or audit re-derives the drop from the CRC.
+		s.persistIndexLocked()
+	}
+	s.mu.Unlock()
 	s.met.Add(packMisses, 1)
 	return nil, false
-}
-
-// dropCorrupt removes a damaged entry from the index and persists the
-// drop, so a crash cannot resurrect an entry a reader already refused.
-// The needle bytes stay behind as bundle garbage for the compactor.
-func (s *Store) dropCorrupt(key string, e indexEntry, counter metrics.CounterID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.index[key]
-	if !ok || cur != e {
-		return // raced with a concurrent drop or a healing re-Put
-	}
-	delete(s.index, key)
-	if b, ok := s.bundles[e.bundle]; ok {
-		b.live -= needleSize(e.n)
-	}
-	s.met.Add(counter, 1)
-	s.dirty++
-	s.persistIndexLocked() // best-effort; the drop is re-derived by audit if lost
 }
 
 // Put persists report bytes under a key: one append to the active
@@ -483,10 +449,9 @@ func (s *Store) appendLocked(key string, payload []byte) error {
 
 // persistIndexLocked rewrites the index file to match the in-memory
 // state: fsync the active bundle first (data before metadata), then
-// atomically replace INDEX. On success every bundle's watermark
-// advances to its current size. Best-effort for callers that treat the
-// index as an accelerator; returns the error for the swap paths that
-// must not proceed without durability.
+// atomically replace INDEX, whose per-bundle watermarks are the
+// bundles' current sizes. Best-effort for callers that treat the index
+// as an accelerator; Close returns the error.
 func (s *Store) persistIndexLocked() error {
 	err := func() error {
 		if err := fsio.Failpoint("pack.index"); err != nil {
@@ -509,16 +474,13 @@ func (s *Store) persistIndexLocked() error {
 		s.met.Add(packErrors, 1)
 		return err
 	}
-	for _, b := range s.bundles {
-		b.indexedTo = b.size
-	}
 	s.dirty = 0
 	s.met.Add(packIndexWrites, 1)
 	return nil
 }
 
-// background runs the maintenance loop: each tick re-verifies a batch
-// of needles and compacts any bundle past the garbage threshold.
+// background runs the audit loop: each tick re-verifies a batch of
+// needles.
 func (s *Store) background() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.opts.auditInterval)
@@ -528,13 +490,12 @@ func (s *Store) background() {
 		case <-s.bg:
 			return
 		case <-t.C:
-			s.Audit(s.opts.auditBatch)
-			s.Compact()
+			s.Audit(auditBatch)
 		}
 	}
 }
 
-// Close stops the maintenance loop, persists the index, and closes
+// Close stops the audit loop, persists the index, and closes
 // every bundle. The store serves misses (and drops writes) afterward.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -582,11 +543,8 @@ func (s *Store) PackStats() api.PackStats {
 	st.Stores = s.met.Value(packStores)
 	st.CorruptDropped = s.met.Value(packCorrupt)
 	st.Errors = s.met.Value(packErrors)
-	st.Migrated = s.met.Value(packMigrated)
 	st.RecoveredNeedles = s.met.Value(packRecovered)
 	st.IndexWrites = s.met.Value(packIndexWrites)
-	st.Compactions = s.met.Value(packCompactions)
-	st.CompactedBytes = s.met.Value(packCompactedBytes)
 	st.AuditPasses = s.met.Value(packAuditPasses)
 	st.AuditedNeedles = s.met.Value(packAudited)
 	st.AuditCorruptDropped = s.met.Value(packAuditCorrupt)

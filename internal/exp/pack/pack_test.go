@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,7 +29,7 @@ func testBlob(n int) json.RawMessage {
 
 // openTest opens a store with small, deterministic tuning: tiny bundles
 // so rotation happens, index persists on every mutation, and no
-// background goroutine so tests control compaction and audit timing.
+// background goroutine so tests control audit timing.
 func openTest(t *testing.T, root string, opts ...Option) *Store {
 	t.Helper()
 	base := []Option{
@@ -216,48 +217,63 @@ func TestPackDroppedEntryStaysDroppedAcrossReopen(t *testing.T) {
 }
 
 func TestPackCompaction(t *testing.T) {
+	// Dead bytes are counted and never rewritten: a drop leaves its
+	// needle in place as garbage, and the only reclamation is boot
+	// unlinking a bundle no live needle references.
 	dir := t.TempDir()
 	st := openTest(t, dir)
 	const n = 200
 	fill(t, st, n)
 	before := st.PackStats()
-	if before.Bundles < 3 {
-		t.Fatalf("need several bundles to compact, got %d", before.Bundles)
+	if before.Bundles < 3 || before.GarbageBytes != 0 {
+		t.Fatalf("need several garbage-free bundles, got %+v", before)
 	}
 
-	// Orphan most entries so sealed bundles cross the garbage threshold.
+	// Drop every needle of the first bundle and three in four elsewhere.
 	st.mu.Lock()
+	first := st.index[testKey(0)].bundle
+	var dropped int64
+	var survivors []int
 	for i := 0; i < n; i++ {
-		if i%4 != 0 {
-			key := testKey(i)
-			st.dropEntryLocked(key, st.index[key], packCorrupt)
+		key := testKey(i)
+		e := st.index[key]
+		if e.bundle == first || i%4 != 0 {
+			st.dropEntryLocked(key, e, packCorrupt)
+			dropped += needleSize(e.n)
+		} else {
+			survivors = append(survivors, i)
 		}
 	}
+	firstPath := st.bundlePath(first)
+	firstSize := st.bundles[first].size
 	st.mu.Unlock()
 
-	moved, err := st.Compact()
-	if err != nil || moved == 0 {
-		t.Fatalf("Compact = %d, %v", moved, err)
-	}
 	after := st.PackStats()
-	if after.Compactions == 0 || after.CompactedBytes == 0 {
-		t.Fatalf("compaction not accounted: %+v", after)
+	if after.GarbageBytes != dropped || after.LiveBytes+after.GarbageBytes != before.LiveBytes ||
+		after.Bundles != before.Bundles {
+		t.Fatalf("drops of %d bytes: before %+v after %+v", dropped, before, after)
 	}
-	if after.GarbageBytes >= before.GarbageBytes+before.LiveBytes {
-		t.Fatalf("compaction reclaimed nothing: before %+v after %+v", before, after)
-	}
-	for i := 0; i < n; i += 4 {
+	for _, i := range survivors {
 		got, ok := st.Get(context.Background(), testKey(i))
 		if !ok || !bytes.Equal(got, testBlob(i)) {
-			t.Fatalf("survivor %d lost by compaction: %q, %v", i, got, ok)
+			t.Fatalf("survivor %d = %q, %v after drops", i, got, ok)
 		}
 	}
-	st.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Survivors stay readable across a reopen (the swapped index is the
-	// one on disk).
+	// The reopen unlinks the all-dropped bundle and only it.
 	st2 := openTest(t, dir)
-	for i := 0; i < n; i += 4 {
+	if _, err := os.Stat(firstPath); !os.IsNotExist(err) {
+		t.Fatalf("all-dropped bundle survived boot: %v", err)
+	}
+	reopened := st2.PackStats()
+	if reopened.Bundles != before.Bundles-1 || reopened.GarbageBytes != dropped-firstSize {
+		t.Fatalf("after reopen %+v; want %d bundles, %d garbage bytes",
+			reopened, before.Bundles-1, dropped-firstSize)
+	}
+	for _, i := range survivors {
 		got, ok := st2.Get(context.Background(), testKey(i))
 		if !ok || !bytes.Equal(got, testBlob(i)) {
 			t.Fatalf("survivor %d lost after reopen: %q, %v", i, got, ok)
@@ -345,9 +361,11 @@ func TestPackTornTailTruncatedOnBoot(t *testing.T) {
 }
 
 func TestPackMigratesPerFileLayout(t *testing.T) {
+	// Open reads only <root>/pack. A fan-out directory of the retired
+	// one-file-per-result layout beside it is neither read nor removed:
+	// its keys miss (the engine re-simulates them to the same bytes) and
+	// its files, like the job journal's, stay exactly as they were.
 	root := t.TempDir()
-	// Hand-build the per-file layout the retired backend wrote: the same
-	// record framing, fanned out over two-hex-digit dirs.
 	const n = 30
 	for i := 0; i < n; i++ {
 		key := testKey(i)
@@ -355,55 +373,59 @@ func TestPackMigratesPerFileLayout(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		rec := fsio.EncodeRecord(legacyMagic, testBlob(i))
+		rec := fsio.EncodeRecord("impactstore1", testBlob(i))
 		if err := os.WriteFile(filepath.Join(dir, key), rec, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// One corrupt legacy entry: migration must drop it, like a per-file
-	// Get would.
-	badKey := testKey(n)
-	if err := os.MkdirAll(filepath.Join(root, badKey[:2]), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, badKey[:2], badKey), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The journal dir must survive migration untouched.
 	if err := os.MkdirAll(filepath.Join(root, "jobs"), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(root, "jobs", "SEQ"), []byte("journal"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := treeOutsidePack(t, root)
 
 	st := openTest(t, root)
 	for i := 0; i < n; i++ {
-		got, ok := st.Get(context.Background(), testKey(i))
-		if !ok || !bytes.Equal(got, testBlob(i)) {
-			t.Fatalf("migrated entry %d = %q, %v", i, got, ok)
+		if got, ok := st.Get(context.Background(), testKey(i)); ok {
+			t.Fatalf("legacy entry %d served: %q", i, got)
 		}
 	}
-	if _, ok := st.Get(context.Background(), badKey); ok {
-		t.Fatal("corrupt legacy entry migrated")
+	st.Put(context.Background(), testKey(n), testBlob(n))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	stats := st.PackStats()
-	if stats.Migrated != n {
-		t.Fatalf("migrated = %d, want %d", stats.Migrated, n)
+	if got := treeOutsidePack(t, root); !maps.Equal(got, want) {
+		t.Fatalf("files outside pack/ changed:\n got %v\nwant %v", got, want)
 	}
-	// The fan-out dirs are gone; jobs and pack remain.
-	des, err := os.ReadDir(root)
+}
+
+// treeOutsidePack maps every path under root, except the pack dir, to
+// its contents ("/" for a directory).
+func treeOutsidePack(t *testing.T, root string) map[string]string {
+	t.Helper()
+	tree := make(map[string]string)
+	err := filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if rel == "pack" {
+			return filepath.SkipDir
+		}
+		if de.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[rel] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range des {
-		if name := de.Name(); name != "jobs" && name != "pack" {
-			t.Fatalf("migration left %q behind", name)
-		}
-	}
-	// Idempotent: a reopen migrates nothing further.
-	st.Close()
-	st2 := openTest(t, root)
-	if got := st2.PackStats().Migrated; got != 0 {
-		t.Fatalf("second open migrated %d entries", got)
-	}
+	return tree
 }
 
 func TestPackFailpointAppend(t *testing.T) {
@@ -455,43 +477,42 @@ func TestPackFailpointIndexRecoversByScan(t *testing.T) {
 }
 
 func TestPackFailpointCompactSwap(t *testing.T) {
+	// The crash window of a drop: a Get refuses a corrupt needle, but the
+	// index write that would persist the drop dies, and the process
+	// crashes before the next one. The stale index still points at the
+	// needle after a reboot, so the CRC check must drop it again rather
+	// than serve it.
 	dir := t.TempDir()
 	st := openTest(t, dir)
-	const n = 120
-	fill(t, st, n)
+	st.Put(context.Background(), testKey(0), testBlob(0))
+	st.Put(context.Background(), testKey(1), testBlob(1))
+	corruptNeedle(t, st, testKey(0))
+	injected := errors.New("injected")
+	fsio.SetFailpoint("pack.index", func() error { return injected })
+	_, ok := st.Get(context.Background(), testKey(0))
+	fsio.SetFailpoint("pack.index", nil)
+	if ok {
+		t.Fatal("corrupt needle served")
+	}
+	if got := st.PackStats().Errors; got != 1 {
+		t.Fatalf("errors = %d, want 1 (the failed index write)", got)
+	}
+	// Abandon without Close — simulate the crash (Close would persist).
 	st.mu.Lock()
-	for i := 0; i < n; i++ {
-		if i%2 != 0 {
-			key := testKey(i)
-			st.dropEntryLocked(key, st.index[key], packCorrupt)
-		}
+	for _, b := range st.bundles {
+		b.f.Sync()
 	}
 	st.mu.Unlock()
 
-	injected := errors.New("injected")
-	fsio.SetFailpoint("pack.compact.swap", func() error { return injected })
-	if _, err := st.Compact(); !errors.Is(err, injected) {
-		t.Fatalf("Compact with armed swap failpoint = %v", err)
-	}
-	fsio.SetFailpoint("pack.compact.swap", nil)
-
-	// Nothing lost: every survivor readable, both live and after reopen.
-	for i := 0; i < n; i += 2 {
-		if _, ok := st.Get(context.Background(), testKey(i)); !ok {
-			t.Fatalf("survivor %d lost to aborted compaction", i)
-		}
-	}
-	// Retrying succeeds and actually reclaims.
-	if moved, err := st.Compact(); err != nil || moved == 0 {
-		t.Fatalf("Compact retry = %d, %v", moved, err)
-	}
-	st.Close()
 	st2 := openTest(t, dir)
-	for i := 0; i < n; i += 2 {
-		got, ok := st2.Get(context.Background(), testKey(i))
-		if !ok || !bytes.Equal(got, testBlob(i)) {
-			t.Fatalf("survivor %d wrong after reopen: %q, %v", i, got, ok)
-		}
+	if got, ok := st2.Get(context.Background(), testKey(0)); ok {
+		t.Fatalf("corrupt needle served after the crash: %q", got)
+	}
+	if got := st2.PackStats().CorruptDropped; got != 1 {
+		t.Fatalf("corrupt_dropped after reboot = %d, want 1 (the CRC check's drop)", got)
+	}
+	if got, ok := st2.Get(context.Background(), testKey(1)); !ok || !bytes.Equal(got, testBlob(1)) {
+		t.Fatalf("sibling entry = %q, %v after the crash", got, ok)
 	}
 }
 
@@ -509,9 +530,6 @@ func TestPackConcurrentAccess(t *testing.T) {
 		st.Get(context.Background(), testKey(i%50))
 		if i%37 == 0 {
 			st.Audit(8)
-		}
-		if i%53 == 0 {
-			st.Compact()
 		}
 	}
 	<-done

@@ -247,8 +247,6 @@ func TestJournalCorruptSeqFallsBack(t *testing.T) {
 // pack.index (the index persist — the pack.index-only case is the
 // interesting one, where appends land durably but the index write dies,
 // so a reboot must rebuild them by scanning the bundle tail).
-// pack.compact.swap is exercised by the pack package's own crash tests;
-// compaction never runs in the submit path.
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")

@@ -99,12 +99,12 @@ func TestServerRestartDurability(t *testing.T) {
 	}
 }
 
-// TestPackMigrationServesByteIdentical is the acceptance test for the
-// per-file → pack upgrade at the serving layer: results in the retired
-// one-file-per-result layout (the "impactstore1" record framing at
-// <dir>/<key[:2]>/<key>) are migrated into bundles by pack.Open on the
-// same data dir and served with X-Cache: hit and byte-identical bodies —
-// no re-simulation, no per-file layout left behind.
+// TestPackMigrationServesByteIdentical pins what happens to a data dir
+// written in the retired one-file-per-result layout (the "impactstore1"
+// record framing at <dir>/<key[:2]>/<key>): pack.Open reads only
+// <dir>/pack, so the legacy results miss and are re-simulated to the
+// same bytes — reports are content-addressed — then served from the pack
+// store, while the legacy files stay exactly as they were.
 func TestPackMigrationServesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
@@ -119,12 +119,15 @@ func TestPackMigrationServesByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(cold.Body.Bytes(), &sweep); err != nil {
 		t.Fatal(err)
 	}
+	legacy := make(map[string][]byte, len(sweep.Runs))
 	for _, rr := range sweep.Runs {
 		fanout := filepath.Join(dir, rr.Key[:2])
 		if err := os.MkdirAll(fanout, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(fanout, rr.Key), fsio.EncodeRecord("impactstore1", rr.Report), 0o644); err != nil {
+		path := filepath.Join(fanout, rr.Key)
+		legacy[path] = fsio.EncodeRecord("impactstore1", rr.Report)
+		if err := os.WriteFile(path, legacy[path], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,31 +135,38 @@ func TestPackMigrationServesByteIdentical(t *testing.T) {
 	// "Upgrade restart": the same data dir, opened by the pack store —
 	// exactly what impact-server -data-dir does on boot.
 	st := openPack(t, dir)
-	if n := st.PackStats().Migrated; n != 2 {
-		t.Fatalf("migrated = %d, want 2 (one per unique run)", n)
+	first := doRequest(t, NewServer(NewEngine(WithStore(st)), WithWorkers(2)).Handler(), http.MethodPost, "/v1/run", restartSpec)
+	if first.Code != http.StatusOK {
+		t.Fatalf("first POST = %d: %s", first.Code, first.Body)
 	}
+	if got := first.Header().Get("X-Cache"); got != "miss" {
+		t.Fatalf("first POST X-Cache = %q, want miss", got)
+	}
+	if !bytes.Equal(cold.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatal("re-simulated response is not byte-identical to a fresh engine's")
+	}
+
+	// A fresh engine over the same store: its memory tier is empty, so
+	// the hit comes from the pack store.
 	eng := NewEngine(WithStore(st))
-	migrated := doRequest(t, NewServer(eng, WithWorkers(2)).Handler(), http.MethodPost, "/v1/run", restartSpec)
-	if migrated.Code != http.StatusOK {
-		t.Fatalf("migrated POST = %d: %s", migrated.Code, migrated.Body)
+	second := doRequest(t, NewServer(eng, WithWorkers(2)).Handler(), http.MethodPost, "/v1/run", restartSpec)
+	if got := second.Header().Get("X-Cache"); got != "hit" {
+		t.Fatalf("second POST X-Cache = %q, want hit", got)
 	}
-	if got := migrated.Header().Get("X-Cache"); got != "hit" {
-		t.Fatalf("migrated POST X-Cache = %q, want hit", got)
-	}
-	if !bytes.Equal(cold.Body.Bytes(), migrated.Body.Bytes()) {
-		t.Fatal("pack-served response is not byte-identical to the per-file one")
+	if !bytes.Equal(cold.Body.Bytes(), second.Body.Bytes()) {
+		t.Fatal("pack-served response is not byte-identical to a fresh engine's")
 	}
 	if c := eng.Cache().Stats().Computes; c != 0 {
-		t.Fatalf("pack engine simulated %d runs after migration, want 0", c)
+		t.Fatalf("second engine simulated %d runs, want 0", c)
 	}
-	// The fan-out layout is gone: only pack (and any journal) remain.
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if hits := st.PackStats().Hits; hits != 2 {
+		t.Fatalf("store hits = %d, want 2 (one per unique run)", hits)
 	}
-	for _, de := range des {
-		if name := de.Name(); name != "pack" && name != "jobs" {
-			t.Fatalf("per-file layout %q survived migration", name)
+
+	// The legacy files are untouched.
+	for path, want := range legacy {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("legacy file %s changed: %v", path, err)
 		}
 	}
 }

@@ -54,7 +54,8 @@ type Server struct {
 	jobs    *Jobs
 	met     *metrics.Groups
 
-	// Cluster identity, surfaced on /healthz (see WithNodeIdentity).
+	// Cluster identity, surfaced on /healthz; peers > 0 also mounts the
+	// internal peer routes (see WithNodeIdentity).
 	nodeID    string
 	storeKind string
 	peers     int
@@ -84,9 +85,12 @@ func WithJournal(jl *Journal) ServerOption {
 
 // WithNodeIdentity names this node for /healthz: its cluster node ID,
 // the configured store backend ("memory" or "pack"), and how many
-// peers its ring knows about (0 for a solo node). Identity is
-// observability only — placement and routing live in the cluster store,
-// not the HTTP layer.
+// peers its ring knows about (0, the default, for a solo node). The
+// peer count also gates the internal peer routes: Handler mounts
+// GET and PUT /v1/internal/results/{key} only when it is above 0, so a
+// solo node answers 404 there and no client can plant a result in its
+// store. Placement and routing live in the cluster store, not the HTTP
+// layer.
 func WithNodeIdentity(nodeID, storeKind string, peers int) ServerOption {
 	return func(s *Server) { s.nodeID, s.storeKind, s.peers = nodeID, storeKind, peers }
 }
@@ -154,6 +158,7 @@ const (
 
 // Handler returns the route table, wrapped so every response — including
 // the uninstrumented observability endpoints — carries an X-Request-ID.
+// The internal peer routes exist only on a node with peers.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -166,8 +171,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument(routeJobStatus, s.handleJobStatus))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.instrument(routeJobCancel, s.handleJobCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.instrument(routeJobStream, s.handleJobStream))
-	mux.HandleFunc("GET /v1/internal/results/{key}", s.instrument(routePeerGet, s.handlePeerGet))
-	mux.HandleFunc("PUT /v1/internal/results/{key}", s.instrument(routePeerPut, s.handlePeerPut))
+	if s.peers > 0 {
+		mux.HandleFunc("GET /v1/internal/results/{key}", s.instrument(routePeerGet, s.handlePeerGet))
+		mux.HandleFunc("PUT /v1/internal/results/{key}", s.instrument(routePeerPut, s.handlePeerPut))
+	}
 	return withRequestID(mux)
 }
 
@@ -518,9 +525,11 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 // into this node's local tiers. Like handlePeerGet it stays strictly
 // local — storing through the cluster store's Put would re-enqueue the
 // blob for replication and echo it around the replica set forever. The
-// body must be valid JSON (it is re-served verbatim by handlePeerGet),
-// but is otherwise opaque: content addressing means a peer that sends
-// bytes for a key it computed honestly can only send the right bytes.
+// body must decode as a report (it is re-served verbatim by
+// handlePeerGet and decoded by every reader), but is otherwise opaque:
+// content addressing means a peer that sends bytes for a key it computed
+// honestly can only send the right bytes. Whoever can reach this route
+// can write results, which is why only a node with peers mounts it.
 func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validResultKey(key) {
@@ -538,9 +547,9 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("result larger than %d bytes", maxPeerResultBytes))
 		return
 	}
-	if !json.Valid(body) {
+	if _, err := DecodeReport(body); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Errorf("exp: replicated result %s is not valid JSON", key))
+			fmt.Errorf("exp: replicated result %s is not a report: %v", key, err))
 		return
 	}
 	s.engine.Cache().PutLocal(r.Context(), key, body)

@@ -1,6 +1,7 @@
 package genomics
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,7 +79,7 @@ func TestIndexLookupFindsIndexedKmers(t *testing.T) {
 	check := func(posRaw uint16) bool {
 		pos := int(posRaw) % (len(ref.Seq) - cfg.K)
 		hash := KmerHash(ref.Seq[pos:], cfg.K)
-		for _, p := range idx.Lookup(hash) {
+		for _, p := range idx.Lookup(nil, hash) {
 			if string(ref.Seq[p:int(p)+cfg.K]) == string(ref.Seq[pos:pos+cfg.K]) {
 				return true
 			}
@@ -89,6 +90,25 @@ func TestIndexLookupFindsIndexedKmers(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Into a buffer with room for a full bucket, Lookup appends in place,
+	// keeps what the buffer already held, and does not allocate.
+	hash := KmerHash(ref.Seq[100:], cfg.K)
+	want := idx.Lookup(nil, hash)
+	if len(want) == 0 {
+		t.Fatal("Lookup found no position for an indexed k-mer")
+	}
+	buf := make([]int32, 1, 1+cfg.MaxPositionsPerBucket)
+	buf[0] = -1
+	if got := idx.Lookup(buf, hash); &got[0] != &buf[0] || !slices.Equal(got, append([]int32{-1}, want...)) {
+		t.Fatalf("Lookup into a buffer = %v, want [-1] + %v in place", got, want)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation counts are meaningless")
+	}
+	if n := testing.AllocsPerRun(10, func() { idx.Lookup(buf[:1], hash) }); n != 0 {
+		t.Fatalf("Lookup into a buffer with capacity made %.0f allocations, want 0", n)
 	}
 }
 

@@ -128,18 +128,18 @@ func (ix *Index) BucketOf(hash uint64) int {
 	return int(hash % uint64(ix.cfg.Buckets))
 }
 
-// Lookup returns the candidate positions recorded for this exact k-mer hash
-// (bucket entries with a different fingerprint are collisions of other
-// k-mers and are filtered out).
-func (ix *Index) Lookup(hash uint64) []int32 {
+// Lookup appends to dst the candidate positions recorded for this exact
+// k-mer hash, in reference order, and returns the extended slice (bucket
+// entries with a different fingerprint are collisions of other k-mers
+// and are filtered out). It allocates only when dst lacks capacity.
+func (ix *Index) Lookup(dst []int32, hash uint64) []int32 {
 	fp := fingerprint(hash)
-	var out []int32
 	for _, e := range ix.bucket(ix.BucketOf(hash)) {
 		if e.fp == fp {
-			out = append(out, e.pos)
+			dst = append(dst, e.pos)
 		}
 	}
-	return out
+	return dst
 }
 
 // NumBuckets returns the table size.

@@ -73,6 +73,7 @@ type Mapper struct {
 	offset  int
 	anchors []Anchor
 	results []MapResult
+	hits    []int32 // Lookup's buffer, reused across seeding probes
 }
 
 // NewMapper builds the victim over an existing machine. core selects which
@@ -147,7 +148,8 @@ func (v *Mapper) Step() error {
 		if v.onTouch != nil {
 			v.onTouch(bank, row, v.core.Now())
 		}
-		for _, pos := range v.idx.Lookup(hash) {
+		v.hits = v.idx.Lookup(v.hits[:0], hash)
+		for _, pos := range v.hits {
 			v.anchors = append(v.anchors, Anchor{ReadPos: v.offset, RefPos: int(pos)})
 		}
 		v.offset += cfg.QueryStride

@@ -9,7 +9,7 @@
 package workloads
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -24,12 +24,17 @@ type Graph struct {
 
 // NewRandomGraph builds a graph with n vertices and approximately n*degree
 // edges using a skewed (preferential-ish) endpoint distribution so some
-// vertices are hubs, as in real graph workloads.
+// vertices are hubs, as in real graph workloads. Each vertex's neighbours
+// are sorted. The build draws every edge, counts each source's
+// out-degree, turns the counts into offsets and fills the edge array
+// through a per-vertex cursor, so it makes the same few allocations at
+// every graph size.
 func NewRandomGraph(n, degree int, seed uint64) *Graph {
 	rng := stats.NewRNG(seed)
-	adj := make([][]int32, n)
 	m := n * degree
-	for i := 0; i < m; i++ {
+	g := &Graph{N: n, Offsets: make([]int32, n+1), Edges: make([]int32, m)}
+	drawn := make([][2]int32, m) // (src, dst) in draw order
+	for i := range drawn {
 		src := rng.Intn(n)
 		var dst int
 		if rng.Bool(0.25) {
@@ -43,16 +48,20 @@ func NewRandomGraph(n, degree int, seed uint64) *Graph {
 		if dst == src {
 			dst = (dst + 1) % n
 		}
-		adj[src] = append(adj[src], int32(dst))
+		drawn[i] = [2]int32{int32(src), int32(dst)}
+		g.Offsets[src+1]++
 	}
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		g.Offsets[v+1] = g.Offsets[v] + int32(len(adj[v]))
+		g.Offsets[v+1] += g.Offsets[v]
 	}
-	g.Edges = make([]int32, 0, m)
+	next := make([]int32, n)
+	copy(next, g.Offsets)
+	for _, e := range drawn {
+		g.Edges[next[e[0]]] = e[1]
+		next[e[0]]++
+	}
 	for v := 0; v < n; v++ {
-		g.Edges = append(g.Edges, adj[v]...)
+		slices.Sort(g.Edges[g.Offsets[v]:g.Offsets[v+1]])
 	}
 	return g
 }

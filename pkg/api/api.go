@@ -225,26 +225,23 @@ type CacheStats struct {
 // PackStats is the pack-engine section of /v1/metrics, present only when
 // the server runs with a -data-dir. CorruptDropped counts entries that
 // failed checksum validation and were dropped; Errors counts I/O failures
-// that degraded to misses or dropped writes. Migrated counts legacy
-// per-file entries carried into bundles at boot;
-// RecoveredNeedles counts appends rebuilt by the boot tail scan (writes
-// newer than the last index file). IndexWrites counts atomic index
-// rewrites. Compactions/CompactedBytes account for garbage-bundle
-// rewrites, and the Audit* counters for the background CRC re-verifier:
-// passes completed, needles checked, and entries dropped (then healed by
+// that degraded to misses or dropped writes. RecoveredNeedles counts
+// appends rebuilt by the boot tail scan (writes newer than the last
+// index file). IndexWrites counts atomic index rewrites. The Audit*
+// counters account for the background CRC re-verifier: passes
+// completed, needles checked, and entries dropped (then healed by
 // re-simulation on next access). Bundles/IndexEntries/LiveBytes/
-// GarbageBytes are point-in-time gauges of the on-disk layout.
+// GarbageBytes are point-in-time gauges of the on-disk layout;
+// GarbageBytes are the needles dropped as corrupt, which stay in their
+// bundle until it holds no live needle and a boot unlinks it.
 type PackStats struct {
 	Hits                int64 `json:"hits"`
 	Misses              int64 `json:"misses"`
 	Stores              int64 `json:"stores"`
 	CorruptDropped      int64 `json:"corrupt_dropped"`
 	Errors              int64 `json:"errors"`
-	Migrated            int64 `json:"migrated"`
 	RecoveredNeedles    int64 `json:"recovered_needles"`
 	IndexWrites         int64 `json:"index_writes"`
-	Compactions         int64 `json:"compactions"`
-	CompactedBytes      int64 `json:"compacted_bytes"`
 	AuditPasses         int64 `json:"audit_passes"`
 	AuditedNeedles      int64 `json:"audited_needles"`
 	AuditCorruptDropped int64 `json:"audit_corrupt_dropped"`
