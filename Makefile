@@ -90,8 +90,9 @@ coldpath-smoke:
 # The -full paper figures, pinned by digest: the SHA-256 of
 # `impact-figures -full -json` must equal the committed
 # cmd/impact-figures/testdata/full.sha256. It is the only check that
-# reaches the -full point lists (Figures 2, 3 and 9, §7.4); at ~46 s on
-# 2 vCPUs, 44 s of it Figure 12, it is too slow for `make test`.
+# reaches the -full point lists (Figures 2, 3 and 9, §7.4). It takes ~5 s
+# on 2 vCPUs, Figure 12 ~3.5 s of it, and stays out of `make test`, which
+# runs only quick scale.
 figures-full:
 	@want=$$(cat cmd/impact-figures/testdata/full.sha256); \
 	got=$$($(GO) run ./cmd/impact-figures -full -json | sha256sum | cut -d' ' -f1); \

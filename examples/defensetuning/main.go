@@ -39,18 +39,21 @@ func run(stdout io.Writer) error {
 		{EpochCycles: 10400, ConflictThreshold: 1, PenaltyEpochs: 64},
 	}
 
-	suite := workloads.SmallSuiteConfig()
+	mems := make([]memctrl.Config, len(configs))
+	for i, act := range configs {
+		mems[i] = memctrl.DefaultConfig()
+		mems[i].Defense = memctrl.DefenseAdaptive
+		mems[i].ACT = act
+	}
+	// One call runs the workloads once and re-times them under every
+	// configuration.
+	rows, err := workloads.RunDefenseComparison(workloads.SmallSuiteConfig(), mems)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "%-42s %14s %16s\n", "ACT configuration", "slowdown", "attack residual")
-	for _, act := range configs {
-		mem := memctrl.DefaultConfig()
-		mem.Defense = memctrl.DefenseAdaptive
-		mem.ACT = act
-
-		rows, err := workloads.RunDefenseComparison(suite, []memctrl.Config{mem})
-		if err != nil {
-			return err
-		}
-		attack, err := figures.RunPnMUnder(mem, msg)
+	for i, act := range configs {
+		attack, err := figures.RunPnMUnder(mems[i], msg)
 		if err != nil {
 			return err
 		}
@@ -59,7 +62,7 @@ func run(stdout io.Writer) error {
 			residual = 100 * attack.EffectiveThroughputMbps / baseline.EffectiveThroughputMbps
 		}
 		fmt.Fprintf(stdout, "epoch=%5dcyc threshold=%d penalty=%4d epochs %13.3fx %15.1f%%\n",
-			act.EpochCycles, act.ConflictThreshold, act.PenaltyEpochs, rows[0].GMean, residual)
+			act.EpochCycles, act.ConflictThreshold, act.PenaltyEpochs, rows[i].GMean, residual)
 	}
 	fmt.Fprintln(stdout, "\nslowdown = GMEAN normalized execution time over BC/BFS/CC/TC/XS")
 	fmt.Fprintln(stdout, "attack residual = IMPACT-PnM effective throughput vs. an undefended system")

@@ -22,9 +22,9 @@
 //
 // Reports are content-addressed, so Put never appends a key the index
 // already holds: the only dead bytes in a bundle are needles dropped as
-// corrupt, by a Get's CRC check or by the background auditor, which
-// re-verifies needle CRCs a batch at a time. Dead bytes are counted
-// (PackStats.GarbageBytes, exported on /v1/metrics) and never
+// corrupt, by a Get's CRC check, by the boot scan, or by the background
+// auditor, which re-verifies needle CRCs a batch at a time. Dead bytes
+// are counted (PackStats.GarbageBytes, exported on /v1/metrics) and never
 // rewritten; a bundle left with no live needle is unlinked at the next
 // boot.
 package pack
@@ -276,9 +276,13 @@ func (s *Store) recover() error {
 }
 
 // scanTail replays one bundle's needles from offset from, adding any key
-// the index does not already hold. The scan stops at the first frame
-// that fails to decode — everything past it is a torn tail or rot — and
-// truncates the file there so the append offset is trustworthy again.
+// the index does not already hold. A needle whose header decodes and
+// whose payload is all there but fails its CRC is counted as corrupt and
+// skipped: the header's length still frames the next needle, and the
+// skipped bytes stay dead. The scan stops at the first header that fails
+// to decode or the first frame cut short — past either the framing is
+// lost — and truncates the file there so the append offset is
+// trustworthy again.
 func (s *Store) scanTail(b *bundle, from int64) {
 	if from >= b.size {
 		return
@@ -299,12 +303,10 @@ func (s *Store) scanTail(b *bundle, from int64) {
 		if _, err := io.ReadFull(rd, payload); err != nil {
 			break // torn mid-payload
 		}
+		key := hexKey(h.key)
 		if !h.checkPayload(payload) {
 			s.met.Add(packCorrupt, 1)
-			break
-		}
-		key := hexKey(h.key)
-		if _, dup := s.index[key]; !dup {
+		} else if _, dup := s.index[key]; !dup {
 			s.index[key] = indexEntry{bundle: b.id, off: off, n: h.n}
 			s.met.Add(packRecovered, 1)
 			s.dirty++

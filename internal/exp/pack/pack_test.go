@@ -129,6 +129,36 @@ func TestPackScanRebuildsDeletedIndex(t *testing.T) {
 	if rec := st2.PackStats().RecoveredNeedles; rec != n {
 		t.Fatalf("recovered %d needles, want %d", rec, n)
 	}
+
+	// A rotted payload inside intact framing costs only its own needle:
+	// the scan skips it and keeps the healthy needles after it.
+	dir = t.TempDir()
+	st3 := openTest(t, dir)
+	fill(t, st3, 5)
+	if got := st3.PackStats().Bundles; got != 1 {
+		t.Fatalf("5 needles filled %d bundles, want 1", got)
+	}
+	corruptNeedle(t, st3, testKey(1))
+	st3.Close()
+	if err := os.Remove(filepath.Join(dir, "pack", indexName)); err != nil {
+		t.Fatal(err)
+	}
+	st4 := openTest(t, dir)
+	for _, i := range []int{0, 2, 3, 4} {
+		if got, ok := st4.Get(context.Background(), testKey(i)); !ok || !bytes.Equal(got, testBlob(i)) {
+			t.Fatalf("after a rotted needle 1, Get(%d) = %q, %v", i, got, ok)
+		}
+	}
+	if _, ok := st4.Get(context.Background(), testKey(1)); ok {
+		t.Fatal("rotted needle served")
+	}
+	ps := st4.PackStats()
+	if ps.RecoveredNeedles != 4 || ps.CorruptDropped != 1 {
+		t.Fatalf("recovered %d needles and dropped %d, want 4 and 1", ps.RecoveredNeedles, ps.CorruptDropped)
+	}
+	if want := needleSize(len(testBlob(1))); ps.GarbageBytes != want {
+		t.Fatalf("garbage = %d bytes, want needle 1's %d", ps.GarbageBytes, want)
+	}
 }
 
 func TestPackCorruptIndexFallsBackToScan(t *testing.T) {
@@ -200,7 +230,7 @@ func TestPackDroppedEntryStaysDroppedAcrossReopen(t *testing.T) {
 	// The drop-durability guarantee: once a reader refuses a corrupt
 	// needle, no restart may resurrect it — the drop is persisted before
 	// Get returns, and the boot scan must not re-index the bad needle
-	// (its CRC fails, ending the tail scan).
+	// (its CRC fails, so the scan skips it).
 	dir := t.TempDir()
 	st := openTest(t, dir)
 	st.Put(context.Background(), testKey(0), testBlob(0))

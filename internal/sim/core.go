@@ -29,10 +29,12 @@ func newCore(m *Machine, id int, hcfg cache.HierarchyConfig, llc *cache.Cache, b
 	}
 	c := &Core{m: m, id: id, hier: hier}
 	// Page-table walks go through the shared LLC to DRAM: the first walk
-	// of a page disturbs a row buffer, repeats mostly hit the LLC.
+	// of a page disturbs a row buffer, repeats mostly hit the LLC. Each
+	// level marks its entry as demanded, since its fill moves the clock.
 	const pageTableBase = 0x7f00_0000_0000
 	c.mmu = tlb.DefaultMMU(func(now int64, level int, vaddr uint64) int64 {
 		pte := pageTableBase + (vaddr>>12)*8 + uint64(level)*(1<<28)
+		m.demand = pte
 		return llc.Access(now, pte, false)
 	})
 	return c, nil
@@ -115,11 +117,13 @@ func (c *Core) TranslateTouch(vaddr uint64) int64 {
 // Load performs a demand load at the given virtual address and program
 // counter: address translation (possibly a page-table walk) followed by the
 // cache hierarchy. The clock advances by the total latency, which is also
-// returned.
+// returned. It marks vaddr as demanded, so a Trace can tell its fill from
+// the requests the clock does not wait for.
 //
 //impact:hotpath
 func (c *Core) Load(vaddr uint64, pc uint64) int64 {
 	lat := c.mmu.Translate(c.clock, vaddr, false)
+	c.m.demand = vaddr
 	lat += c.hier.Load(c.clock+lat, vaddr, pc)
 	c.clock += lat
 	return lat

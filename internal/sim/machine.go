@@ -21,6 +21,13 @@ type Machine struct {
 	pei      *pim.PEIEngine
 	rowClone *pim.RowCloneEngine
 	noise    *Noise
+
+	// trace, while Record has one attached, receives every request
+	// memAccess serves. demand is the address Core.Load or the page walker
+	// last marked as the one whose fill moves the core clock; only record
+	// reads it.
+	trace  *Trace
+	demand uint64
 }
 
 // New builds a machine from the configuration.
@@ -124,6 +131,7 @@ func (m *Machine) Reset(cfg Config) bool {
 	m.pei.Reconfigure(cfg.PEICosts)
 	m.rowClone.Reconfigure(cfg.RowCloneCosts)
 	m.noise.reset(cfg.Noise)
+	m.trace = nil
 	return true
 }
 
@@ -177,16 +185,21 @@ func (m *Machine) AddrFor(bank int, row int64, col int) uint64 {
 // writeback, an uncached load or a DMA transfer. It maps addr to its bank
 // and asks the controller at cycle now on behalf of proc. A partition
 // violation surfaces as a worst-case-latency fault rather than an error,
-// so no path above it has one to handle.
+// so no path above it has one to handle. While a trace is attached, the
+// request is appended to it.
 //
 //impact:hotpath
 func (m *Machine) memAccess(now int64, addr uint64, proc int) int64 {
 	coord := m.mapper.Map(addr)
 	res, err := m.ctrl.Access(now, coord.Bank, coord.Row, proc)
+	lat := res.Latency
 	if err != nil {
-		return m.cfg.DRAM.Timing.WorstCaseLatency()
+		lat = m.cfg.DRAM.Timing.WorstCaseLatency()
 	}
-	return res.Latency
+	if m.trace != nil {
+		m.record(now, addr, proc, lat)
+	}
+	return lat
 }
 
 // memBackend adapts the memory controller to the cache.Level interface so

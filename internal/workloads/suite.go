@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -101,60 +99,71 @@ func DefenseName(cfg memctrl.Config) string {
 	}
 }
 
-// RunDefenseComparison executes every workload under the baseline and each
-// defense, returning normalized execution times (Figure 12). It also checks
-// that defenses never change computed results, returning an error if a
-// checksum diverges. Every run has the same machine shape, so one pooled
-// machine serves them all.
+// RunDefenseComparison times every workload under the baseline and each
+// defense, returning normalized execution times (Figure 12). Each workload
+// runs once, under the baseline controller, with its memory-controller
+// requests recorded; each defense's controller then re-times that trace
+// (sim.Machine.Replay), so the caches, TLBs and prefetchers run once per
+// workload, not once per defense. Defenses change timing, never results:
+// nothing above the controller reads the clock, and
+// TestDefensesPreserveResults holds every replay to a direct run.
 func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]DefenseRow, error) {
 	suite := Suite(suiteCfg)
-	pool := sim.NewPool()
-
-	baseline := make(map[string]Result, len(suite))
-	for _, w := range suite {
-		res, err := runOne(pool, w, memctrl.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		baseline[w.Name()] = res
+	base, cycles, err := replayDefenses(sim.NewPool(), suite, defenses)
+	if err != nil {
+		return nil, err
 	}
-
-	rows := make([]DefenseRow, 0, len(defenses))
-	for _, d := range defenses {
+	rows := make([]DefenseRow, len(defenses))
+	for i, d := range defenses {
 		row := DefenseRow{Defense: DefenseName(d), Normalized: make(map[string]float64, len(suite))}
-		norms := make([]float64, 0, len(suite))
-		for _, w := range suite {
-			res, err := runOne(pool, w, d)
-			if err != nil {
-				return nil, err
-			}
-			base := baseline[w.Name()]
-			if res.Checksum != base.Checksum {
-				return nil, fmt.Errorf("workloads: %s checksum changed under %s: %d != %d",
-					w.Name(), row.Defense, res.Checksum, base.Checksum)
-			}
-			norm := float64(res.Cycles) / float64(base.Cycles)
-			row.Normalized[w.Name()] = norm
-			norms = append(norms, norm)
+		norms := make([]float64, len(suite))
+		for j, w := range suite {
+			norms[j] = float64(cycles[i][j]) / float64(base[j].Cycles)
+			row.Normalized[w.Name()] = norms[j]
 		}
 		row.GMean = stats.GeometricMean(norms)
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }
 
-// runOne executes a workload on a machine from pool, as New builds it, with
-// the given memory controller configuration.
-func runOne(pool *sim.Pool, w Workload, mem memctrl.Config) (Result, error) {
+// replayDefenses runs each workload of suite once on a machine from pool
+// under the baseline controller, recording its controller requests into
+// one reused trace, and replays the trace under each defense.
+// cycles[i][j] is workload j's execution time under defenses[i].
+func replayDefenses(pool *sim.Pool, suite []Workload, defenses []memctrl.Config) (base []Result, cycles [][]int64, err error) {
+	base = make([]Result, len(suite))
+	cycles = make([][]int64, len(defenses))
+	for i := range cycles {
+		cycles[i] = make([]int64, len(suite))
+	}
+	var trace sim.Trace
+	for j, w := range suite {
+		m, err := pool.Get(machineConfig(memctrl.DefaultConfig()))
+		if err != nil {
+			return nil, nil, err
+		}
+		m.Record(&trace)
+		base[j] = w.Run(m.Core(0))
+		pool.Put(m)
+		for i, d := range defenses {
+			m, err := pool.Get(machineConfig(d))
+			if err != nil {
+				return nil, nil, err
+			}
+			cycles[i][j] = base[j].Cycles + m.Replay(&trace)
+			pool.Put(m)
+		}
+	}
+	return base, cycles, nil
+}
+
+// machineConfig is the machine every Figure 12 run uses: the default
+// machine with memory controller mem. Workload runs measure steady
+// application behaviour, not attack noise, so noise is off.
+func machineConfig(mem memctrl.Config) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.Mem = mem
-	// Workload runs measure steady application behaviour, not attack
-	// noise.
 	cfg.Noise.EventsPerMCycle = 0
-	m, err := pool.Get(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer pool.Put(m)
-	return w.Run(m.Core(0)), nil
+	return cfg
 }

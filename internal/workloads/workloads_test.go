@@ -116,15 +116,81 @@ func TestWorkloadsDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestDefensesPreserveResults(t *testing.T) {
-	// RunDefenseComparison verifies checksums internally and errors on
-	// divergence.
-	rows, err := RunDefenseComparison(SmallSuiteConfig(), DefenseConfigs())
+// runDirect runs w on a machine from pool whose controller is mem: the
+// full simulation that RunDefenseComparison's replays stand in for.
+func runDirect(t *testing.T, pool *sim.Pool, w Workload, mem memctrl.Config) Result {
+	t.Helper()
+	m, err := pool.Get(machineConfig(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	defer pool.Put(m)
+	return w.Run(m.Core(0))
+}
+
+func TestDefensesPreserveResults(t *testing.T) {
+	// RunDefenseComparison runs each workload once and re-times its
+	// controller requests under every defense. Here every workload also
+	// runs directly under every defense: its checksum must be the
+	// baseline's, since defenses change timing and never results, and its
+	// cycles must be the replay's.
+	suite := Suite(SmallSuiteConfig())
+	defenses := DefenseConfigs()
+	pool := sim.NewPool()
+	base, cycles, err := replayDefenses(pool, suite, defenses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range defenses {
+		for j, w := range suite {
+			direct := runDirect(t, pool, w, d)
+			if direct.Checksum != base[j].Checksum {
+				t.Errorf("%s checksum changed under %s: %d != %d", w.Name(), DefenseName(d), direct.Checksum, base[j].Checksum)
+			}
+			if direct.Cycles != cycles[i][j] {
+				t.Errorf("%s under %s: replay took %d cycles, direct run %d", w.Name(), DefenseName(d), cycles[i][j], direct.Cycles)
+			}
+		}
+	}
+}
+
+func TestRequestsIgnoreController(t *testing.T) {
+	// The replay's premise: no decision above the controller reads the
+	// clock, so a workload issues the same requests, and charges the same
+	// ones to its clock, whatever the controller answers. Only cycles and
+	// latencies may differ.
+	defenses := DefenseConfigs()
+	mems := []memctrl.Config{memctrl.DefaultConfig(), defenses[0], defenses[1]} // none, CTD, ACT-Aggressive
+	pool := sim.NewPool()
+	for _, w := range Suite(SmallSuiteConfig()) {
+		traces := make([][]sim.Request, len(mems))
+		for k, mem := range mems {
+			var trace sim.Trace
+			m, err := pool.Get(machineConfig(mem))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Record(&trace)
+			w.Run(m.Core(0))
+			pool.Put(m)
+			traces[k] = trace.Requests()
+		}
+		if len(traces[0]) == 0 {
+			t.Fatalf("%s issued no controller request", w.Name())
+		}
+		for k := 1; k < len(mems); k++ {
+			name := DefenseName(mems[k])
+			if len(traces[k]) != len(traces[0]) {
+				t.Fatalf("%s issued %d requests under %s, %d undefended", w.Name(), len(traces[k]), name, len(traces[0]))
+			}
+			for i, r := range traces[k] {
+				want := traces[0][i]
+				if r.Addr != want.Addr || r.Proc != want.Proc || r.Charged != want.Charged {
+					t.Fatalf("%s request %d under %s = %#x proc %d charged %v, undefended %#x proc %d charged %v",
+						w.Name(), i, name, r.Addr, r.Proc, r.Charged, want.Addr, want.Proc, want.Charged)
+				}
+			}
+		}
 	}
 }
 
