@@ -65,14 +65,16 @@ race:
 # Quick regression signal on the allocation-free hot path, the
 # allocation ceiling of a cached POST /v1/run, every covert channel
 # timed on a held machine, the genomics layer (the seeding index build
-# and Figure 11's side-channel sweep), Figure 12's defense runs, and the
-# pack store's Get and dead-bundle boot.
+# and Figure 11's side-channel sweep), Figure 12's defense runs, the
+# pack store's Get and dead-bundle boot, and a journaled job's resume
+# after a crash.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig11SideChannel|BenchmarkFig12Defenses' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchtime 3x -benchmem ./internal/genomics
 	$(GO) test -run xxx -bench 'BenchmarkPackGet|BenchmarkCompact' -benchtime 3x -benchmem ./internal/exp/pack
+	$(GO) test -run xxx -bench 'BenchmarkJobResume' -benchtime 1x -benchmem ./internal/exp
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
 # must be provably state-free, sequentially and under 8-way contention,

@@ -17,12 +17,13 @@
 // object count, with a background CRC auditor.
 //
 // With -data-dir the async job registry is durable too: accepted jobs
-// journal their spec and lifecycle under <data-dir>/jobs, SIGINT/SIGTERM
-// drains gracefully (new submissions get 503, in-flight runs finish and
-// land in the store, interrupted jobs journal a resumable state, all
-// within -drain-timeout), and a restart on the same data dir re-enqueues
-// every job the previous process left unfinished — skipping the runs it
-// already computed. A second signal during the drain kills immediately.
+// journal their spec under <data-dir>/jobs at submission and their status
+// once they settle, SIGINT/SIGTERM drains gracefully (new submissions get
+// 503, in-flight runs finish and land in the store, interrupted jobs
+// journal a resumable state, all within -drain-timeout), and a restart on
+// the same data dir re-enqueues every job the previous process left
+// unfinished — skipping the runs it already computed. A second signal
+// during the drain kills immediately.
 // See docs/api.md for the full wire contract and docs/architecture.md for
 // the recovery flow.
 package main

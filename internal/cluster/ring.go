@@ -22,10 +22,11 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-node virtual point count used when a
-// Config does not say otherwise. 64 points per node keeps the expected
-// load imbalance across a handful of peers within a few percent while
-// the whole ring stays small enough to rebuild at boot in microseconds.
+// DefaultVirtualNodes is the per-node virtual point count of every ring
+// New builds (NewRing takes the count so tests can vary it). 64 points
+// per node keeps the expected load imbalance across a handful of peers
+// within a few percent while the whole ring stays small enough to
+// rebuild at boot in microseconds.
 const DefaultVirtualNodes = 64
 
 // Node is one cluster member: a stable identity (the -node-id flag,

@@ -11,13 +11,14 @@ import (
 	"repro/pkg/api"
 )
 
-// Tunable defaults; see Config.
+// Cluster sizing. DefaultReplicas is fixed; the other three are defaults
+// a Config field may override.
 const (
-	// DefaultReplicas is the replica set size R: every key lives on its
-	// ring owner plus one successor. R=2 survives any single node loss
-	// without losing cached work, and the content-addressed store makes a
-	// lost second copy merely a re-simulation, so buying more copies costs
-	// more than it protects.
+	// DefaultReplicas is the replica set size R (clamped to the cluster
+	// size): every key lives on its ring owner plus one successor. R=2
+	// survives any single node loss without losing cached work, and the
+	// content-addressed store makes a lost second copy merely a
+	// re-simulation, so buying more copies costs more than it protects.
 	DefaultReplicas = 2
 	// DefaultHopTimeout bounds one remote fetch. Peer hops are an
 	// optimization over local simulation (~10ms–10s depending on the
@@ -68,12 +69,6 @@ type Config struct {
 	// memory-only node — replicas it receives then live only
 	// in the result cache's memory tier.
 	Local exp.ResultStore
-	// VNodes is the virtual-node count per member (<= 0 selects
-	// DefaultVirtualNodes).
-	VNodes int
-	// Replicas is the replica set size R (<= 0 selects DefaultReplicas;
-	// clamped to the cluster size).
-	Replicas int
 	// HopTimeout bounds each remote fetch and each replication push
 	// attempt (<= 0 selects DefaultHopTimeout).
 	HopTimeout time.Duration
@@ -107,7 +102,7 @@ type Store struct {
 // New builds the cluster store and starts its replication workers. Call
 // Close before tearing down the local store underneath it.
 func New(cfg Config) (*Store, error) {
-	ring, err := NewRing(cfg.Nodes, cfg.VNodes)
+	ring, err := NewRing(cfg.Nodes, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -142,15 +137,9 @@ func New(cfg Config) (*Store, error) {
 		ring:     ring,
 		local:    cfg.Local,
 		peers:    peers,
-		replicas: cfg.Replicas,
+		replicas: min(DefaultReplicas, ring.Len()),
 		hop:      cfg.HopTimeout,
 		met:      metrics.NewSet(counterNames...),
-	}
-	if s.replicas <= 0 {
-		s.replicas = DefaultReplicas
-	}
-	if s.replicas > ring.Len() {
-		s.replicas = ring.Len()
 	}
 	if s.hop <= 0 {
 		s.hop = DefaultHopTimeout

@@ -11,10 +11,12 @@ import (
 // measurements (every probe at worst-case latency), which the simulation
 // models via the controller's ConstantTimeActive observable.
 //
-// Against ACT-Mild/Conservative the penalties expire between batches and
-// throughput is essentially unaffected; against ACT-Aggressive the 4000-
-// epoch penalties leave almost no usable windows — the trade-off the paper
-// quantifies.
+// In this model idling costs throughput under ACT-Mild as well: the quick
+// §7.4-adaptive report gives the adaptive attacker 3.84 Mb/s effective
+// against the plain attacker's 6.78. Against ACT-Aggressive the 4000-epoch
+// penalties leave almost no usable windows (0.00 against 0.03 Mb/s).
+// Whether the idle rule waits out penalties it should not is open; see
+// §7.4-adaptive under "Hold every paper number to a band" in ROADMAP.md.
 func RunPnMAdaptive(m *sim.Machine, msg []bool, opt Options) (Result, error) {
 	return transmit(m, msg, opt, func(s, r *sim.Core) (channel, error) {
 		banks := opt.banksOrDefault(m)

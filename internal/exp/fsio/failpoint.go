@@ -19,7 +19,7 @@ import (
 //
 //	journal.seq        the SEQ allocation watermark record
 //	journal.spec       a job's immutable spec record
-//	journal.status     a job's status/progress record
+//	journal.status     a job's status record, written once it settles
 //	pack.append        a needle appended to a pack bundle
 //	pack.index         the pack engine's persisted needle index
 //	engine.run         one simulation, just before it starts

@@ -42,14 +42,6 @@ const (
 	MaxJobPageSize     = 500
 )
 
-// progressJournalEvery throttles the per-run progress watermark: the
-// journal is rewritten at every lifecycle transition and then every this
-// many completed runs. The watermark is advisory — recovery skips
-// already-computed runs by consulting the content-addressed store, not
-// this number — so a coarse cadence costs nothing but a slightly stale
-// "completed" count in the record.
-const progressJournalEvery = 16
-
 // ErrTooManyJobs tags submissions rejected because the registry is full
 // of jobs that are still queued or running (servers map it to 429 with a
 // Retry-After hint).
@@ -61,8 +53,9 @@ var ErrTooManyJobs = errors.New("exp: job registry full (all tracked jobs still 
 var ErrJobCanceled = errors.New("exp: job canceled")
 
 // ErrJobInterrupted marks a job caught mid-execution by graceful
-// shutdown: its progress is journaled and a server restarted on the same
-// data dir re-enqueues it under the same ID.
+// shutdown: its runs so far are in the store, its status record says
+// interrupted, and a server restarted on the same data dir re-enqueues it
+// under the same ID.
 var ErrJobInterrupted = errors.New("exp: job interrupted by server shutdown; a restart on the same data dir resumes it")
 
 // ErrShuttingDown tags submissions rejected because the registry is
@@ -122,10 +115,6 @@ type Job struct {
 	err          error
 	userCanceled bool // Cancel was called; beats interrupted in finish
 	interrupted  bool // Quiesce caught the job before it finished
-
-	journalMu     sync.Mutex
-	lastJournaled int  // completed count at the last progress record
-	journalClosed bool // final record written; no further journal writes
 }
 
 // Total returns the number of concrete runs the job's spec expands into
@@ -323,12 +312,13 @@ func (j *Job) terminal() bool {
 // running the submission is rejected with ErrTooManyJobs — so memory
 // stays flat no matter how many sweeps a long-lived server has answered.
 //
-// With a Journal attached, every accepted job is durable: its spec and
-// lifecycle transitions persist under the data dir, Quiesce drains
-// in-flight work into resumable interrupted records on shutdown, and
-// Recover re-enqueues every non-terminal job on boot — resumed sweeps
-// consult the content-addressed store first, so recovery re-simulates
-// only the runs the crash actually lost. Safe for concurrent use.
+// With a Journal attached, every accepted job is durable: its spec is
+// journaled at submission and its status once, when it settles. Quiesce
+// drains in-flight work into resumable interrupted records on shutdown,
+// and Recover re-enqueues every job without a terminal record on boot —
+// resumed sweeps consult the content-addressed store first, so recovery
+// re-simulates only the runs the crash actually lost. Safe for concurrent
+// use.
 type Jobs struct {
 	engine  *Engine
 	workers int
@@ -373,8 +363,9 @@ func NewJobs(engine *Engine, workers, max int, journal *Journal) *Jobs {
 // more than one run. Execution happens in the background. With a
 // journal, the job's ID allocation is made durable before the ID is
 // returned (a failed watermark write rejects the submission — an ID a
-// rebooted server could reissue must never escape), and the spec and
-// queued-status records follow best-effort.
+// rebooted server could reissue must never escape), and its spec record
+// follows best-effort, also before Submit returns. No status record is
+// written until the job settles: recovery resumes a job without one.
 func (js *Jobs) Submit(spec Spec) (*Job, error) {
 	x, err := spec.Expansion(MaxJobRuns)
 	if err != nil {
@@ -411,18 +402,7 @@ func (js *Jobs) Submit(spec Spec) (*Job, error) {
 		}
 		js.seqReserved = target
 	}
-	ctx, cancel := detachedContext()
-	j := &Job{
-		ID:     formatJobID(js.seq),
-		seq:    js.seq,
-		x:      x,
-		engine: js.engine,
-		ctx:    ctx,
-		cancel: cancel,
-		notify: make(chan struct{}),
-		status: JobQueued,
-		ready:  make([]bool, x.Total()),
-	}
+	j := js.newJob(js.seq, x, false)
 	js.jobs[j.ID] = j
 	js.order = append(js.order, j.ID)
 	js.wg.Add(1)
@@ -437,10 +417,31 @@ func (js *Jobs) Submit(spec Spec) (*Job, error) {
 		// never to a wrong or duplicate job.
 		js.journal.RecordSpec(j.ID, spec)
 	}
-	js.journalState(j, true)
 	js.met.Add(jobsSubmitted, 1)
 	go js.run(j)
 	return j, nil
+}
+
+// newJob builds a queued job with sequence number seq over x (nil only
+// when a resumed spec no longer expands). Submit and Recover both build
+// their jobs here; the caller registers the job.
+func (js *Jobs) newJob(seq int, x *Expansion, resumed bool) *Job {
+	ctx, cancel := detachedContext()
+	j := &Job{
+		ID:      formatJobID(seq),
+		seq:     seq,
+		x:       x,
+		engine:  js.engine,
+		ctx:     ctx,
+		cancel:  cancel,
+		notify:  make(chan struct{}),
+		status:  JobQueued,
+		resumed: resumed,
+	}
+	if x != nil {
+		j.ready = make([]bool, x.Total())
+	}
+	return j
 }
 
 // detachedContext is the registry's one sanctioned escape from request
@@ -464,17 +465,15 @@ func (js *Jobs) run(j *Job) {
 	j.status = JobRunning
 	j.signal()
 	j.mu.Unlock()
-	js.journalState(j, true)
 
 	res, err := js.engine.executeStream(j.ctx, j.x, js.workers, func(i int, rr RunResult) {
 		j.onRun(i, rr)
 		if j.resumed && rr.Cached {
 			js.met.Add(jobsRunsSkipped, 1)
 		}
-		js.journalState(j, false)
 	})
 	j.finish(res, err)
-	js.journalState(j, true)
+	js.journalSettled(j)
 	switch j.Status() {
 	case JobDone:
 		js.met.Add(jobsCompleted, 1)
@@ -488,38 +487,12 @@ func (js *Jobs) run(j *Job) {
 	}
 }
 
-// journalState persists the job's current state. force bypasses the
-// progress throttle (lifecycle transitions always hit disk; per-run
-// progress every progressJournalEvery completions). The record written
-// for a settled state is the job's last — later calls no-op, so a slow
-// progress writer can never overwrite a terminal record with "running".
-func (js *Jobs) journalState(j *Job, force bool) {
-	if js.journal == nil {
-		return
-	}
-	j.journalMu.Lock()
-	defer j.journalMu.Unlock()
-	if j.journalClosed {
-		return
-	}
-	j.mu.Lock()
-	st := journalStatus{
-		Status:    j.status,
-		Completed: j.completed,
-		Resumed:   j.resumed,
-		SpecKey:   j.specKey,
-	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	j.mu.Unlock()
-	if !force && st.Completed-j.lastJournaled < progressJournalEvery {
-		return
-	}
-	j.lastJournaled = st.Completed
-	js.journal.RecordStatus(j.ID, st)
-	if settled(st.Status) {
-		j.journalClosed = true
+// journalSettled writes a settled job's one status record, if a journal
+// is attached. Best-effort like the spec record: a failed write leaves
+// the job without a status record, which a restart resumes.
+func (js *Jobs) journalSettled(j *Job) {
+	if js.journal != nil {
+		js.journal.RecordStatus(j.ID, journalStatus{Status: j.Status()})
 	}
 }
 
@@ -563,10 +536,11 @@ func (js *Jobs) Quiesce(ctx context.Context) error {
 }
 
 // Recover replays the journal into the registry: the ID-allocation
-// watermark is restored (so no past ID is ever reissued), terminal
-// records are cleaned up (their results live in the content-addressed
-// store; the IDs answer 410 like any retired job), and every non-terminal
-// job — queued, running, or interrupted — is re-enqueued under its
+// watermark is restored (so no past ID is ever reissued), jobs with a
+// terminal status record are cleaned up (their results live in the
+// content-addressed store; the IDs answer 410 like any retired job), and
+// every other job — one with no status record (still queued or running
+// when its process died) or an interrupted one — is re-enqueued under its
 // original ID with Resumed set. Resumed sweeps hit the durable store for
 // every run a previous process completed, so recovery re-simulates only
 // lost work. Returns the number of jobs re-enqueued. Call once, before
@@ -593,42 +567,25 @@ func (js *Jobs) Recover() int {
 			continue
 		}
 		x, err := e.Spec.Expansion(MaxJobRuns)
-		ctx, cancel := detachedContext()
-		j := &Job{
-			ID:      e.ID,
-			seq:     e.Seq,
-			x:       x,
-			engine:  js.engine,
-			ctx:     ctx,
-			cancel:  cancel,
-			notify:  make(chan struct{}),
-			status:  JobQueued,
-			resumed: true,
-		}
-		if x != nil {
-			j.ready = make([]bool, x.Total())
-		}
+		j := js.newJob(e.Seq, x, true)
 		js.mu.Lock()
 		js.jobs[j.ID] = j
 		js.order = append(js.order, j.ID)
+		if err == nil {
+			js.wg.Add(1)
+		}
 		js.mu.Unlock()
 		js.met.Add(jobsResumed, 1)
 		if err != nil {
 			// The journaled spec no longer expands (scenario registry
 			// drift, config schema change): fail the job loudly under its
 			// own ID rather than silently dropping accepted work.
-			j.mu.Lock()
-			j.status = JobFailed
-			j.err = fmt.Errorf("exp: resumed job spec no longer expands: %w", err)
-			j.mu.Unlock()
-			js.journalState(j, true)
+			j.finish(nil, fmt.Errorf("exp: resumed job spec no longer expands: %w", err))
+			js.journalSettled(j)
 			js.met.Add(jobsFailed, 1)
-			cancel()
+			j.cancel()
 			continue
 		}
-		js.mu.Lock()
-		js.wg.Add(1)
-		js.mu.Unlock()
 		resumed++
 		go js.run(j)
 	}

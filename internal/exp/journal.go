@@ -37,24 +37,28 @@ const (
 )
 
 // Journal is the durable half of the job registry: a directory holding,
-// for every accepted job, an immutable spec record and a status record
-// rewritten on each lifecycle transition, plus the SEQ ID-allocation
-// watermark. All writes share the store's discipline — checksummed
-// header, temp file, atomic rename, directory fsync — so a crash at any
-// instant leaves every record either absent or complete, never torn.
+// for every accepted job, a spec record written at submission and a
+// status record written once, when the job settles, plus the SEQ
+// ID-allocation watermark. Recovery reads only whether a job's status is
+// terminal, so nothing else is journaled: a job that is still queued or
+// running has no status record, and a restart resumes it. All writes
+// share the store's discipline — checksummed header, temp file, atomic
+// rename, directory fsync — so a crash at any instant leaves every record
+// either absent or complete, never torn.
 //
 // Layout under dir:
 //
 //	SEQ                 ID-allocation watermark (highest seq covered)
 //	job-000017.spec     {"id": ..., "spec": <api.RunSpec>}, written once
-//	job-000017.status   {"status", "completed", "resumed", ...}, rewritten
+//	job-000017.status   {"status": ...}, written once, when the job settles
 //
 // On boot Recover scans the directory, drops and deletes corrupt or
 // truncated records (healing, like the store), and hands back every
-// decodable job so the registry can re-enqueue non-terminal ones. The
+// decodable job so the registry can re-enqueue the non-terminal ones. The
 // journal is best-effort for everything except ID allocation: a failed
-// spec or status write degrades to a job that may not survive a restart
-// (counted, never silent), while a failed SEQ write fails the submission,
+// spec write degrades to a job that does not survive a restart and a
+// failed status write to one that a restart runs again (both counted,
+// never silent), while a failed SEQ write fails the submission,
 // because handing out an ID that a rebooted server could reissue would
 // let two different jobs answer to one name.
 type Journal struct {
@@ -73,26 +77,17 @@ func NewJournal(dir string) (*Journal, error) {
 	}, nil
 }
 
-// Dir returns the journal's root directory.
-func (jl *Journal) Dir() string { return jl.dir }
-
 // journalSpec is the payload of a job's immutable spec record.
 type journalSpec struct {
 	ID   string      `json:"id"`
 	Spec api.RunSpec `json:"spec"`
 }
 
-// journalStatus is the payload of a job's status record: the lifecycle
-// state plus the progress watermark. Completed is advisory — recovery
-// skips already-computed runs by consulting the content-addressed store,
-// not this number — so it is flushed at transition boundaries and every
-// progressEvery completions rather than per run.
+// journalStatus is the payload of a job's status record: the state it
+// settled in. Records written by older builds also carry completed,
+// resumed, spec_key and error fields; decoding ignores them.
 type journalStatus struct {
-	Status    string `json:"status"`
-	Completed int    `json:"completed"`
-	Resumed   bool   `json:"resumed,omitempty"`
-	SpecKey   string `json:"spec_key,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Status string `json:"status"`
 }
 
 // seqPath, specPath, and statusPath name the journal's files. Job IDs are
@@ -138,8 +133,8 @@ func (jl *Journal) RecordSpec(id string, spec Spec) error {
 	return nil
 }
 
-// RecordStatus persists a job's current lifecycle state and progress
-// watermark, replacing the previous status record atomically.
+// RecordStatus persists a settled job's status record, atomically
+// replacing the interrupted record an earlier process may have left.
 func (jl *Journal) RecordStatus(id string, st journalStatus) error {
 	err := func() error {
 		if err := fsio.Failpoint("journal.status"); err != nil {
@@ -170,10 +165,10 @@ func (jl *Journal) Remove(id string) {
 	}
 }
 
-// journalEntry is one recovered job: its identity, spec, and last
-// journaled status (zero-valued, meaning queued, when the status record
-// was missing or corrupt — the safe direction, since re-running is
-// idempotent and mostly cache hits).
+// journalEntry is one recovered job: its identity, spec, and journaled
+// status (zero-valued, so resumed, when the status record was missing or
+// corrupt — the safe direction, since re-running is idempotent and mostly
+// cache hits).
 type journalEntry struct {
 	ID     string
 	Seq    int

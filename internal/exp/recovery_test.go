@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exp/fsio"
 	"repro/internal/exp/pack"
+	"repro/pkg/api"
 )
 
 // mustSpec parses a spec document or fails the test.
@@ -75,8 +77,9 @@ func drainJobs(t testing.TB, js *Jobs) {
 }
 
 // TestJournalRecoverRoundTrip pins the journal's happy path: records
-// round-trip through Recover in sequence order with their last status
-// attached, and the SEQ watermark wins over the highest spec number.
+// round-trip through Recover in sequence order with their status
+// attached, the SEQ watermark wins over the highest spec number, and
+// status records in the older, wider format still decode.
 func TestJournalRecoverRoundTrip(t *testing.T) {
 	jl, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
 	if err != nil {
@@ -93,7 +96,7 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 	if err := jl.RecordSpec("job-000001", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.RecordStatus("job-000001", journalStatus{Status: JobRunning, Completed: 3}); err != nil {
+	if err := jl.RecordStatus("job-000001", journalStatus{Status: JobRunning}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,12 +107,93 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 	if len(entries) != 2 || entries[0].ID != "job-000001" || entries[1].ID != "job-000002" {
 		t.Fatalf("entries = %+v, want job-000001 then job-000002", entries)
 	}
-	if st := entries[0].Status; st.Status != JobRunning || st.Completed != 3 {
+	if st := entries[0].Status; st.Status != JobRunning {
 		t.Fatalf("job-000001 status = %+v", st)
 	}
 	// A missing status record recovers as the zero value (queued).
-	if st := entries[1].Status; st.Status != "" || st.Completed != 0 {
+	if st := entries[1].Status; st.Status != "" {
 		t.Fatalf("job-000002 status = %+v, want zero", st)
+	}
+
+	// Older builds rewrote the status record at every transition, with a
+	// progress count and more; only the status decides whether a job
+	// resumes, and it still decodes.
+	old, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, payload := range map[string]string{
+		"job-000001": `{"status":"running","completed":3,"resumed":true,"spec_key":"` + strings.Repeat("ab", 32) + `"}`,
+		"job-000002": `{"status":"canceled","completed":1,"error":"exp: job canceled"}`,
+	} {
+		if err := old.RecordSpec(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := fsio.AtomicWrite(old.statusPath(id), fsio.EncodeRecord(journalMagic, []byte(payload))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, entries = old.Recover()
+	if len(entries) != 2 || old.corruptCount() != 0 {
+		t.Fatalf("older-format records: entries = %+v, corrupt = %d", entries, old.corruptCount())
+	}
+	if st := entries[0].Status.Status; st != JobRunning || api.JobTerminal(st) {
+		t.Fatalf("older-format running record recovered as %q, want non-terminal running", st)
+	}
+	if st := entries[1].Status.Status; st != JobCanceled || !api.JobTerminal(st) {
+		t.Fatalf("older-format canceled record recovered as %q, want terminal canceled", st)
+	}
+}
+
+// TestJournalWritesOnlyWhatRecoveryReads pins the journal's write budget:
+// apart from SEQ, a job's records are its spec, written at submission,
+// and one status record, written when it settles. A job that is still
+// queued or running has no status record — recovery resumes it either way.
+func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulating sweeps in -short mode")
+	}
+	var writes atomic.Int32
+	fsio.SetFailpoint("journal.status", func() error {
+		writes.Add(1)
+		return nil
+	})
+	defer fsio.SetFailpoint("journal.status", nil)
+
+	const total = 40
+	spec := seedSpec(t, total)
+	runs := expandAll(t, spec)
+	jl, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	js := NewJobs(eng, 2, 0, jl)
+	release := blockRun(eng, runs[0].Key)
+	j, err := js.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "all unblocked runs to finish", func() bool {
+		return j.Info().Completed == total-1
+	})
+	if n := writes.Load(); n != 0 {
+		t.Fatalf("%d status writes while the job ran, want 0", n)
+	}
+	if _, err := os.Stat(jl.statusPath(j.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("status record of a running job: stat err = %v, want not exist", err)
+	}
+
+	release(json.RawMessage(`{}`), nil)
+	if info := waitSettled(t, j); info.Status != JobDone {
+		t.Fatalf("released job = %+v, want done", info)
+	}
+	drainJobs(t, js)
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("%d status writes over the job's life, want 1", n)
+	}
+	if st, ok := jl.readStatus(j.ID); !ok || st.Status != JobDone {
+		t.Fatalf("settled status record = %+v (ok=%v), want done", st, ok)
 	}
 }
 
@@ -126,7 +210,7 @@ func TestJournalHealsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := mustSpec(t, `{"scenario": "covert-pnm"}`)
-	running := journalStatus{Status: JobRunning, Completed: 1}
+	running := journalStatus{Status: JobRunning}
 	for _, id := range []string{"job-000001", "job-000002", "job-000003"} {
 		if err := jl.RecordSpec(id, spec); err != nil {
 			t.Fatal(err)
@@ -695,9 +779,7 @@ func BenchmarkJobResume(b *testing.B) {
 				if err := jl.RecordSpec("job-000001", spec); err != nil {
 					b.Fatal(err)
 				}
-				if err := jl.RecordStatus("job-000001", journalStatus{
-					Status: JobInterrupted, Completed: stored,
-				}); err != nil {
+				if err := jl.RecordStatus("job-000001", journalStatus{Status: JobInterrupted}); err != nil {
 					b.Fatal(err)
 				}
 				js := NewJobs(NewEngine(WithStore(store)), 0, 0, jl)
