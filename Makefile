@@ -46,16 +46,19 @@ test:
 benchsuite-test:
 	cd benchsuite && $(GO) vet ./... && $(GO) test ./...
 
-# The parallel experiment runners, the sharded+deduped result cache, the
+# The parallel experiment runners (sim.Fan's contract and its fan-out of
+# each figure's runs, equal at GOMAXPROCS 1 and 4), Figure 12's workloads
+# recording side by side, the sharded+deduped result cache, the
 # async job lifecycle (including DELETE-races-the-worker-pool
 # cancellation), the pack-backed restart path, the job journal with its
 # graceful drain and crash recovery, the golden sweeps at 1 and 8
 # workers, the lock-free metrics, and the Go SDK must stay race-clean and
 # deterministic.
 race:
-	$(GO) test -race ./internal/figures -run TestRunParallelMatchesSequential
+	$(GO) test -race ./internal/figures -run 'TestRunParallelMatchesSequential|TestFanOutMatchesAcrossWidths'
 	$(GO) test -race ./internal/metrics
 	$(GO) test -race ./internal/sim
+	$(GO) test -race ./internal/workloads -run TestDefense
 	$(GO) test -race ./internal/exp -run 'TestEngineCacheAndDeterminism|TestEngineDedupesWithinSweep|TestServerRunCacheHit|TestCacheCompute|TestConcurrentIdenticalRuns|TestJob|TestServerRestartDurability|TestStoreCorruptEntryReSimulates|TestJournal|TestGraceful|TestCrash|TestCancelBeats|TestRunPanic|TestPooledSweepParallelDeterminism|TestStreamingSweepMemoryBoundTrimmed|TestGolden|TestExpansionConcurrentRunAt'
 	$(GO) test -race ./internal/exp/fsio
 	$(GO) test -race ./internal/exp/pack
@@ -66,10 +69,12 @@ race:
 # allocation ceiling of a cached POST /v1/run, every covert channel
 # timed on a held machine, the genomics layer (the seeding index build
 # and Figure 11's side-channel sweep), Figure 12's defense runs, the
-# pack store's Get and dead-bundle boot, and a journaled job's resume
-# after a crash.
+# quick figure suite inline and fanned out over two cores, the pack
+# store's Get and dead-bundle boot, and a journaled job's resume after
+# a crash.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFigureSuite/sequential' -cpu 1,2 -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig11SideChannel|BenchmarkFig12Defenses' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchtime 3x -benchmem ./internal/genomics

@@ -98,7 +98,8 @@ func BenchmarkBankAccess(b *testing.B) {
 // BenchmarkFigureSuite compares the sequential experiment runner against
 // the worker-pool runner over the full quick-scale artifact set; the
 // parallel variant must produce byte-identical reports in a fraction of
-// the wall-clock time on a multi-core host.
+// the wall-clock time on a multi-core host. Both fan each figure's runs
+// out over GOMAXPROCS, so -cpu 1 times the suite on one core.
 func BenchmarkFigureSuite(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -329,11 +330,14 @@ func BenchmarkFig11SideChannel(b *testing.B) {
 }
 
 // BenchmarkFig12Defenses regenerates the defense performance comparison.
+// Its machines come from one pool that outlives the calls, as Figure 12's
+// come from the figures' shared pool.
 func BenchmarkFig12Defenses(b *testing.B) {
 	var rows []workloads.DefenseRow
 	var err error
+	pool := sim.NewPool()
 	for i := 0; i < b.N; i++ {
-		rows, err = workloads.RunDefenseComparison(workloads.SmallSuiteConfig(), workloads.DefenseConfigs())
+		rows, err = workloads.RunDefenseComparison(pool, workloads.SmallSuiteConfig(), workloads.DefenseConfigs())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/figures"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -40,7 +41,7 @@ func run(args []string, stdout io.Writer) error {
 	if *small {
 		suiteCfg = workloads.SmallSuiteConfig()
 	}
-	rows, err := workloads.RunDefenseComparison(suiteCfg, workloads.DefenseConfigs())
+	rows, err := workloads.RunDefenseComparison(sim.NewPool(), suiteCfg, workloads.DefenseConfigs())
 	if err != nil {
 		return err
 	}

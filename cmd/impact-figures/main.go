@@ -24,7 +24,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("impact-figures", flag.ContinueOnError)
 	full := fs.Bool("full", false, "run the full-size experiments (slower)")
-	workers := fs.Int("workers", 0, "experiment worker pool size (0 = all cores, 1 = sequential)")
+	workers := fs.Int("workers", 0, "most artifacts regenerated at once (0 = one per core, 1 = one at a time); each artifact also fans its runs out over GOMAXPROCS, so GOMAXPROCS=1 runs on one core")
 	only := fs.String("only", "", "regenerate a single figure by registry ID (e.g. fig9)")
 	asJSON := fs.Bool("json", false, "emit reports as JSON instead of text tables")
 	list := fs.Bool("list", false, "list the figure registry IDs and exit")

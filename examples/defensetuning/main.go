@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/memctrl"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -47,7 +48,7 @@ func run(stdout io.Writer) error {
 	}
 	// One call runs the workloads once and re-times them under every
 	// configuration.
-	rows, err := workloads.RunDefenseComparison(workloads.SmallSuiteConfig(), mems)
+	rows, err := workloads.RunDefenseComparison(sim.NewPool(), workloads.SmallSuiteConfig(), mems)
 	if err != nil {
 		return err
 	}

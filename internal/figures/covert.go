@@ -133,15 +133,17 @@ func Fig2(scale Scale) (Report, error) {
 	if scale == ScaleQuick {
 		sizes = []int{4, 16, 128}
 	}
-	for _, mb := range sizes {
-		row, err := llcPoint(msg, mb, 16)
-		if err != nil {
-			return Report{}, err
-		}
-		row.Label = fmt.Sprintf("LLC %3d MB", mb)
-		row.Paper = "direct 11.27 flat; baseline <=2.29 falling"
-		rep.Rows = append(rep.Rows, row)
+	rows, err := sim.Fan(len(sizes), func(i int) (Row, error) {
+		return llcPoint(msg, sizes[i], 16)
+	})
+	if err != nil {
+		return Report{}, err
 	}
+	for i, mb := range sizes {
+		rows[i].Label = fmt.Sprintf("LLC %3d MB", mb)
+		rows[i].Paper = "direct 11.27 flat; baseline <=2.29 falling"
+	}
+	rep.Rows = rows
 	return rep, nil
 }
 
@@ -153,15 +155,17 @@ func Fig3(scale Scale) (Report, error) {
 	if scale == ScaleQuick {
 		ways = []int{2, 16, 128}
 	}
-	for _, w := range ways {
-		row, err := llcPoint(msg, 16, w)
-		if err != nil {
-			return Report{}, err
-		}
-		row.Label = fmt.Sprintf("%3d ways", w)
-		row.Paper = "direct flat; baseline falls with ways"
-		rep.Rows = append(rep.Rows, row)
+	rows, err := sim.Fan(len(ways), func(i int) (Row, error) {
+		return llcPoint(msg, 16, ways[i])
+	})
+	if err != nil {
+		return Report{}, err
 	}
+	for i, w := range ways {
+		rows[i].Label = fmt.Sprintf("%3d ways", w)
+		rows[i].Paper = "direct flat; baseline falls with ways"
+	}
+	rep.Rows = rows
 	return rep, nil
 }
 
@@ -241,25 +245,32 @@ func Fig9(scale Scale) (Report, error) {
 	if scale == ScaleFull {
 		sizes = []int{1, 2, 4, 8, 16, 32, 64, 128}
 	}
+	var channels []core.NamedChannel
 	for _, ch := range core.Channels() {
-		row, ok := series[ch.Name]
-		if !ok {
-			continue
+		if _, ok := series[ch.Name]; ok {
+			channels = append(channels, ch)
 		}
-		vals := make([]string, 0, len(sizes))
-		for _, mb := range sizes {
-			m, err := machines.Get(llcConfig(mb<<20, 16))
-			if err != nil {
-				return Report{}, err
-			}
-			res, err := ch.Run(m, msg, core.Options{})
-			machines.Put(m)
-			if err != nil {
-				return Report{}, err
-			}
-			vals = append(vals, fmt.Sprintf("%dMB:%.2f", mb, res.ThroughputMbps))
+	}
+	// One cell per plotted channel and LLC size, channel-major.
+	cells, err := sim.Fan(len(channels)*len(sizes), func(i int) (string, error) {
+		ch, mb := channels[i/len(sizes)], sizes[i%len(sizes)]
+		m, err := machines.Get(llcConfig(mb<<20, 16))
+		if err != nil {
+			return "", err
 		}
-		row.Measured = join(vals...)
+		defer machines.Put(m)
+		res, err := ch.Run(m, msg, core.Options{})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%dMB:%.2f", mb, res.ThroughputMbps), nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	for i, ch := range channels {
+		row := series[ch.Name]
+		row.Measured = join(cells[i*len(sizes) : (i+1)*len(sizes)]...)
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil

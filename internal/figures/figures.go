@@ -11,7 +11,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -155,7 +155,8 @@ func Run(id string, scale Scale) (Report, error) {
 	return Report{}, fmt.Errorf("figures: unknown figure ID %q (known: %s)", id, strings.Join(IDs(), ", "))
 }
 
-// All regenerates every artifact sequentially in paper order.
+// All regenerates the artifacts one after another in paper order; each
+// still fans its own runs out with sim.Fan.
 func All(scale Scale) ([]Report, error) {
 	gens := generators()
 	out := make([]Report, 0, len(gens))
@@ -169,52 +170,43 @@ func All(scale Scale) ([]Report, error) {
 	return out, nil
 }
 
-// RunParallel regenerates every artifact using a pool of workers, each
-// trial on a machine of its own from the shared machine pool. The returned
-// reports are identical to All's — same paper order, same values (every
-// generator is seeded) — only the wall-clock time changes. workers == 0
-// selects runtime.NumCPU(), negative worker counts are rejected, pools
-// larger than the generator count are clamped to it, and workers == 1
-// degenerates to the sequential path. When several generators fail, the
-// error of the earliest one in paper order is returned, again matching
-// All.
+// RunParallel regenerates every artifact with up to workers of them in
+// flight at once, each on machines of its own from the shared machine
+// pool. The returned reports are identical to All's — same paper order,
+// same values (every generator is seeded) — only the wall-clock time
+// changes. Each of min(workers, artifacts) lanes regenerates the next
+// artifact not yet claimed until none is left, and sim.Fan runs the lanes
+// side by side as far as GOMAXPROCS allows; every generator fans its own
+// runs out the same way, so the two levels together keep at most
+// GOMAXPROCS simulations running. workers == 0 selects runtime.NumCPU(),
+// negative worker counts are rejected, and workers == 1 degenerates to the
+// sequential path. When several generators fail, the error of the
+// earliest one in paper order is returned, again matching All.
 func RunParallel(scale Scale, workers int) ([]Report, error) {
-	gens := generators()
 	if workers < 0 {
 		return nil, fmt.Errorf("figures: negative worker count %d", workers)
 	}
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(gens) {
-		workers = len(gens)
-	}
 	if workers == 1 {
 		return All(scale)
 	}
+	gens := generators()
 	out := make([]Report, len(gens))
 	errs := make([]error, len(gens))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rep, err := gens[i].fn(scale)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", gens[i].name, err)
-					continue
-				}
-				out[i] = rep
+	var next atomic.Int64
+	// A lane never fails: it keeps each generator's error at the
+	// generator's index, so the scan below finds the earliest in paper
+	// order.
+	_, _ = sim.Fan(min(workers, len(gens)), func(int) (struct{}, error) {
+		for i := int(next.Add(1) - 1); i < len(gens); i = int(next.Add(1) - 1) {
+			if out[i], errs[i] = gens[i].fn(scale); errs[i] != nil {
+				errs[i] = fmt.Errorf("%s: %w", gens[i].name, errs[i])
 			}
-		}()
-	}
-	for i := range gens {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+		}
+		return struct{}{}, nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

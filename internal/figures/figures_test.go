@@ -2,11 +2,13 @@ package figures
 
 import (
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workloads"
 )
 
 func TestReportRender(t *testing.T) {
@@ -159,6 +161,48 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 			t.Errorf("report %d (%s) differs between sequential and parallel runs:\nseq: %+v\npar: %+v",
 				i, seq[i].ID, seq[i], par[i])
 		}
+	}
+}
+
+// TestFanOutMatchesAcrossWidths requires every artifact whose runs
+// sim.Fan spreads over the cores, and Figure 12's unformatted rows, to be
+// the same inline (GOMAXPROCS=1) and fanned out (GOMAXPROCS=4). Run under
+// -race (see the Makefile) it also checks that the runs of one figure
+// share nothing they write.
+func TestFanOutMatchesAcrossWidths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full harness in -short mode")
+	}
+	type outcome struct {
+		reports []Report
+		rows    []workloads.DefenseRow
+	}
+	at := func(width int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		var o outcome
+		for _, id := range []string{"fig2", "fig3", "fig9", "fig11", "fig12"} {
+			rep, err := Run(id, ScaleQuick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.reports = append(o.reports, rep)
+		}
+		rows, err := workloads.RunDefenseComparison(machines, workloads.SmallSuiteConfig(), workloads.DefenseConfigs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.rows = rows
+		return o
+	}
+	inline, fanned := at(1), at(4)
+	for i := range inline.reports {
+		if !reflect.DeepEqual(inline.reports[i], fanned.reports[i]) {
+			t.Errorf("%s differs between GOMAXPROCS=1 and 4:\n1: %+v\n4: %+v",
+				inline.reports[i].ID, inline.reports[i], fanned.reports[i])
+		}
+	}
+	if !reflect.DeepEqual(inline.rows, fanned.rows) {
+		t.Errorf("defense rows differ between GOMAXPROCS=1 and 4:\n1: %+v\n4: %+v", inline.rows, fanned.rows)
 	}
 }
 

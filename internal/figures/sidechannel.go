@@ -15,10 +15,10 @@ import (
 const VictimReadLen = 150
 
 // SideChannel runs the Section 4.3 attack once per bank count, each on a
-// machine with that many banks as New builds it. The reference, its
-// seeding index and the victim's reads are built once and shared by every
-// run, which only reads them. Fig11, impact-sidechannel, the genomeleak
-// example and the benches share it.
+// machine with that many banks as New builds it, side by side as sim.Fan
+// allows. The reference, its seeding index and the victim's reads are
+// built once and shared by every run, which only reads them. Fig11,
+// impact-sidechannel, the genomeleak example and the benches share it.
 func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([]core.SideChannelResult, error) {
 	ref := genomics.NewReference(refLen, seed)
 	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
@@ -29,19 +29,13 @@ func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([
 	if err != nil {
 		return nil, err
 	}
-	results := make([]core.SideChannelResult, 0, len(bankCounts))
-	for _, banks := range bankCounts {
-		res, err := sideChannelOn(banks, ref, idx, reads, sweeps)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	return results, nil
+	return sim.Fan(len(bankCounts), func(i int) (core.SideChannelResult, error) {
+		return sideChannelOn(bankCounts[i], ref, idx, reads, sweeps)
+	})
 }
 
 // sideChannelOn runs one attack on a pooled machine with the given bank
-// count and returns the machine to the pool before the next run takes one.
+// count and returns the machine to the pool when it is done.
 func sideChannelOn(banks int, ref *genomics.Reference, idx *genomics.Index, reads []genomics.Read, sweeps int) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
@@ -100,7 +94,7 @@ func Fig12(scale Scale) (Report, error) {
 	if scale == ScaleFull {
 		suiteCfg = workloads.DefaultSuiteConfig()
 	}
-	rows, err := workloads.RunDefenseComparison(suiteCfg, workloads.DefenseConfigs())
+	rows, err := workloads.RunDefenseComparison(machines, suiteCfg, workloads.DefenseConfigs())
 	if err != nil {
 		return Report{}, err
 	}

@@ -65,11 +65,16 @@ func BandedAlign(ref []byte, read []byte, refStart, band int) AlignmentResult {
 		if hi > m {
 			hi = m
 		}
-		for j := 0; j <= m; j++ {
-			cur[j] = negInf
-		}
+		// Only the band is computed. Outside it, this row reads its left
+		// neighbour and the next row reads its right neighbour, so only
+		// those two cells are set; the rest of cur is never read.
 		if lo == 1 {
 			cur[0] = i * scoreGap
+		} else if lo <= hi {
+			cur[lo-1] = negInf
+		}
+		if hi < m {
+			cur[hi+1] = negInf
 		}
 		for j := lo; j <= hi; j++ {
 			cells++

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"sync"
+
 	"repro/internal/memctrl"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -100,16 +102,16 @@ func DefenseName(cfg memctrl.Config) string {
 }
 
 // RunDefenseComparison times every workload under the baseline and each
-// defense, returning normalized execution times (Figure 12). Each workload
-// runs once, under the baseline controller, with its memory-controller
-// requests recorded; each defense's controller then re-times that trace
-// (sim.Machine.Replay), so the caches, TLBs and prefetchers run once per
-// workload, not once per defense. Defenses change timing, never results:
-// nothing above the controller reads the clock, and
-// TestDefensesPreserveResults holds every replay to a direct run.
-func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]DefenseRow, error) {
+// defense, returning normalized execution times (Figure 12), on machines
+// from pool. Each workload runs once, under the baseline controller, with
+// its memory-controller requests recorded; each defense's controller then
+// re-times that trace (sim.Machine.Replay), so the caches, TLBs and
+// prefetchers run once per workload, not once per defense. Defenses change
+// timing, never results: nothing above the controller reads the clock,
+// and TestDefensesPreserveResults holds every replay to a direct run.
+func RunDefenseComparison(pool *sim.Pool, suiteCfg SuiteConfig, defenses []memctrl.Config) ([]DefenseRow, error) {
 	suite := Suite(suiteCfg)
-	base, cycles, err := replayDefenses(sim.NewPool(), suite, defenses)
+	base, cycles, err := replayDefenses(pool, suite, defenses)
 	if err != nil {
 		return nil, err
 	}
@@ -127,33 +129,43 @@ func RunDefenseComparison(suiteCfg SuiteConfig, defenses []memctrl.Config) ([]De
 	return rows, nil
 }
 
+// tracePool recycles recording buffers, which grow to ~0.7 MB for a quick
+// suite's workload and ~6.7 MB for a full one.
+var tracePool = sync.Pool{New: func() any { return new(sim.Trace) }}
+
 // replayDefenses runs each workload of suite once on a machine from pool
-// under the baseline controller, recording its controller requests into
-// one reused trace, and replays the trace under each defense.
-// cycles[i][j] is workload j's execution time under defenses[i].
+// under the baseline controller, recording its controller requests into a
+// trace of its own, and replays the trace under each defense. The
+// workloads run side by side as sim.Fan allows. cycles[i][j] is workload
+// j's execution time under defenses[i].
 func replayDefenses(pool *sim.Pool, suite []Workload, defenses []memctrl.Config) (base []Result, cycles [][]int64, err error) {
 	base = make([]Result, len(suite))
 	cycles = make([][]int64, len(defenses))
 	for i := range cycles {
 		cycles[i] = make([]int64, len(suite))
 	}
-	var trace sim.Trace
-	for j, w := range suite {
+	_, err = sim.Fan(len(suite), func(j int) (struct{}, error) {
+		trace := tracePool.Get().(*sim.Trace)
+		defer tracePool.Put(trace)
 		m, err := pool.Get(machineConfig(memctrl.DefaultConfig()))
 		if err != nil {
-			return nil, nil, err
+			return struct{}{}, err
 		}
-		m.Record(&trace)
-		base[j] = w.Run(m.Core(0))
+		m.Record(trace)
+		base[j] = suite[j].Run(m.Core(0))
 		pool.Put(m)
 		for i, d := range defenses {
 			m, err := pool.Get(machineConfig(d))
 			if err != nil {
-				return nil, nil, err
+				return struct{}{}, err
 			}
-			cycles[i][j] = base[j].Cycles + m.Replay(&trace)
+			cycles[i][j] = base[j].Cycles + m.Replay(trace)
 			pool.Put(m)
 		}
+		return struct{}{}, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return base, cycles, nil
 }

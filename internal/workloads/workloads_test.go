@@ -195,7 +195,7 @@ func TestRequestsIgnoreController(t *testing.T) {
 }
 
 func TestDefenseOverheadOrdering(t *testing.T) {
-	rows, err := RunDefenseComparison(SmallSuiteConfig(), DefenseConfigs())
+	rows, err := RunDefenseComparison(sim.NewPool(), SmallSuiteConfig(), DefenseConfigs())
 	if err != nil {
 		t.Fatal(err)
 	}
