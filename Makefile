@@ -65,15 +65,17 @@ race:
 	$(GO) test -race ./internal/cluster
 	$(GO) test -race ./pkg/client
 
-# Quick regression signal on the allocation-free hot path, the
-# allocation ceiling of a cached POST /v1/run, every covert channel
-# timed on a held machine, the genomics layer (the seeding index build
-# and Figure 11's side-channel sweep), Figure 12's defense runs, the
-# quick figure suite inline and fanned out over two cores, the pack
-# store's Get and dead-bundle boot, and a journaled job's resume after
-# a crash.
+# Quick regression signal on the allocation-free hot path (narrow cache
+# hits, and 128-way hits and misses), the allocation ceiling of a cached
+# POST /v1/run, every covert channel timed on a held machine, the
+# genomics layer (the seeding index build and Figure 11's side-channel
+# sweep), Figure 12's defense runs, Figure 3's LLC way sweep once (0.1–0.2 s;
+# its 128-way eviction run is the suite's widest cache), the quick figure
+# suite inline and fanned out over two cores, the pack store's Get and
+# dead-bundle boot, and a journaled job's resume after a crash.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFig3LLCWaySweep' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFigureSuite/sequential' -cpu 1,2 -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig11SideChannel|BenchmarkFig12Defenses' -benchtime 3x -benchmem .

@@ -53,27 +53,52 @@ type flatMem struct{}
 
 func (flatMem) Access(now int64, addr uint64, write bool) int64 { return 100 }
 
-// BenchmarkCacheAccess measures the simulator's per-access hot path on a
-// cache hit: with fixed-slot counters and precomputed tag shifts this must
-// be allocation- and hash-free. (Baseline with string-map counters and
-// per-access setBits recomputation: ~18.8 ns/op.)
+// BenchmarkCacheAccess measures the simulator's per-access hot path: a
+// hit on an L1-shaped LRU level, with fixed-slot counters and precomputed
+// tag shifts allocation- and hash-free (baseline with string-map counters
+// and per-access setBits recomputation: ~18.8 ns/op), and hits and misses
+// on a 128-way SRRIP level, Figure 3's widest LLC. The 128-way cases cycle
+// lines through one set: 128, so every access hits, on average half way
+// into the set, or 129, so every access misses and evicts a line.
 func BenchmarkCacheAccess(b *testing.B) {
-	run := func(b *testing.B, ways int) {
-		c, err := cache.New(cache.Config{
-			Name: "l1", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64, Latency: 4, Policy: cache.PolicyLRU,
-		}, flatMem{})
+	level := func(b *testing.B, cfg cache.Config) *cache.Cache {
+		c, err := cache.New(cfg, flatMem{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c.Access(0, 0x1000, false)
 		b.ReportAllocs()
+		return c
+	}
+	hit := func(b *testing.B, cfg cache.Config) {
+		c := level(b, cfg)
+		c.Access(0, 0x1000, false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Access(int64(i), 0x1000, false)
 		}
 	}
-	b.Run("8way-hit", func(b *testing.B) { run(b, 8) })
-	b.Run("direct-hit", func(b *testing.B) { run(b, 1) })
+	cycle := func(b *testing.B, cfg cache.Config, lines int) {
+		c := level(b, cfg)
+		stride := uint64(c.Sets()) << c.LineBits()
+		for l := 0; l < lines; l++ {
+			c.Access(0, 0x1000+uint64(l)*stride, false)
+		}
+		b.ResetTimer()
+		for i, l := 0, 0; i < b.N; i++ {
+			c.Access(int64(i), 0x1000+uint64(l)*stride, false)
+			if l++; l == lines {
+				l = 0
+			}
+		}
+	}
+	l1 := func(ways int) cache.Config {
+		return cache.Config{Name: "l1", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64, Latency: 4, Policy: cache.PolicyLRU}
+	}
+	llc := cache.Config{Name: "llc", SizeBytes: 16 << 20, Ways: 128, LineBytes: 64, Latency: 60, Policy: cache.PolicySRRIP}
+	b.Run("8way-hit", func(b *testing.B) { hit(b, l1(8)) })
+	b.Run("direct-hit", func(b *testing.B) { hit(b, l1(1)) })
+	b.Run("128way-hit", func(b *testing.B) { cycle(b, llc, llc.Ways) })
+	b.Run("128way-miss", func(b *testing.B) { cycle(b, llc, llc.Ways+1) })
 }
 
 // BenchmarkBankAccess measures the DRAM device's per-access hot path on a

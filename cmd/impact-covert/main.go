@@ -39,6 +39,9 @@ func run(args []string, stdout io.Writer) error {
 	if *bits < 0 {
 		return fmt.Errorf("-bits must not be negative, got %d", *bits)
 	}
+	if err := machineConfig(*llcMB<<20, *llcWays, *noise).Validate(); err != nil {
+		return err
+	}
 
 	msg := core.RandomMessage(*bits, *seed)
 	names := strings.Split(*channels, ",")
@@ -99,13 +102,19 @@ func runChannel(name string, msg []bool, llcBytes, llcWays int, noise float64) (
 	if !ok {
 		return core.Result{}, fmt.Errorf("unknown channel %q", name)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.LLCBytes = llcBytes
-	cfg.LLCWays = llcWays
-	cfg.Noise.EventsPerMCycle = noise
-	m, err := sim.New(cfg)
+	m, err := sim.New(machineConfig(llcBytes, llcWays, noise))
 	if err != nil {
 		return core.Result{}, err
 	}
 	return ch.Run(m, msg, core.Options{})
+}
+
+// machineConfig is the machine every run of this command simulates: the
+// Table 2 defaults with the flags' LLC and noise.
+func machineConfig(llcBytes, llcWays int, noise float64) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.LLCBytes = llcBytes
+	cfg.LLCWays = llcWays
+	cfg.Noise.EventsPerMCycle = noise
+	return cfg
 }

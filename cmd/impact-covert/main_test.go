@@ -51,6 +51,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-sweep", "nonsense", "-bits", "16"}, "nonsense"},
 		{[]string{"-not-a-flag"}, "not-a-flag"},
 		{[]string{"-bits", "-1"}, "-bits"},
+		{[]string{"-llc-ways", "257"}, "llc_ways"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -5,6 +5,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/stats"
@@ -55,20 +56,6 @@ func newCounters() *stats.Counters {
 	return stats.NewFixed("hit", "miss", "writeback")
 }
 
-type line struct {
-	tag uint64
-	// lastUse orders LRU; rrpv drives SRRIP.
-	lastUse int64
-	// epoch stamps the Cache.epoch the line was filled in. A line is valid
-	// iff its epoch equals the cache's current epoch, so Reset invalidates
-	// every line by bumping one counter instead of clearing megabytes of
-	// line metadata. The zero epoch is never current (caches start at 1),
-	// which keeps `line{}` meaning "invalid" for Invalidate/FlushAll.
-	epoch uint32
-	dirty bool
-	rrpv  uint8
-}
-
 // Config describes one cache level.
 type Config struct {
 	Name      string
@@ -81,7 +68,14 @@ type Config struct {
 	Policy  ReplacementPolicy
 }
 
-// Cache is one set-associative cache level.
+// narrowWays is the widest set a lookup scans by key alone. A wider set
+// (Figure 3's LLCs reach 128 ways) keeps a one-byte fingerprint per way,
+// and a lookup scans those first, so it compares keys only where the
+// fingerprints match.
+const narrowWays = 16
+
+// Cache is one set-associative cache level. Its ways live in per-way
+// arrays, way w of set s at index s*Ways+w of each.
 type Cache struct {
 	cfg      Config
 	sets     int
@@ -92,17 +86,34 @@ type Cache struct {
 	setShift uint
 	tagShift uint
 	setMask  uint64
-	// direct marks a direct-mapped (1-way) geometry, whose miss path can
-	// skip victim selection (the probe is already a single tag compare).
-	direct bool
-	// lines holds every set's ways back to back: way w of set s is
-	// lines[s*Ways+w]. One slice per level keeps a build to one
-	// allocation however many sets the geometry has.
-	lines    []line
+	// keys holds tag+1 for each valid way and 0 for an invalid one, so one
+	// scan of a set finds both a hit and the set's first free way.
+	// lastUse orders LRU. Both are carved from one array with stamps.
+	keys    []uint64
+	lastUse []uint64
+	// rrpv drives SRRIP and dirty is 1 for a line to write back. fp, only
+	// for sets wider than narrowWays, holds fingerprint(key) for each
+	// valid way and 0 for an invalid one. All three are carved from one
+	// array. A way's lastUse, rrpv and dirty are written when it fills, so
+	// an invalid way's are never read.
+	rrpv  []uint8
+	dirty []uint8
+	fp    []uint8
+	// stamps holds the epoch each set was last touched in. A set whose
+	// stamp is not the current epoch holds no valid line, whatever its
+	// keys say, and its next Access clears it first. So FlushAll and
+	// Reset invalidate every line by bumping epoch. Caches start at epoch
+	// 1 with every stamp 0. The stamps are uint64 only to share the keys'
+	// array.
+	stamps []uint64
+	epoch  uint32
+	// drops counts the lines Invalidate has dropped. A miss compares it
+	// across its fill, since a back-invalidation during the fill can free
+	// a way ahead of the one its lookup found.
+	drops    uint64
 	next     Level
 	counters *stats.Counters
-	tick     int64  // logical use counter for LRU ordering
-	epoch    uint32 // current validity epoch; lines match it or are invalid
+	tick     uint64 // logical use counter for LRU ordering
 	onEvict  func(addr uint64)
 }
 
@@ -127,19 +138,35 @@ func New(cfg Config, next Level) (*Cache, error) {
 		lineBits++
 	}
 	setShift := uint(setBits(sets))
-	return &Cache{
+	if lineBits+setShift == 0 {
+		// The tag would be the whole address, and the all-ones address's
+		// key, tag+1, would read as an invalid way.
+		return nil, fmt.Errorf("cache %s: one set of 1-byte lines leaves no index bit", cfg.Name)
+	}
+	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		lineBits: lineBits,
 		setShift: setShift,
 		tagShift: lineBits + setShift,
 		setMask:  uint64(sets - 1),
-		direct:   cfg.Ways == 1,
-		lines:    make([]line, numLines),
+		epoch:    1,
 		next:     next,
 		counters: newCounters(),
-		epoch:    1,
-	}, nil
+	}
+	n := numLines
+	words := make([]uint64, 2*n+sets)
+	c.keys, c.lastUse, c.stamps = words[:n:n], words[n:2*n:2*n], words[2*n:]
+	meta := 2 * n
+	if cfg.Ways > narrowWays {
+		meta = 3 * n
+	}
+	small := make([]uint8, meta)
+	c.rrpv, c.dirty = small[:n:n], small[n:2*n:2*n]
+	if cfg.Ways > narrowWays {
+		c.fp = small[2*n:]
+	}
+	return c, nil
 }
 
 // Config returns the level's configuration.
@@ -174,14 +201,13 @@ func setBits(sets int) int {
 	return b
 }
 
-// set returns the ways of set s. The slice's capacity ends at the set's
-// last way, so no write through it can reach the next set.
+// fingerprint folds a key into the byte a wide set stores beside it. It
+// is never 0, which marks an invalid way, and keys that differ by less
+// than 255 (consecutive tags, as in an eviction set) never share one.
 //
 //impact:hotpath
-func (c *Cache) set(s int) []line {
-	lo := s * c.cfg.Ways
-	hi := lo + c.cfg.Ways
-	return c.lines[lo:hi:hi]
+func fingerprint(key uint64) uint8 {
+	return uint8(key%255) + 1
 }
 
 // Access serves a load or store, returning its latency.
@@ -190,30 +216,75 @@ func (c *Cache) set(s int) []line {
 func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 	c.tick++
 	set := c.SetIndex(addr)
-	tag := c.tagOf(addr)
-	ways := c.set(set)
-	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == tag {
-			c.counters.Add(CounterHit, 1)
-			c.touch(&ways[i])
-			if write {
-				ways[i].dirty = true
-			}
-			return c.cfg.Latency
+	key := c.tagOf(addr) + 1
+	lo := set * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	if c.stamps[set] != uint64(c.epoch) {
+		// A stale set holds nothing: it misses, and fill clears it.
+		return c.fill(now, addr, write, set, key, -1)
+	}
+	if c.fp != nil {
+		way, free := c.lookupWide(lo, hi, key)
+		if way < 0 {
+			return c.fill(now, addr, write, set, key, free)
+		}
+		return c.hit(way, write)
+	}
+	free := -1
+	for i, k := range c.keys[lo:hi:hi] {
+		if k == key {
+			return c.hit(lo+i, write)
+		}
+		if k == 0 && free < 0 {
+			free = lo + i
 		}
 	}
-	c.counters.Add(CounterMiss, 1)
-	// Miss: probe cost, fill from next level, insert.
-	fill := c.next.Access(now+c.cfg.Latency, addr, false)
-	// Direct-mapped fast path: the probe above was a single compare, and
-	// the victim is always way 0 — skip victim selection entirely.
-	victim := 0
-	if !c.direct {
-		victim = c.selectVictim(ways)
+	return c.fill(now, addr, write, set, key, free)
+}
+
+// hit updates the replacement state of the way a lookup found.
+//
+//impact:hotpath
+func (c *Cache) hit(way int, write bool) int64 {
+	c.counters.Add(CounterHit, 1)
+	c.lastUse[way] = c.tick
+	c.rrpv[way] = 0
+	if write {
+		c.dirty[way] = 1
 	}
-	if ways[victim].epoch == c.epoch {
-		wbAddr := c.reconstruct(ways[victim].tag, set)
-		if ways[victim].dirty {
+	return c.cfg.Latency
+}
+
+// fill serves a miss on key in set: it pays the probe, fetches the line
+// from the next level and inserts it, at the set's first free way if
+// lookup found one and it is still free, else at the policy's victim.
+//
+//impact:hotpath
+func (c *Cache) fill(now int64, addr uint64, write bool, set int, key uint64, free int) int64 {
+	c.counters.Add(CounterMiss, 1)
+	lo := set * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	if c.stamps[set] != uint64(c.epoch) {
+		// The set is stale: clear it for this epoch, all of it free.
+		c.stamps[set] = uint64(c.epoch)
+		clear(c.keys[lo:hi])
+		if c.fp != nil {
+			clear(c.fp[lo:hi])
+		}
+		free = lo
+	}
+	drops := c.drops
+	fill := c.next.Access(now+c.cfg.Latency, addr, false)
+	if c.drops != drops {
+		free = c.firstFree(lo, hi)
+	}
+	victim := free
+	if victim < 0 {
+		victim = c.selectVictim(lo, hi)
+	}
+	if old := c.keys[victim]; old != 0 {
+		wbAddr := c.reconstruct(old-1, set)
+		if c.dirty[victim] != 0 {
 			c.counters.Add(CounterWriteback, 1)
 			// Writebacks happen off the critical path but still disturb
 			// DRAM state; model the access without charging the requester.
@@ -226,48 +297,92 @@ func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 			c.onEvict(wbAddr)
 		}
 	}
-	ways[victim] = line{tag: tag, epoch: c.epoch, dirty: write, lastUse: c.tick, rrpv: srripMax - 1}
+	c.keys[victim] = key
+	c.lastUse[victim] = c.tick
+	c.rrpv[victim] = srripMax - 1
+	c.dirty[victim] = 0
+	if write {
+		c.dirty[victim] = 1
+	}
+	if c.fp != nil {
+		c.fp[victim] = fingerprint(key)
+	}
 	return c.cfg.Latency + fill
 }
 
-// touch updates replacement metadata on a hit.
+// lookupWide scans the current-epoch set [lo, hi) of a cache wider than
+// narrowWays for key, comparing keys only where the fingerprints match. It
+// returns the index of the way holding key, or -1 and the index of the
+// set's first free way (-1 if the set is full).
 //
 //impact:hotpath
-func (c *Cache) touch(l *line) {
-	l.lastUse = c.tick
-	l.rrpv = 0
+func (c *Cache) lookupWide(lo, hi int, key uint64) (way, free int) {
+	keys, fp := c.keys[lo:hi:hi], c.fp[lo:hi:hi]
+	f := fingerprint(key)
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(fp[i:], f)
+		if j < 0 {
+			break
+		}
+		i += j
+		if keys[i] == key {
+			return lo + i, -1
+		}
+	}
+	if i := bytes.IndexByte(fp, 0); i >= 0 {
+		return -1, lo + i
+	}
+	return -1, -1
 }
 
-// selectVictim picks the way to evict in a full set.
+// firstFree returns the index of the first free way in [lo, hi), or -1.
 //
 //impact:hotpath
-func (c *Cache) selectVictim(ways []line) int {
-	for i := range ways {
-		if ways[i].epoch != c.epoch {
-			return i
+func (c *Cache) firstFree(lo, hi int) int {
+	if c.fp != nil {
+		if i := bytes.IndexByte(c.fp[lo:hi:hi], 0); i >= 0 {
+			return lo + i
+		}
+		return -1
+	}
+	for i, k := range c.keys[lo:hi:hi] {
+		if k == 0 {
+			return lo + i
 		}
 	}
-	switch c.cfg.Policy {
-	case PolicySRRIP:
-		for {
-			for i := range ways {
-				if ways[i].rrpv >= srripMax {
-					return i
+	return -1
+}
+
+// selectVictim picks the way to evict in the full set [lo, hi). Under
+// SRRIP the victim is the first way at the highest RRPV present, and every
+// way ages by that RRPV's distance from srripMax: the way and the ages the
+// age-and-rescan loop of the policy's definition reaches.
+//
+//impact:hotpath
+func (c *Cache) selectVictim(lo, hi int) int {
+	if c.cfg.Policy == PolicySRRIP {
+		rrpv := c.rrpv[lo:hi:hi]
+		for v := uint8(srripMax); ; v-- {
+			i := bytes.IndexByte(rrpv, v)
+			if i < 0 {
+				continue
+			}
+			if gap := srripMax - v; gap > 0 {
+				for j := range rrpv {
+					rrpv[j] += gap
 				}
 			}
-			for i := range ways {
-				ways[i].rrpv++
-			}
+			return lo + i
 		}
-	default: // LRU
-		victim := 0
-		for i := 1; i < len(ways); i++ {
-			if ways[i].lastUse < ways[victim].lastUse {
-				victim = i
-			}
-		}
-		return victim
 	}
+	lastUse := c.lastUse[lo:hi:hi]
+	victim := 0
+	for i := 1; i < len(lastUse); i++ {
+		if lastUse[i] < lastUse[victim] {
+			victim = i
+		}
+	}
+	return lo + victim
 }
 
 // reconstruct rebuilds a line-aligned address from tag and set.
@@ -283,58 +398,73 @@ func (c *Cache) SetEvictHook(hook func(addr uint64)) {
 	c.onEvict = hook
 }
 
-// Contains reports whether addr is currently cached at this level.
-func (c *Cache) Contains(addr uint64) bool {
+// find returns the index of the way holding addr, or -1.
+func (c *Cache) find(addr uint64) int {
 	set := c.SetIndex(addr)
-	tag := c.tagOf(addr)
-	for _, l := range c.set(set) {
-		if l.epoch == c.epoch && l.tag == tag {
-			return true
+	if c.stamps[set] != uint64(c.epoch) {
+		return -1
+	}
+	key := c.tagOf(addr) + 1
+	lo := set * c.cfg.Ways
+	if c.fp != nil {
+		way, _ := c.lookupWide(lo, lo+c.cfg.Ways, key)
+		return way
+	}
+	for i, k := range c.keys[lo : lo+c.cfg.Ways] {
+		if k == key {
+			return lo + i
 		}
 	}
-	return false
+	return -1
+}
+
+// Contains reports whether addr is currently cached at this level.
+func (c *Cache) Contains(addr uint64) bool {
+	return c.find(addr) >= 0
 }
 
 // Invalidate drops addr from this level, returning whether it was present
 // and whether the dropped line was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.SetIndex(addr)
-	tag := c.tagOf(addr)
-	ways := c.set(set)
-	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == tag {
-			present, dirty = true, ways[i].dirty
-			ways[i] = line{}
-			return present, dirty
-		}
+	way := c.find(addr)
+	if way < 0 {
+		return false, false
 	}
-	return false, false
+	c.keys[way] = 0
+	if c.fp != nil {
+		c.fp[way] = 0
+	}
+	c.drops++
+	return true, c.dirty[way] != 0
 }
 
-// FlushAll invalidates every line (used between experiments).
+// FlushAll invalidates every line (used between experiments) in O(1), by
+// moving to a new epoch: every set's stamp goes stale at once. On the
+// (4-billion-flush) epoch wraparound the stamps really are cleared, so a
+// stale stamp can never alias back to validity.
 func (c *Cache) FlushAll() {
-	clear(c.lines)
-}
-
-// Reset returns the cache to its just-constructed state in O(1): bumping
-// the validity epoch invalidates every line without touching megabytes of
-// line metadata (an 8 MiB LLC holds 128k lines), and the tick and counters
-// restart from zero so a pooled machine replays accesses exactly like a
-// fresh one. On the (4-billion-reset) epoch wraparound the lines really
-// are cleared, so stale stamps can never alias back to validity.
-func (c *Cache) Reset() {
 	c.epoch++
 	if c.epoch == 0 {
-		c.FlushAll()
+		clear(c.stamps)
 		c.epoch = 1
 	}
+}
+
+// Reset returns the cache to its just-constructed state in O(1). It
+// flushes every line by moving to a new epoch, as FlushAll does, without
+// touching megabytes of per-way arrays (an 8 MiB LLC holds 128k lines):
+// each set clears its own ways the next time an Access reaches it. The
+// tick and counters restart from zero, so a pooled machine replays
+// accesses exactly like a fresh one.
+func (c *Cache) Reset() {
+	c.FlushAll()
 	c.tick = 0
 	c.counters.Reset()
 }
 
-// Reconfigure resets the cache under a new configuration, reusing the line
-// arrays. Reuse requires the geometry — size, ways, line size — to be
-// unchanged (latency, policy, and name may differ freely); Reconfigure
+// Reconfigure resets the cache under a new configuration, reusing the
+// per-way arrays. Reuse requires the geometry — size, ways, line size — to
+// be unchanged (latency, policy, and name may differ freely); Reconfigure
 // reports whether it was possible and leaves the cache untouched when not.
 func (c *Cache) Reconfigure(cfg Config) bool {
 	if cfg.SizeBytes != c.cfg.SizeBytes || cfg.Ways != c.cfg.Ways || cfg.LineBytes != c.cfg.LineBytes {

@@ -1,7 +1,12 @@
 package cache
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // fixedMem is a test backend with a constant latency that records accesses.
@@ -39,6 +44,9 @@ func TestCacheGeometryValidation(t *testing.T) {
 		{Name: "badline", SizeBytes: 4096, Ways: 4, LineBytes: 48, Latency: 1},
 		{Name: "badways", SizeBytes: 4096, Ways: 0, LineBytes: 64, Latency: 1},
 		{Name: "badsets", SizeBytes: 4096 + 64, Ways: 4, LineBytes: 64, Latency: 1},
+		// One set of 1-byte lines: the tag is the whole address, and the
+		// all-ones address's key would read as an invalid way.
+		{Name: "noindex", SizeBytes: 8, Ways: 8, LineBytes: 1, Latency: 1},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg, next); err == nil {
@@ -241,9 +249,10 @@ func TestDirectMappedFastPath(t *testing.T) {
 }
 
 // TestAccessHitPathNoAllocs asserts the per-access fast path is
-// allocation-free, for both set-associative and direct-mapped geometries.
+// allocation-free, for direct-mapped, narrow and fingerprinted wide
+// geometries.
 func TestAccessHitPathNoAllocs(t *testing.T) {
-	for _, ways := range []int{1, 8} {
+	for _, ways := range []int{1, 8, 128} {
 		c, err := New(Config{
 			Name: "hot", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64, Latency: 4, Policy: PolicyLRU,
 		}, &fixedMem{latency: 100})
@@ -257,6 +266,339 @@ func TestAccessHitPathNoAllocs(t *testing.T) {
 			c.Access(now, 0x1000, false)
 		}); avg != 0 {
 			t.Errorf("ways=%d: hit path allocates %v allocs/op, want 0", ways, avg)
+		}
+	}
+}
+
+// refCache is the reference model of Cache: the array of line structs it
+// replaced, each line stamped with the epoch it was filled in, where a
+// lookup compares both and a miss rescans the set for a victim after the
+// fill. Its geometry is copied from a Cache that New accepted.
+type refCache struct {
+	cfg      Config
+	lineBits uint
+	setShift uint
+	tagShift uint
+	setMask  uint64
+	lines    []refLine
+	next     Level
+	counters *stats.Counters
+	tick     int64
+	epoch    uint32
+	onEvict  func(addr uint64)
+}
+
+type refLine struct {
+	tag     uint64
+	lastUse int64
+	epoch   uint32
+	dirty   bool
+	rrpv    uint8
+}
+
+func newRefCache(c *Cache, next Level) *refCache {
+	return &refCache{
+		cfg: c.cfg, lineBits: c.lineBits, setShift: c.setShift, tagShift: c.tagShift, setMask: c.setMask,
+		lines: make([]refLine, c.sets*c.cfg.Ways), next: next, counters: newCounters(), epoch: 1,
+	}
+}
+
+func (r *refCache) set(addr uint64) (int, []refLine) {
+	s := int((addr >> r.lineBits) & r.setMask)
+	lo := s * r.cfg.Ways
+	return s, r.lines[lo : lo+r.cfg.Ways]
+}
+
+func (r *refCache) Access(now int64, addr uint64, write bool) int64 {
+	r.tick++
+	set, ways := r.set(addr)
+	tag := addr >> r.tagShift
+	for i := range ways {
+		if ways[i].epoch == r.epoch && ways[i].tag == tag {
+			r.counters.Add(CounterHit, 1)
+			ways[i].lastUse, ways[i].rrpv = r.tick, 0
+			if write {
+				ways[i].dirty = true
+			}
+			return r.cfg.Latency
+		}
+	}
+	r.counters.Add(CounterMiss, 1)
+	fill := r.next.Access(now+r.cfg.Latency, addr, false)
+	victim := 0
+	if r.cfg.Ways != 1 {
+		victim = r.selectVictim(ways)
+	}
+	if ways[victim].epoch == r.epoch {
+		wbAddr := (ways[victim].tag<<r.setShift | uint64(set)) << r.lineBits
+		if ways[victim].dirty {
+			r.counters.Add(CounterWriteback, 1)
+			r.next.Access(now+r.cfg.Latency, wbAddr, true)
+		}
+		if r.onEvict != nil {
+			r.onEvict(wbAddr)
+		}
+	}
+	ways[victim] = refLine{tag: tag, epoch: r.epoch, dirty: write, lastUse: r.tick, rrpv: srripMax - 1}
+	return r.cfg.Latency + fill
+}
+
+func (r *refCache) selectVictim(ways []refLine) int {
+	for i := range ways {
+		if ways[i].epoch != r.epoch {
+			return i
+		}
+	}
+	if r.cfg.Policy == PolicySRRIP {
+		for {
+			for i := range ways {
+				if ways[i].rrpv >= srripMax {
+					return i
+				}
+			}
+			for i := range ways {
+				ways[i].rrpv++
+			}
+		}
+	}
+	victim := 0
+	for i := 1; i < len(ways); i++ {
+		if ways[i].lastUse < ways[victim].lastUse {
+			victim = i
+		}
+	}
+	return victim
+}
+
+func (r *refCache) Contains(addr uint64) bool {
+	_, ways := r.set(addr)
+	for _, l := range ways {
+		if l.epoch == r.epoch && l.tag == addr>>r.tagShift {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) Invalidate(addr uint64) (present, dirty bool) {
+	_, ways := r.set(addr)
+	for i := range ways {
+		if ways[i].epoch == r.epoch && ways[i].tag == addr>>r.tagShift {
+			present, dirty = true, ways[i].dirty
+			ways[i] = refLine{}
+			return present, dirty
+		}
+	}
+	return false, false
+}
+
+func (r *refCache) FlushAll() { clear(r.lines) }
+
+func (r *refCache) Reset() {
+	r.epoch++
+	if r.epoch == 0 {
+		r.FlushAll()
+		r.epoch = 1
+	}
+	r.tick = 0
+	r.counters.Reset()
+}
+
+func (r *refCache) Reconfigure(cfg Config) bool {
+	if cfg.SizeBytes != r.cfg.SizeBytes || cfg.Ways != r.cfg.Ways || cfg.LineBytes != r.cfg.LineBytes {
+		return false
+	}
+	r.cfg = cfg
+	r.Reset()
+	return true
+}
+
+// refAccess is one request a cache level sent to the level below it.
+type refAccess struct {
+	now   int64
+	addr  uint64
+	write bool
+}
+
+// recLevel is the level below a cache under comparison. It logs every
+// request and answers with a latency that depends on the address. Some
+// reads drop a line of the pool from the cache above while its fill is in
+// flight, as an inclusive LLC's back-invalidation does, so a miss must
+// not trust the free way its lookup found.
+type recLevel struct {
+	log  []refAccess
+	pool *[]uint64
+	drop func(addr uint64) (present, dirty bool)
+}
+
+func (l *recLevel) Access(now int64, addr uint64, write bool) int64 {
+	l.log = append(l.log, refAccess{now, addr, write})
+	line := addr >> 6
+	if !write && line%3 == 0 {
+		pool := *l.pool
+		l.drop(pool[int(line/3%uint64(len(pool)))])
+	}
+	return 100 + int64(line%13)
+}
+
+// sameSet compares the ways of the set addr maps to: the same ways valid,
+// each holding the same tag, dirty bit, RRPV and LRU stamp, and a wide
+// cache's fingerprints matching its keys.
+func sameSet(c *Cache, r *refCache, addr uint64) error {
+	set := c.SetIndex(addr)
+	lo := set * c.cfg.Ways
+	current := c.stamps[set] == uint64(c.epoch)
+	for w := 0; w < c.cfg.Ways; w++ {
+		i := lo + w
+		want := r.lines[i]
+		valid := current && c.keys[i] != 0
+		if valid != (want.epoch == r.epoch) {
+			return fmt.Errorf("set %d way %d: valid %v, reference %v", set, w, valid, !valid)
+		}
+		if current && c.fp != nil {
+			if f := c.fp[i]; (valid && f != fingerprint(c.keys[i])) || (!valid && f != 0) {
+				return fmt.Errorf("set %d way %d: fingerprint %d for key %#x", set, w, f, c.keys[i])
+			}
+		}
+		if !valid {
+			continue
+		}
+		got := refLine{tag: c.keys[i] - 1, lastUse: int64(c.lastUse[i]), epoch: want.epoch, dirty: c.dirty[i] != 0, rrpv: c.rrpv[i]}
+		if got != want {
+			return fmt.Errorf("set %d way %d: %+v, reference %+v", set, w, got, want)
+		}
+	}
+	return nil
+}
+
+// TestCacheMatchesReference drives Cache and the line-array reference
+// model with the same seeded calls — reads and writes, Invalidate,
+// Contains, FlushAll, Reset and Reconfigure, which also flips the policy
+// or asks for another geometry — and requires the same latencies, query
+// results and counters at every step, the same requests to the level
+// below, the same evict-hook calls and the same ways in the touched set.
+// Every 1,000 steps the address pool moves between below, at and above
+// one set's ways; its tags are random, so a wide set's fingerprints
+// collide. Until a quarter of the way in nothing flushes, so every set
+// is stamped with epoch 1; then both epochs jump to just below the uint32
+// wraparound and two resets carry them across it, back to epoch 1.
+func TestCacheMatchesReference(t *testing.T) {
+	const steps, sets = 12_000, 8
+	for _, ways := range []int{1, 2, 4, 8, 12, 16, 32, 128} {
+		for _, policy := range []ReplacementPolicy{PolicyLRU, PolicySRRIP} {
+			cfg := Config{Name: "ref", SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, Latency: 7, Policy: policy}
+			var pool []uint64
+			below, ref := &recLevel{pool: &pool}, &recLevel{pool: &pool}
+			c, err := New(cfg, below)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRefCache(c, ref)
+			below.drop, ref.drop = c.Invalidate, r.Invalidate
+			var evicted, refEvicted []uint64
+			c.SetEvictHook(func(addr uint64) { evicted = append(evicted, addr) })
+			r.onEvict = func(addr uint64) { refEvicted = append(refEvicted, addr) }
+
+			rng := stats.NewRNG(uint64(ways)<<4 | uint64(policy))
+			perSet := []int{max(ways/2, 1), ways, ways + ways/2 + 1}
+			var hits, dirtyDrops, flips int
+			for i := 0; i < steps; i++ {
+				if i%1_000 == 0 {
+					pool = pool[:0]
+					n := perSet[i/1_000%len(perSet)]
+					for s := 0; s < sets; s++ {
+						base := rng.Uint64() >> c.tagShift
+						for k := 0; k < n; k++ {
+							tag := rng.Uint64() >> c.tagShift
+							if k%2 == 1 {
+								tag = (base + uint64(k)) & (^uint64(0) >> c.tagShift)
+							}
+							pool = append(pool, (tag<<c.setShift|uint64(s))<<c.lineBits|uint64(rng.Intn(64)))
+						}
+					}
+					pool = append(pool, ^uint64(0))
+				}
+				setup := i < steps/4
+				if i == steps/4 {
+					c.epoch, r.epoch = math.MaxUint32-1, math.MaxUint32-1
+					for range 2 {
+						c.Reset()
+						r.Reset()
+					}
+				}
+				addr := pool[rng.Intn(len(pool))]
+				var what string
+				switch op := rng.Intn(1000); {
+				case op < 800:
+					write := rng.Intn(3) == 0
+					got, want := c.Access(int64(i), addr, write), r.Access(int64(i), addr, write)
+					what = fmt.Sprintf("Access(%#x, write %v) = %d, reference %d", addr, write, got, want)
+					if got != want {
+						t.Fatalf("ways %d %v step %d: %s", ways, policy, i, what)
+					}
+					if got == cfg.Latency {
+						hits++
+					}
+				case op < 900:
+					p, d := c.Invalidate(addr)
+					wp, wd := r.Invalidate(addr)
+					what = fmt.Sprintf("Invalidate(%#x) = %v %v, reference %v %v", addr, p, d, wp, wd)
+					if p != wp || d != wd {
+						t.Fatalf("ways %d %v step %d: %s", ways, policy, i, what)
+					}
+					if d {
+						dirtyDrops++
+					}
+				case op < 990:
+					got, want := c.Contains(addr), r.Contains(addr)
+					what = fmt.Sprintf("Contains(%#x) = %v, reference %v", addr, got, want)
+					if got != want {
+						t.Fatalf("ways %d %v step %d: %s", ways, policy, i, what)
+					}
+				case setup:
+				case op < 994:
+					what = "FlushAll"
+					c.FlushAll()
+					r.FlushAll()
+				case op < 997:
+					what = "Reset"
+					c.Reset()
+					r.Reset()
+				default:
+					next := cfg
+					next.Latency = int64(1 + rng.Intn(20))
+					if rng.Intn(2) == 0 {
+						next.Policy = PolicyLRU + PolicySRRIP - c.cfg.Policy
+						flips++
+					}
+					if rng.Intn(4) == 0 {
+						next.SizeBytes *= 2
+					}
+					got, want := c.Reconfigure(next), r.Reconfigure(next)
+					what = fmt.Sprintf("Reconfigure(%+v) = %v, reference %v", next, got, want)
+					if got != want {
+						t.Fatalf("ways %d %v step %d: %s", ways, policy, i, what)
+					}
+				}
+				for _, id := range []stats.CounterID{CounterHit, CounterMiss, CounterWriteback} {
+					if got, want := c.Counters().Value(id), r.counters.Value(id); got != want {
+						t.Fatalf("ways %d %v step %d after %s: counter %d = %d, reference %d", ways, policy, i, what, id, got, want)
+					}
+				}
+				if !slices.Equal(below.log, ref.log) {
+					t.Fatalf("ways %d %v step %d after %s: requests below\n%v\nreference\n%v", ways, policy, i, what, below.log, ref.log)
+				}
+				if !slices.Equal(evicted, refEvicted) {
+					t.Fatalf("ways %d %v step %d after %s: evictions %#x, reference %#x", ways, policy, i, what, evicted, refEvicted)
+				}
+				if err := sameSet(c, r, addr); err != nil {
+					t.Fatalf("ways %d %v step %d after %s: %v", ways, policy, i, what, err)
+				}
+				below.log, ref.log, evicted, refEvicted = below.log[:0], ref.log[:0], evicted[:0], refEvicted[:0]
+			}
+			if hits == 0 || dirtyDrops == 0 || flips == 0 {
+				t.Fatalf("ways %d %v: the stream missed a branch: %d hits, %d dirty invalidations, %d policy flips", ways, policy, hits, dirtyDrops, flips)
+			}
 		}
 	}
 }

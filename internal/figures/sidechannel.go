@@ -17,15 +17,25 @@ const VictimReadLen = 150
 // SideChannel runs the Section 4.3 attack once per bank count, each on a
 // machine with that many banks as New builds it, side by side as sim.Fan
 // allows. The reference, its seeding index and the victim's reads are
-// built once and shared by every run, which only reads them. Fig11,
-// impact-sidechannel, the genomeleak example and the benches share it.
+// built once and shared by every run, which only reads them; the index
+// and the reads, which only read the reference, are built side by side
+// too. Fig11, impact-sidechannel, the genomeleak example and the benches
+// share it.
 func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([]core.SideChannelResult, error) {
 	ref := genomics.NewReference(refLen, seed)
-	idx, err := genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
-	if err != nil {
-		return nil, err
-	}
-	reads, err := genomics.SampleReads(ref, numReads, VictimReadLen, 0.02, seed+1)
+	var (
+		idx   *genomics.Index
+		reads []genomics.Read
+	)
+	_, err := sim.Fan(2, func(i int) (struct{}, error) {
+		var err error
+		if i == 0 {
+			idx, err = genomics.BuildIndex(ref, genomics.DefaultIndexConfig())
+		} else {
+			reads, err = genomics.SampleReads(ref, numReads, VictimReadLen, 0.02, seed+1)
+		}
+		return struct{}{}, err
+	})
 	if err != nil {
 		return nil, err
 	}

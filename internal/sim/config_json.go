@@ -36,10 +36,14 @@ func (c Config) ToJSON() ([]byte, error) {
 // Size caps. A spec reaches sim.New from any /v1/run or /v1/jobs caller,
 // and an oversized machine kills the process with an out-of-memory fault
 // that recover cannot catch. Each cap is at least twice what any figure,
-// test or example uses (128 MiB LLC, 8 cores); the DRAM geometry caps live
-// in dram.Config.Validate.
+// test or example uses (128 MiB LLC, 128 LLC ways, 8 cores); the DRAM
+// geometry caps live in dram.Config.Validate. The ways cap bounds time,
+// not memory: the engine gives a run no deadline, and an eviction-set
+// channel's cost grows with the square of the ways (each eviction loads
+// ways lines, and each load scans a set of ways).
 const (
 	maxLLCBytes = 256 << 20
+	maxLLCWays  = 256
 	maxCores    = 64
 )
 
@@ -60,6 +64,9 @@ func (c Config) Validate() error {
 	}
 	if c.LLCWays <= 0 {
 		return fmt.Errorf(`sim: field "llc_ways": must be > 0 (got %d)`, c.LLCWays)
+	}
+	if c.LLCWays > maxLLCWays {
+		return fmt.Errorf(`sim: field "llc_ways": must be <= %d (got %d)`, maxLLCWays, c.LLCWays)
 	}
 	if c.LLCLatency < 0 {
 		return fmt.Errorf(`sim: field "llc_latency": must be >= 0 (got %d)`, c.LLCLatency)

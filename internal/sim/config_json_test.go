@@ -109,6 +109,7 @@ func TestFromJSONErrorsNameFields(t *testing.T) {
 		// Size caps: a config past any of them would exhaust host memory
 		// in New, so validation stops it first.
 		{"llc cap", `{"llc_bytes": 268435457}`, `"llc_bytes"`},
+		{"llc ways cap", `{"llc_ways": 257}`, `"llc_ways"`},
 		{"cores cap", `{"cores": 65}`, `"cores"`},
 		{"geometry factor cap", `{"dram": {"banks_per_group": 65537}}`, `"banks_per_group"`},
 		{"total banks cap", `{"dram": {"channels": 256, "ranks": 256, "bank_groups": 2, "banks_per_group": 1}}`, `bank_groups`},

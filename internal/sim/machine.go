@@ -84,8 +84,8 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state New(cfg) would produce,
-// rebuilding nothing. A build allocates ~7 MB in ~200 objects, almost all
-// of it the cache levels' and TLBs' line arrays; DRAM banks hold timing
+// rebuilding nothing. A build allocates ~5 MB in ~200 objects, almost all
+// of it the cache levels' and TLBs' per-way arrays; DRAM banks hold timing
 // state only, one array for the device. Reset reuses every object,
 // reconfiguring each component in place, when the new configuration's
 // allocation shape matches the old one. It reports whether reuse was

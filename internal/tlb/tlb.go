@@ -5,7 +5,11 @@
 // paper's Sniper setup.
 package tlb
 
-import "repro/internal/stats"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Fixed counter IDs for MMU statistics, in the slot order passed to
 // stats.NewFixed in DefaultMMU.
@@ -25,73 +29,114 @@ type Config struct {
 	PageBits uint
 }
 
-type tlbEntry struct {
-	vpn   uint64
-	valid bool
-	lru   int64
-}
-
 // TLB is a set-associative translation cache keyed by virtual page number.
+// Its entries live in per-way arrays, way w of set s at index s*Ways+w of
+// each.
 type TLB struct {
-	cfg  Config
-	sets int
-	// lines holds every set's ways back to back: way w of set s is
-	// lines[s*Ways+w].
-	lines []tlbEntry
-	tick  int64
+	cfg     Config
+	setMask uint64
+	// keys holds vpn+1 for each valid entry and 0 for an invalid one, and
+	// lru orders eviction.
+	keys []uint64
+	lru  []uint64
+	// stamps holds the epoch each set was last touched in. A set whose
+	// stamp is not the current epoch holds no valid entry, and its next
+	// Lookup clears it first, so FlushAll and Reset are O(1). TLBs start
+	// at epoch 1 with every stamp 0. keys, lru and stamps are carved from
+	// one array, which is why the stamps are uint64.
+	stamps []uint64
+	epoch  uint32
+	tick   uint64
 }
 
-// New builds a TLB. Entries must be divisible by Ways and sets must be a
-// power of two; the Table 2 L2 TLB (1536 entries, 12-way, 128 sets)
-// satisfies this.
+// New builds a TLB. Entries must be divisible by Ways, the set count must
+// be a power of two, and a page must be at least 2 bytes; the Table 2 L2
+// TLB (1536 entries, 12-way, 128 sets) satisfies this. Only DefaultMMU's
+// fixed geometries reach New, so it panics on any other shape.
 func New(cfg Config) *TLB {
-	sets := cfg.Entries / cfg.Ways
-	if sets < 1 {
-		sets = 1
+	if cfg.Ways <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
+		panic(fmt.Sprintf("tlb: %d entries do not divide into sets of %d ways", cfg.Entries, cfg.Ways))
 	}
-	return &TLB{cfg: cfg, sets: sets, lines: make([]tlbEntry, sets*cfg.Ways)}
+	sets := cfg.Entries / cfg.Ways
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("tlb: set count %d not a power of two", sets))
+	}
+	if cfg.PageBits == 0 {
+		// The page number would be the whole address, and the all-ones
+		// address's key, vpn+1, would read as an invalid entry.
+		panic("tlb: zero page bits")
+	}
+	n := cfg.Entries
+	words := make([]uint64, 2*n+sets)
+	return &TLB{
+		cfg:     cfg,
+		setMask: uint64(sets - 1),
+		keys:    words[:n:n],
+		lru:     words[n : 2*n : 2*n],
+		stamps:  words[2*n:],
+		epoch:   1,
+	}
 }
 
 // Lookup probes the TLB for the page containing vaddr, inserting on miss.
+// A miss fills the first free way from way 1 on, then way 0, and in a full
+// set the least recently used way.
 //
 //impact:hotpath
 func (t *TLB) Lookup(vaddr uint64) bool {
 	t.tick++
 	vpn := vaddr >> t.cfg.PageBits
-	lo := int(vpn%uint64(t.sets)) * t.cfg.Ways
+	set := vpn & t.setMask
+	lo := int(set) * t.cfg.Ways
 	hi := lo + t.cfg.Ways
-	ways := t.lines[lo:hi:hi]
-	for i := range ways {
-		if ways[i].valid && ways[i].vpn == vpn {
-			ways[i].lru = t.tick
+	keys, lru := t.keys[lo:hi:hi], t.lru[lo:hi:hi]
+	if t.stamps[set] != uint64(t.epoch) {
+		t.stamps[set] = uint64(t.epoch)
+		clear(keys)
+	}
+	key := vpn + 1
+	victim := -1
+	for i, k := range keys {
+		if k == key {
+			lru[i] = t.tick
 			return true
 		}
-	}
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
+		if k == 0 && victim < 0 && i > 0 {
 			victim = i
 		}
 	}
-	ways[victim] = tlbEntry{vpn: vpn, valid: true, lru: t.tick}
+	if victim < 0 {
+		victim = 0
+		if keys[0] != 0 {
+			for i := 1; i < len(lru); i++ {
+				if lru[i] < lru[victim] {
+					victim = i
+				}
+			}
+		}
+	}
+	keys[victim] = key
+	lru[victim] = t.tick
 	return false
 }
 
 // Latency returns the lookup cost.
 func (t *TLB) Latency() int64 { return t.cfg.Latency }
 
-// FlushAll empties the TLB.
+// FlushAll empties the TLB in O(1), by moving to a new epoch: every set's
+// stamp goes stale at once. On the epoch wraparound the stamps really are
+// cleared, so a stale stamp can never alias back to validity.
 func (t *TLB) FlushAll() {
-	clear(t.lines)
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.stamps)
+		t.epoch = 1
+	}
 }
 
-// Reset returns the TLB to its just-constructed state: entries cleared and
-// the LRU tick restarted. TLBs are small (at most 1536 entries), so a plain
-// clear is cheap enough not to need the cache package's epoch trick.
+// Reset returns the TLB to its just-constructed state in O(1): it flushes
+// every entry as FlushAll does, so each set clears its own ways the next
+// time a Lookup reaches it, and restarts the LRU tick.
 func (t *TLB) Reset() {
 	t.FlushAll()
 	t.tick = 0
