@@ -478,8 +478,8 @@ func sameSet(c *Cache, r *refCache, addr uint64) error {
 // results and counters at every step, the same requests to the level
 // below, the same evict-hook calls and the same ways in the touched set.
 // Every 1,000 steps the address pool moves between below, at and above
-// one set's ways; its tags are random, so a wide set's fingerprints
-// collide. Until a quarter of the way in nothing flushes, so every set
+// one set's ways. Half its tags are consecutive, as in an eviction set,
+// and half random, so a wide set's fingerprints collide. Until a quarter of the way in nothing flushes, so every set
 // is stamped with epoch 1; then both epochs jump to just below the uint32
 // wraparound and two resets carry them across it, back to epoch 1.
 func TestCacheMatchesReference(t *testing.T) {
