@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -38,6 +39,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *bits < 0 {
 		return fmt.Errorf("-bits must not be negative, got %d", *bits)
+	}
+	if *llcMB < 1 || *llcMB > math.MaxInt>>20 {
+		// The size is shifted into bytes, where a larger value would wrap.
+		return fmt.Errorf("-llc-mb must be between 1 and %d, got %d", math.MaxInt>>20, *llcMB)
 	}
 	if err := machineConfig(*llcMB<<20, *llcWays, *noise).Validate(); err != nil {
 		return err

@@ -52,6 +52,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{[]string{"-not-a-flag"}, "not-a-flag"},
 		{[]string{"-bits", "-1"}, "-bits"},
 		{[]string{"-llc-ways", "257"}, "llc_ways"},
+		{[]string{"-llc-mb", "17592186044424"}, "-llc-mb"}, // 2^44+8 MiB wraps to 8 MiB in bytes
+		{[]string{"-llc-mb", "-17592186044408"}, "-llc-mb"},
+		{[]string{"-llc-mb", "0"}, "-llc-mb"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

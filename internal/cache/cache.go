@@ -69,9 +69,11 @@ type Config struct {
 }
 
 // narrowWays is the widest set a lookup scans by key alone. A wider set
-// (Figure 3's LLCs reach 128 ways) keeps a one-byte fingerprint per way,
-// and a lookup scans those first, so it compares keys only where the
-// fingerprints match.
+// keeps a one-byte fingerprint per way, and a lookup scans those first
+// with bytes.IndexByte, so it compares keys only where the fingerprints
+// match. Measured per width (docs/benchmark.md), keys alone are faster up
+// to 16 ways (the L1, the L2 and the default LLC), and fingerprints from
+// 32 ways up (Figure 3 widens the LLC to 128).
 const narrowWays = 16
 
 // Cache is one set-associative cache level. Its ways live in per-way
@@ -86,8 +88,7 @@ type Cache struct {
 	setShift uint
 	tagShift uint
 	setMask  uint64
-	// keys holds tag+1 for each valid way and 0 for an invalid one, so one
-	// scan of a set finds both a hit and the set's first free way.
+	// keys holds tag+1 for each valid way and 0 for an invalid one, and
 	// lastUse orders LRU. Both are carved from one array with stamps.
 	keys    []uint64
 	lastUse []uint64
@@ -101,16 +102,12 @@ type Cache struct {
 	fp    []uint8
 	// stamps holds the epoch each set was last touched in. A set whose
 	// stamp is not the current epoch holds no valid line, whatever its
-	// keys say, and its next Access clears it first. So FlushAll and
+	// keys say, and the next miss in it clears it first. So FlushAll and
 	// Reset invalidate every line by bumping epoch. Caches start at epoch
 	// 1 with every stamp 0. The stamps are uint64 only to share the keys'
 	// array.
-	stamps []uint64
-	epoch  uint32
-	// drops counts the lines Invalidate has dropped. A miss compares it
-	// across its fill, since a back-invalidation during the fill can free
-	// a way ahead of the one its lookup found.
-	drops    uint64
+	stamps   []uint64
+	epoch    uint32
 	next     Level
 	counters *stats.Counters
 	tick     uint64 // logical use counter for LRU ordering
@@ -215,31 +212,27 @@ func fingerprint(key uint64) uint8 {
 //impact:hotpath
 func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 	c.tick++
-	set := c.SetIndex(addr)
-	key := c.tagOf(addr) + 1
-	lo := set * c.cfg.Ways
-	hi := lo + c.cfg.Ways
-	if c.stamps[set] != uint64(c.epoch) {
-		// A stale set holds nothing: it misses, and fill clears it.
-		return c.fill(now, addr, write, set, key, -1)
-	}
-	if c.fp != nil {
-		way, free := c.lookupWide(lo, hi, key)
-		if way < 0 {
-			return c.fill(now, addr, write, set, key, free)
+	if c.fp == nil {
+		// find's narrow scan, inline: through the call, an L1 hit took
+		// 1.2 to 1.35 times as long and Figure 12 1.15 times
+		// (docs/benchmark.md).
+		set := c.SetIndex(addr)
+		if c.stamps[set] == uint64(c.epoch) {
+			key := c.tagOf(addr) + 1
+			lo := set * c.cfg.Ways
+			hi := lo + c.cfg.Ways
+			for i, k := range c.keys[lo:hi:hi] {
+				if k == key {
+					return c.hit(lo+i, write)
+				}
+			}
 		}
+		return c.fill(now, addr, write)
+	}
+	if way := c.find(addr); way >= 0 {
 		return c.hit(way, write)
 	}
-	free := -1
-	for i, k := range c.keys[lo:hi:hi] {
-		if k == key {
-			return c.hit(lo+i, write)
-		}
-		if k == 0 && free < 0 {
-			free = lo + i
-		}
-	}
-	return c.fill(now, addr, write, set, key, free)
+	return c.fill(now, addr, write)
 }
 
 // hit updates the replacement state of the way a lookup found.
@@ -255,13 +248,16 @@ func (c *Cache) hit(way int, write bool) int64 {
 	return c.cfg.Latency
 }
 
-// fill serves a miss on key in set: it pays the probe, fetches the line
-// from the next level and inserts it, at the set's first free way if
-// lookup found one and it is still free, else at the policy's victim.
+// fill serves a miss: it pays the probe, fetches the line from the next
+// level and inserts it, at the set's first free way if it has one, else at
+// the policy's victim. The free way is looked for after the fetch, since
+// an inclusive LLC's back-invalidation during it can free a way here.
 //
 //impact:hotpath
-func (c *Cache) fill(now int64, addr uint64, write bool, set int, key uint64, free int) int64 {
+func (c *Cache) fill(now int64, addr uint64, write bool) int64 {
 	c.counters.Add(CounterMiss, 1)
+	set := c.SetIndex(addr)
+	key := c.tagOf(addr) + 1
 	lo := set * c.cfg.Ways
 	hi := lo + c.cfg.Ways
 	if c.stamps[set] != uint64(c.epoch) {
@@ -271,14 +267,9 @@ func (c *Cache) fill(now int64, addr uint64, write bool, set int, key uint64, fr
 		if c.fp != nil {
 			clear(c.fp[lo:hi])
 		}
-		free = lo
 	}
-	drops := c.drops
 	fill := c.next.Access(now+c.cfg.Latency, addr, false)
-	if c.drops != drops {
-		free = c.firstFree(lo, hi)
-	}
-	victim := free
+	victim := c.firstFree(lo, hi)
 	if victim < 0 {
 		victim = c.selectVictim(lo, hi)
 	}
@@ -310,32 +301,43 @@ func (c *Cache) fill(now int64, addr uint64, write bool, set int, key uint64, fr
 	return c.cfg.Latency + fill
 }
 
-// lookupWide scans the current-epoch set [lo, hi) of a cache wider than
-// narrowWays for key, comparing keys only where the fingerprints match. It
-// returns the index of the way holding key, or -1 and the index of the
-// set's first free way (-1 if the set is full).
+// find returns the index of the way holding addr, or -1. A set wider than
+// narrowWays is scanned by fingerprint with bytes.IndexByte, and its keys
+// are compared only where the fingerprints match.
 //
 //impact:hotpath
-func (c *Cache) lookupWide(lo, hi int, key uint64) (way, free int) {
-	keys, fp := c.keys[lo:hi:hi], c.fp[lo:hi:hi]
-	f := fingerprint(key)
+func (c *Cache) find(addr uint64) int {
+	set := c.SetIndex(addr)
+	if c.stamps[set] != uint64(c.epoch) {
+		return -1
+	}
+	key := c.tagOf(addr) + 1
+	lo := set * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	keys := c.keys[lo:hi:hi]
+	if c.fp == nil {
+		for i, k := range keys {
+			if k == key {
+				return lo + i
+			}
+		}
+		return -1
+	}
+	fp, f := c.fp[lo:hi:hi], fingerprint(key)
 	for i := 0; ; i++ {
 		j := bytes.IndexByte(fp[i:], f)
 		if j < 0 {
-			break
+			return -1
 		}
 		i += j
 		if keys[i] == key {
-			return lo + i, -1
+			return lo + i
 		}
 	}
-	if i := bytes.IndexByte(fp, 0); i >= 0 {
-		return -1, lo + i
-	}
-	return -1, -1
 }
 
-// firstFree returns the index of the first free way in [lo, hi), or -1.
+// firstFree returns the index of the first free way in the current-epoch
+// set [lo, hi), or -1.
 //
 //impact:hotpath
 func (c *Cache) firstFree(lo, hi int) int {
@@ -398,26 +400,6 @@ func (c *Cache) SetEvictHook(hook func(addr uint64)) {
 	c.onEvict = hook
 }
 
-// find returns the index of the way holding addr, or -1.
-func (c *Cache) find(addr uint64) int {
-	set := c.SetIndex(addr)
-	if c.stamps[set] != uint64(c.epoch) {
-		return -1
-	}
-	key := c.tagOf(addr) + 1
-	lo := set * c.cfg.Ways
-	if c.fp != nil {
-		way, _ := c.lookupWide(lo, lo+c.cfg.Ways, key)
-		return way
-	}
-	for i, k := range c.keys[lo : lo+c.cfg.Ways] {
-		if k == key {
-			return lo + i
-		}
-	}
-	return -1
-}
-
 // Contains reports whether addr is currently cached at this level.
 func (c *Cache) Contains(addr uint64) bool {
 	return c.find(addr) >= 0
@@ -434,7 +416,6 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if c.fp != nil {
 		c.fp[way] = 0
 	}
-	c.drops++
 	return true, c.dirty[way] != 0
 }
 
@@ -453,7 +434,7 @@ func (c *Cache) FlushAll() {
 // Reset returns the cache to its just-constructed state in O(1). It
 // flushes every line by moving to a new epoch, as FlushAll does, without
 // touching megabytes of per-way arrays (an 8 MiB LLC holds 128k lines):
-// each set clears its own ways the next time an Access reaches it. The
+// each set clears its own ways the next time a miss fills it. The
 // tick and counters restart from zero, so a pooled machine replays
 // accesses exactly like a fresh one.
 func (c *Cache) Reset() {

@@ -424,7 +424,7 @@ type refAccess struct {
 // request and answers with a latency that depends on the address. Some
 // reads drop a line of the pool from the cache above while its fill is in
 // flight, as an inclusive LLC's back-invalidation does, so a miss must
-// not trust the free way its lookup found.
+// look for a free way after the fill, as the reference's victim scan does.
 type recLevel struct {
 	log  []refAccess
 	pool *[]uint64
@@ -479,9 +479,10 @@ func sameSet(c *Cache, r *refCache, addr uint64) error {
 // below, the same evict-hook calls and the same ways in the touched set.
 // Every 1,000 steps the address pool moves between below, at and above
 // one set's ways. Half its tags are consecutive, as in an eviction set,
-// and half random, so a wide set's fingerprints collide. Until a quarter of the way in nothing flushes, so every set
-// is stamped with epoch 1; then both epochs jump to just below the uint32
-// wraparound and two resets carry them across it, back to epoch 1.
+// and half random, so a wide set's fingerprints collide. Until a quarter
+// of the way in nothing flushes, so every set is stamped with epoch 1;
+// then both epochs jump to just below the uint32 wraparound and two
+// resets carry them across it, back to epoch 1.
 func TestCacheMatchesReference(t *testing.T) {
 	const steps, sets = 12_000, 8
 	for _, ways := range []int{1, 2, 4, 8, 12, 16, 32, 128} {

@@ -36,17 +36,10 @@ type TLB struct {
 	cfg     Config
 	setMask uint64
 	// keys holds vpn+1 for each valid entry and 0 for an invalid one, and
-	// lru orders eviction.
+	// lru orders eviction. Both are carved from one array.
 	keys []uint64
 	lru  []uint64
-	// stamps holds the epoch each set was last touched in. A set whose
-	// stamp is not the current epoch holds no valid entry, and its next
-	// Lookup clears it first, so FlushAll and Reset are O(1). TLBs start
-	// at epoch 1 with every stamp 0. keys, lru and stamps are carved from
-	// one array, which is why the stamps are uint64.
-	stamps []uint64
-	epoch  uint32
-	tick   uint64
+	tick uint64
 }
 
 // New builds a TLB. Entries must be divisible by Ways, the set count must
@@ -67,15 +60,8 @@ func New(cfg Config) *TLB {
 		panic("tlb: zero page bits")
 	}
 	n := cfg.Entries
-	words := make([]uint64, 2*n+sets)
-	return &TLB{
-		cfg:     cfg,
-		setMask: uint64(sets - 1),
-		keys:    words[:n:n],
-		lru:     words[n : 2*n : 2*n],
-		stamps:  words[2*n:],
-		epoch:   1,
-	}
+	words := make([]uint64, 2*n)
+	return &TLB{cfg: cfg, setMask: uint64(sets - 1), keys: words[:n:n], lru: words[n:]}
 }
 
 // Lookup probes the TLB for the page containing vaddr, inserting on miss.
@@ -90,10 +76,6 @@ func (t *TLB) Lookup(vaddr uint64) bool {
 	lo := int(set) * t.cfg.Ways
 	hi := lo + t.cfg.Ways
 	keys, lru := t.keys[lo:hi:hi], t.lru[lo:hi:hi]
-	if t.stamps[set] != uint64(t.epoch) {
-		t.stamps[set] = uint64(t.epoch)
-		clear(keys)
-	}
 	key := vpn + 1
 	victim := -1
 	for i, k := range keys {
@@ -123,20 +105,16 @@ func (t *TLB) Lookup(vaddr uint64) bool {
 // Latency returns the lookup cost.
 func (t *TLB) Latency() int64 { return t.cfg.Latency }
 
-// FlushAll empties the TLB in O(1), by moving to a new epoch: every set's
-// stamp goes stale at once. On the epoch wraparound the stamps really are
-// cleared, so a stale stamp can never alias back to validity.
+// FlushAll empties the TLB. A way's LRU stamp is written when it fills,
+// so clearing the keys is enough.
 func (t *TLB) FlushAll() {
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.stamps)
-		t.epoch = 1
-	}
+	clear(t.keys)
 }
 
-// Reset returns the TLB to its just-constructed state in O(1): it flushes
-// every entry as FlushAll does, so each set clears its own ways the next
-// time a Lookup reaches it, and restarts the LRU tick.
+// Reset returns the TLB to its just-constructed state: entries cleared and
+// the LRU tick restarted. TLBs are small (at most 1,536 entries), so a
+// plain clear is cheap enough: per-set stamps like the caches' left the
+// cold-sweep benchmark workload unchanged (docs/benchmark.md).
 func (t *TLB) Reset() {
 	t.FlushAll()
 	t.tick = 0
