@@ -47,15 +47,17 @@ benchsuite-test:
 	cd benchsuite && $(GO) vet ./... && $(GO) test ./...
 
 # The parallel experiment runners (sim.Fan's contract and its fan-out of
-# each figure's runs, equal at GOMAXPROCS 1 and 4), Figure 12's workloads
-# recording side by side, the sharded+deduped result cache, the
-# async job lifecycle (including DELETE-races-the-worker-pool
-# cancellation), the pack-backed restart path, the job journal with its
-# graceful drain and crash recovery, the golden sweeps at 1 and 8
-# workers, the lock-free metrics, and the Go SDK must stay race-clean and
-# deterministic.
+# each figure's runs, equal at GOMAXPROCS 1 and 4), Figure 11's read plan
+# shared by its runs and its prefetch task (no goroutine left behind),
+# Figure 12's workloads recording side by side, the sharded+deduped
+# result cache, the async job lifecycle (including
+# DELETE-races-the-worker-pool cancellation), the pack-backed restart
+# path, the job journal with its graceful drain and crash recovery, the
+# golden sweeps at 1 and 8 workers, the lock-free metrics, and the Go
+# SDK must stay race-clean and deterministic.
 race:
-	$(GO) test -race ./internal/figures -run 'TestRunParallelMatchesSequential|TestFanOutMatchesAcrossWidths'
+	$(GO) test -race ./internal/figures -run 'TestRunParallelMatchesSequential|TestFanOutMatchesAcrossWidths|TestSideChannel'
+	$(GO) test -race ./internal/genomics
 	$(GO) test -race ./internal/metrics
 	$(GO) test -race ./internal/sim
 	$(GO) test -race ./internal/workloads -run TestDefense
@@ -68,8 +70,10 @@ race:
 # Quick regression signal on the allocation-free hot path (narrow cache
 # hits, and 128-way hits and misses), the allocation ceiling of a cached
 # POST /v1/run, every covert channel timed on a held machine, the
-# genomics layer (the seeding index build and Figure 11's side-channel
-# sweep), Figure 12's defense runs, Figure 3's LLC way sweep once (0.1–0.2 s;
+# genomics layer (the seeding index build, and Figure 11's side-channel
+# sweep at -cpu 1, where its runs compute the read plan inline, and at
+# -cpu 2, where the plan's prefetch task fills it beside them), Figure
+# 12's defense runs, Figure 3's LLC way sweep once (0.1–0.2 s;
 # its 128-way eviction run is the suite's widest cache), the quick figure
 # suite inline and fanned out over two cores, the pack store's Get and
 # dead-bundle boot, and a journaled job's resume after a crash.
@@ -78,7 +82,8 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkFig3LLCWaySweep' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFigureSuite/sequential' -cpu 1,2 -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkServerRun/cached$$' -benchtime 100x -benchmem .
-	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig11SideChannel|BenchmarkFig12Defenses' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFig9|BenchmarkDirectAccess|BenchmarkPnMAdaptive|BenchmarkFig12Defenses' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkFig11SideChannel' -cpu 1,2 -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchtime 3x -benchmem ./internal/genomics
 	$(GO) test -run xxx -bench 'BenchmarkPackGet|BenchmarkCompact' -benchtime 3x -benchmem ./internal/exp/pack
 	$(GO) test -run xxx -bench 'BenchmarkJobResume' -benchtime 1x -benchmem ./internal/exp

@@ -16,6 +16,10 @@ import (
 // maxBanks is the largest bank count the DRAM configuration accepts.
 const maxBanks = 1 << 16
 
+// maxReads caps -reads: the victim's reads take 150 bytes each, and 2^20 is
+// 35 times full-scale Figure 11's 30,000.
+const maxReads = 1 << 20
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "impact-sidechannel:", err)
@@ -47,6 +51,9 @@ func run(args []string, stdout io.Writer) error {
 		if f.value < 1 {
 			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.value)
 		}
+	}
+	if *reads > maxReads {
+		return fmt.Errorf("-reads must be at most %d, got %d", maxReads, *reads)
 	}
 	// The device needs a power-of-two bank count within the DRAM geometry
 	// cap; checking here keeps a bad count from failing after the header.

@@ -63,6 +63,9 @@ func TestRunFlagErrors(t *testing.T) {
 	}{
 		{[]string{"-reads", "-1"}, "-reads"},
 		{[]string{"-reads", "0"}, "-reads"},
+		// Past the cap: a huge count would allocate its reads, or
+		// overflow sim.Fan's slices, before any output.
+		{[]string{"-reads", "1048577"}, "-reads"},
 		{[]string{"-ref-len", "-5"}, "-ref-len"},
 		// Shorter than one victim read, and past the index's int32
 		// positions.

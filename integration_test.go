@@ -95,7 +95,7 @@ func TestVictimUnaffectedResultsUnderAttack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := genomics.NewMapper(m, m.Core(2), ref, idx, genomics.DefaultBankLayout(64), reads, genomics.DefaultCosts())
+		v, err := genomics.NewMapper(m, m.Core(2), genomics.NewPlan(ref, idx, reads), genomics.DefaultBankLayout(64), genomics.DefaultCosts())
 		if err != nil {
 			t.Fatal(err)
 		}

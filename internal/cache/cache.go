@@ -92,13 +92,16 @@ type Cache struct {
 	// lastUse orders LRU. Both are carved from one array with stamps.
 	keys    []uint64
 	lastUse []uint64
-	// rrpv drives SRRIP and dirty is 1 for a line to write back. fp, only
-	// for sets wider than narrowWays, holds fingerprint(key) for each
-	// valid way and 0 for an invalid one. All three are carved from one
-	// array. A way's lastUse, rrpv and dirty are written when it fills, so
-	// an invalid way's are never read.
+	// rrpv drives SRRIP and dirty is 1 for a line to write back. cores
+	// holds the CoreBit of every core whose private levels may hold the
+	// way's line (see port). fp, only for sets wider than narrowWays,
+	// holds fingerprint(key) for each valid way and 0 for an invalid one.
+	// All four are carved from one array. A way's lastUse, rrpv, dirty
+	// and cores are written when it fills, so an invalid way's are never
+	// read.
 	rrpv  []uint8
 	dirty []uint8
+	cores []uint8
 	fp    []uint8
 	// stamps holds the epoch each set was last touched in. A set whose
 	// stamp is not the current epoch holds no valid line, whatever its
@@ -111,7 +114,22 @@ type Cache struct {
 	next     Level
 	counters *stats.Counters
 	tick     uint64 // logical use counter for LRU ordering
-	onEvict  func(addr uint64)
+	onEvict  func(addr uint64, cores uint8)
+	// untracked holds the CoreBit of every core that may hold, in its
+	// private levels, a line this cache dropped without a
+	// back-invalidation (Invalidate, FlushAll, Reset). Every eviction
+	// back-invalidates those cores too, until ClearUntracked.
+	untracked uint8
+}
+
+// allCores is the core set of a line any core may hold.
+const allCores = 0xff
+
+// CoreBit is core's bit in a core set. Cores share a bit modulo 8; a set
+// bit only means "may hold", so back-invalidating every core of the bit
+// stays exact.
+func CoreBit(core int) uint8 {
+	return 1 << (uint(core) % 8)
 }
 
 // New builds a cache level backed by next. Geometry must be power-of-two.
@@ -121,6 +139,10 @@ func New(cfg Config, next Level) (*Cache, error) {
 	}
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache %s: non-positive ways %d", cfg.Name, cfg.Ways)
+	}
+	if cfg.Policy != PolicySRRIP && cfg.Ways > 256 {
+		// lruWay packs a way index into one byte.
+		return nil, fmt.Errorf("cache %s: %d ways exceed LRU's 256", cfg.Name, cfg.Ways)
 	}
 	numLines := cfg.SizeBytes / cfg.LineBytes
 	if numLines <= 0 || numLines%cfg.Ways != 0 {
@@ -154,14 +176,14 @@ func New(cfg Config, next Level) (*Cache, error) {
 	n := numLines
 	words := make([]uint64, 2*n+sets)
 	c.keys, c.lastUse, c.stamps = words[:n:n], words[n:2*n:2*n], words[2*n:]
-	meta := 2 * n
+	meta := 3 * n
 	if cfg.Ways > narrowWays {
-		meta = 3 * n
+		meta = 4 * n
 	}
 	small := make([]uint8, meta)
-	c.rrpv, c.dirty = small[:n:n], small[n:2*n:2*n]
+	c.rrpv, c.dirty, c.cores = small[:n:n], small[n:2*n:2*n], small[2*n:3*n:3*n]
 	if cfg.Ways > narrowWays {
-		c.fp = small[2*n:]
+		c.fp = small[3*n:]
 	}
 	return c, nil
 }
@@ -227,12 +249,25 @@ func (c *Cache) Access(now int64, addr uint64, write bool) int64 {
 				}
 			}
 		}
-		return c.fill(now, addr, write)
+		return c.fill(now, addr, write, 0)
 	}
 	if way := c.find(addr); way >= 0 {
 		return c.hit(way, write)
 	}
-	return c.fill(now, addr, write)
+	return c.fill(now, addr, write, 0)
+}
+
+// accessFrom serves an access from the private levels of the cores in
+// bits, marking them valid on the line it reaches.
+//
+//impact:hotpath
+func (c *Cache) accessFrom(now int64, addr uint64, write bool, bits uint8) int64 {
+	c.tick++
+	if way := c.find(addr); way >= 0 {
+		c.cores[way] |= bits
+		return c.hit(way, write)
+	}
+	return c.fill(now, addr, write, bits)
 }
 
 // hit updates the replacement state of the way a lookup found.
@@ -249,12 +284,13 @@ func (c *Cache) hit(way int, write bool) int64 {
 }
 
 // fill serves a miss: it pays the probe, fetches the line from the next
-// level and inserts it, at the set's first free way if it has one, else at
-// the policy's victim. The free way is looked for after the fetch, since
-// an inclusive LLC's back-invalidation during it can free a way here.
+// level and inserts it, valid for the cores in bits, at the set's first
+// free way if it has one, else at the policy's victim. The free way is
+// looked for after the fetch, since an inclusive LLC's back-invalidation
+// during it can free a way here.
 //
 //impact:hotpath
-func (c *Cache) fill(now int64, addr uint64, write bool) int64 {
+func (c *Cache) fill(now int64, addr uint64, write bool, bits uint8) int64 {
 	c.counters.Add(CounterMiss, 1)
 	set := c.SetIndex(addr)
 	key := c.tagOf(addr) + 1
@@ -285,12 +321,13 @@ func (c *Cache) fill(now int64, addr uint64, write bool) int64 {
 			// Inclusive-hierarchy back-invalidation: dropping a line
 			// from this level removes it from the levels above, which
 			// is what makes eviction-set attacks on the LLC work.
-			c.onEvict(wbAddr)
+			c.onEvict(wbAddr, c.cores[victim]|c.untracked)
 		}
 	}
 	c.keys[victim] = key
 	c.lastUse[victim] = c.tick
 	c.rrpv[victim] = srripMax - 1
+	c.cores[victim] = bits
 	c.dirty[victim] = 0
 	if write {
 		c.dirty[victim] = 1
@@ -377,14 +414,22 @@ func (c *Cache) selectVictim(lo, hi int) int {
 			return lo + i
 		}
 	}
-	lastUse := c.lastUse[lo:hi:hi]
-	victim := 0
+	return lo + lruWay(c.lastUse[lo:hi:hi])
+}
+
+// lruWay returns the way with the oldest stamp in a full LRU set. It
+// takes one branch-free min over stamp<<8 | way, which is exact because
+// every way of a full set was stamped at its own tick, so no two stamps
+// are equal, and New allows an LRU set at most 256 ways, so a way index
+// fits in the low byte.
+//
+//impact:hotpath
+func lruWay(lastUse []uint64) int {
+	best := lastUse[0] << 8
 	for i := 1; i < len(lastUse); i++ {
-		if lastUse[i] < lastUse[victim] {
-			victim = i
-		}
+		best = min(best, lastUse[i]<<8|uint64(i))
 	}
-	return lo + victim
+	return int(best & 0xff)
 }
 
 // reconstruct rebuilds a line-aligned address from tag and set.
@@ -396,8 +441,32 @@ func (c *Cache) reconstruct(tag uint64, set int) uint64 {
 
 // SetEvictHook installs a callback invoked with the address of every line
 // this cache evicts, enabling inclusive back-invalidation of upper levels.
-func (c *Cache) SetEvictHook(hook func(addr uint64)) {
+// cores holds the CoreBit of every core whose private levels may hold the
+// line: those that reached it through a port, and the untracked ones.
+func (c *Cache) SetEvictHook(hook func(addr uint64, cores uint8)) {
 	c.onEvict = hook
+}
+
+// port connects one core's private levels to a shared cache. Every access
+// through it marks the core valid on the line it reaches, so the cache's
+// evictions back-invalidate only the cores that may hold the line.
+type port struct {
+	llc  *Cache
+	bits uint8
+}
+
+// Access serves an access from the port's core.
+//
+//impact:hotpath
+func (p *port) Access(now int64, addr uint64, write bool) int64 {
+	return p.llc.accessFrom(now, addr, write, p.bits)
+}
+
+// ClearUntracked empties the untracked core set. Call it only while no
+// private level above the cache holds a line, as Machine.Reset does once
+// it has reset them.
+func (c *Cache) ClearUntracked() {
+	c.untracked = 0
 }
 
 // Contains reports whether addr is currently cached at this level.
@@ -416,14 +485,18 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	if c.fp != nil {
 		c.fp[way] = 0
 	}
+	// The cores' private copies stay, so later evictions must reach them.
+	c.untracked |= c.cores[way]
 	return true, c.dirty[way] != 0
 }
 
 // FlushAll invalidates every line (used between experiments) in O(1), by
 // moving to a new epoch: every set's stamp goes stale at once. On the
 // (4-billion-flush) epoch wraparound the stamps really are cleared, so a
-// stale stamp can never alias back to validity.
+// stale stamp can never alias back to validity. Any core may still hold
+// a dropped line privately, so every core becomes untracked.
 func (c *Cache) FlushAll() {
+	c.untracked = allCores
 	c.epoch++
 	if c.epoch == 0 {
 		clear(c.stamps)
@@ -436,7 +509,9 @@ func (c *Cache) FlushAll() {
 // touching megabytes of per-way arrays (an 8 MiB LLC holds 128k lines):
 // each set clears its own ways the next time a miss fills it. The
 // tick and counters restart from zero, so a pooled machine replays
-// accesses exactly like a fresh one.
+// accesses exactly like a fresh one. Every core stays untracked, as after
+// FlushAll, until the owner empties the private levels and calls
+// ClearUntracked.
 func (c *Cache) Reset() {
 	c.FlushAll()
 	c.tick = 0

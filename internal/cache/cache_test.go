@@ -152,7 +152,7 @@ func TestCacheEvictHook(t *testing.T) {
 	next := &fixedMem{latency: 100}
 	c := smallCache(t, PolicyLRU, next)
 	var evicted []uint64
-	c.SetEvictHook(func(addr uint64) { evicted = append(evicted, addr) })
+	c.SetEvictHook(func(addr uint64, _ uint8) { evicted = append(evicted, addr) })
 	stride := uint64(c.Sets()) << c.LineBits()
 	for i := uint64(0); i <= 4; i++ {
 		c.Access(0, i*stride, false)
@@ -221,7 +221,7 @@ func TestDirectMappedFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evicted []uint64
-	c.SetEvictHook(func(addr uint64) { evicted = append(evicted, addr) })
+	c.SetEvictHook(func(addr uint64, _ uint8) { evicted = append(evicted, addr) })
 	stride := uint64(c.Sets()) << c.LineBits()
 	if lat := c.Access(0, 0, true); lat != 110 {
 		t.Fatalf("cold miss latency = %d, want 110", lat)
@@ -497,7 +497,7 @@ func TestCacheMatchesReference(t *testing.T) {
 			r := newRefCache(c, ref)
 			below.drop, ref.drop = c.Invalidate, r.Invalidate
 			var evicted, refEvicted []uint64
-			c.SetEvictHook(func(addr uint64) { evicted = append(evicted, addr) })
+			c.SetEvictHook(func(addr uint64, _ uint8) { evicted = append(evicted, addr) })
 			r.onEvict = func(addr uint64) { refEvicted = append(refEvicted, addr) }
 
 			rng := stats.NewRNG(uint64(ways)<<4 | uint64(policy))

@@ -12,6 +12,10 @@ type Hierarchy struct {
 	ipStride *IPStridePrefetcher
 	streamer *StreamerPrefetcher
 
+	// port is the L2's way into the shared LLC, which marks this core
+	// valid on every line it reaches.
+	port port
+
 	// FlushOverhead models the serialization cost of a clflush
 	// instruction beyond the cache probes themselves.
 	FlushOverhead int64
@@ -49,12 +53,15 @@ func DefaultHierarchyConfig(llcBytes, llcWays int, llcLatency int64) HierarchyCo
 	}
 }
 
-// NewHierarchySharedLLC builds private L1/L2 levels over an existing
-// (shared) LLC, as in the paper's Table 2 system where four cores share the
-// last-level cache. backend is the memory level below the LLC, needed for
-// clflush writebacks.
-func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, backend Level) (*Hierarchy, error) {
-	l2, err := New(cfg.L2, llc)
+// NewHierarchySharedLLC builds core's private L1/L2 levels over an
+// existing (shared) LLC, as in the paper's Table 2 system where four cores
+// share the last-level cache. The L2 reaches the LLC through a port that
+// marks CoreBit(core) valid on every line it touches. backend is the memory
+// level below the LLC, needed for clflush writebacks.
+func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, backend Level, core int) (*Hierarchy, error) {
+	h := &Hierarchy{llc: llc, backend: backend, FlushOverhead: 20}
+	h.port = port{llc: llc, bits: CoreBit(core)}
+	l2, err := New(cfg.L2, &h.port)
 	if err != nil {
 		return nil, fmt.Errorf("l2: %w", err)
 	}
@@ -62,7 +69,7 @@ func NewHierarchySharedLLC(cfg HierarchyConfig, llc *Cache, backend Level) (*Hie
 	if err != nil {
 		return nil, fmt.Errorf("l1: %w", err)
 	}
-	h := &Hierarchy{l1: l1, l2: l2, llc: llc, backend: backend, FlushOverhead: 20}
+	h.l1, h.l2 = l1, l2
 	if cfg.EnablePrefetchers {
 		h.ipStride = NewIPStridePrefetcher(64)
 		h.streamer = NewStreamerPrefetcher(16, 2)

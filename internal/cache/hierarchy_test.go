@@ -11,7 +11,7 @@ func testHierarchy(t *testing.T, prefetch bool) (*Hierarchy, *fixedMem) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHierarchySharedLLC(cfg, llc, mem)
+	h, err := NewHierarchySharedLLC(cfg, llc, mem, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestHierarchyEvictionSetProperties(t *testing.T) {
 func TestHierarchyEvictionSetDisplacesTarget(t *testing.T) {
 	h, _ := testHierarchy(t, false)
 	// Wire inclusive back-invalidation as the machine does.
-	h.LLC().SetEvictHook(func(addr uint64) {
+	h.LLC().SetEvictHook(func(addr uint64, _ uint8) {
 		h.L1().Invalidate(addr)
 		h.L2().Invalidate(addr)
 	})
@@ -111,11 +111,11 @@ func TestHierarchySharedLLC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := NewHierarchySharedLLC(cfg, llc, mem)
+	h1, err := NewHierarchySharedLLC(cfg, llc, mem, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := NewHierarchySharedLLC(cfg, llc, mem)
+	h2, err := NewHierarchySharedLLC(cfg, llc, mem, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

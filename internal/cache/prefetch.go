@@ -1,12 +1,14 @@
 package cache
 
+import "math/bits"
+
 // IPStridePrefetcher implements the classic instruction-pointer stride
 // prefetcher (Fu et al., MICRO'92) the paper attaches to the L1D. It tracks
 // the last address and stride per program counter and, once a stride is
 // confirmed twice, prefetches the next line. In the IMPACT threat model its
 // job is to be a noise source: prefetches open DRAM rows the attacker did
-// not ask for. Both prefetchers scan small fixed tables in order; the
-// workload and attack loops use at most 8 load PCs each.
+// not ask for. It scans its small table in order; the workload and attack
+// loops use at most 8 load PCs each.
 type IPStridePrefetcher struct {
 	entries []strideEntry // entries[:n] are tracked
 	n       int
@@ -70,17 +72,35 @@ func (p *IPStridePrefetcher) Reset() {
 // (Chen & Baer) attached to the L2 in Table 2: when consecutive accesses
 // walk forward within a page, it prefetches the next degree lines.
 type StreamerPrefetcher struct {
-	streams []stream // (page, last line offset) pairs; streams[:n] are tracked
-	n       int
-	out     []uint64 // Observe's result buffer, degree long
+	// slots is an open-addressed table of the tracked pages, at least four
+	// slots per stream so a probe mostly reads one slot. A slot is in the
+	// table only while its gen is the current gen, so dropping the table
+	// is a gen bump.
+	slots []stream
+	mask  uint64
+	gen   uint32
+	n     int      // pages tracked
+	max   int      // pages tracked before the table drops
+	out   []uint64 // Observe's result buffer, degree long
 }
 
-type stream struct{ page, lastLine uint64 }
+type stream struct {
+	page, lastLine uint64
+	gen            uint32
+}
 
 // NewStreamerPrefetcher returns a streamer with the given table size (at
 // least one) and prefetch degree.
 func NewStreamerPrefetcher(maxStreams, degree int) *StreamerPrefetcher {
-	return &StreamerPrefetcher{streams: make([]stream, max(maxStreams, 1)), out: make([]uint64, max(degree, 0))}
+	maxStreams = max(maxStreams, 1)
+	size := 1 << bits.Len(uint(4*maxStreams-1))
+	return &StreamerPrefetcher{
+		slots: make([]stream, size),
+		mask:  uint64(size - 1),
+		gen:   1,
+		max:   maxStreams,
+		out:   make([]uint64, max(degree, 0)),
+	}
 }
 
 // Observe records a demand access and returns prefetch addresses, if any.
@@ -92,20 +112,18 @@ func (p *StreamerPrefetcher) Observe(addr uint64) []uint64 {
 	const lineBits = 6
 	page := addr >> pageBits
 	lineOff := (addr >> lineBits) & ((1 << (pageBits - lineBits)) - 1)
-	i := 0
-	for i < p.n && p.streams[i].page != page {
-		i++
-	}
-	if i == p.n {
-		if p.n == len(p.streams) {
-			p.n, i = 0, 0 // drop the table, as the stride table does
+	s := &p.slots[p.probe(page)]
+	if s.gen != p.gen {
+		if p.n == p.max {
+			p.Reset() // drop the table, as the stride table does
+			s = &p.slots[p.probe(page)]
 		}
-		p.streams[i] = stream{page, lineOff}
+		*s = stream{page: page, lastLine: lineOff, gen: p.gen}
 		p.n++
 		return nil
 	}
-	last := p.streams[i].lastLine
-	p.streams[i].lastLine = lineOff
+	last := s.lastLine
+	s.lastLine = lineOff
 	if lineOff != last+1 {
 		return nil
 	}
@@ -117,8 +135,26 @@ func (p *StreamerPrefetcher) Observe(addr uint64) []uint64 {
 	return p.out[:n]
 }
 
-// Reset empties the stream table, returning the streamer to its
-// just-constructed state.
+// probe returns the slot holding page, or else the free slot where page
+// would go. The table never fills, so a free slot ends every probe.
+//
+//impact:hotpath
+func (p *StreamerPrefetcher) probe(page uint64) uint64 {
+	i := (page * 0x9e3779b97f4a7c15 >> 32) & p.mask
+	for p.slots[i].gen == p.gen && p.slots[i].page != page {
+		i = (i + 1) & p.mask
+	}
+	return i
+}
+
+// Reset empties the stream table in O(1), returning the streamer to its
+// just-constructed behaviour. On the (4-billion-drop) gen wraparound the
+// slots really are cleared, so a stale slot never aliases back.
 func (p *StreamerPrefetcher) Reset() {
 	p.n = 0
+	p.gen++
+	if p.gen == 0 {
+		clear(p.slots)
+		p.gen = 1
+	}
 }

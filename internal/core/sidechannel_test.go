@@ -25,7 +25,7 @@ func sideChannelFixture(t *testing.T, banks int, noise float64) (*sim.Machine, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := genomics.NewMapper(m, m.Core(2), ref, idx, genomics.DefaultBankLayout(banks), reads, genomics.DefaultCosts())
+	victim, err := genomics.NewMapper(m, m.Core(2), genomics.NewPlan(ref, idx, reads), genomics.DefaultBankLayout(banks), genomics.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/genomics"
@@ -21,6 +22,13 @@ const VictimReadLen = 150
 // and the reads, which only read the reference, are built side by side
 // too. Fig11, impact-sidechannel, the genomeleak example and the benches
 // share it.
+//
+// Every run's victim maps the same reads, so their k-mer lookups, chaining
+// and alignment come from one genomics.Plan, computed once per read. One
+// more task computes its entries ahead of the victims on a core the runs
+// leave idle, until the last run returns. Fan claims that task after every
+// run, so it only starts once a run has finished and freed its core; at
+// GOMAXPROCS=1 it starts after them all and computes nothing.
 func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([]core.SideChannelResult, error) {
 	ref := genomics.NewReference(refLen, seed)
 	var (
@@ -39,14 +47,39 @@ func SideChannel(bankCounts []int, refLen, numReads, sweeps int, seed uint64) ([
 	if err != nil {
 		return nil, err
 	}
-	return sim.Fan(len(bankCounts), func(i int) (core.SideChannelResult, error) {
-		return sideChannelOn(bankCounts[i], ref, idx, reads, sweeps)
+	return sideChannelRuns(bankCounts, genomics.NewPlan(ref, idx, reads), sweeps)
+}
+
+// sideChannelRuns runs the attack once per bank count over plan, with the
+// plan's prefetch task beside them. Its prefetch is done when it returns.
+func sideChannelRuns(bankCounts []int, plan *genomics.Plan, sweeps int) ([]core.SideChannelResult, error) {
+	runs := len(bankCounts)
+	var left atomic.Int32
+	left.Store(int32(runs))
+	if runs == 0 {
+		plan.Stop()
+	}
+	results, err := sim.Fan(runs+1, func(i int) (core.SideChannelResult, error) {
+		if i == runs {
+			plan.Prefetch()
+			return core.SideChannelResult{}, nil
+		}
+		defer func() {
+			if left.Add(-1) == 0 {
+				plan.Stop()
+			}
+		}()
+		return sideChannelOn(bankCounts[i], plan, sweeps)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return results[:runs], nil
 }
 
 // sideChannelOn runs one attack on a pooled machine with the given bank
 // count and returns the machine to the pool when it is done.
-func sideChannelOn(banks int, ref *genomics.Reference, idx *genomics.Index, reads []genomics.Read, sweeps int) (core.SideChannelResult, error) {
+func sideChannelOn(banks int, plan *genomics.Plan, sweeps int) (core.SideChannelResult, error) {
 	cfg := sim.DefaultConfig()
 	cfg.DRAM = cfg.DRAM.WithBanks(banks)
 	// Background activity scales with machine size: the noise rate is
@@ -58,7 +91,7 @@ func sideChannelOn(banks int, ref *genomics.Reference, idx *genomics.Index, read
 		return core.SideChannelResult{}, err
 	}
 	defer machines.Put(m)
-	victim, err := genomics.NewMapper(m, m.Core(2), ref, idx, genomics.DefaultBankLayout(banks), reads, genomics.DefaultCosts())
+	victim, err := genomics.NewMapper(m, m.Core(2), plan, genomics.DefaultBankLayout(banks), genomics.DefaultCosts())
 	if err != nil {
 		return core.SideChannelResult{}, err
 	}

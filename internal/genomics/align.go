@@ -1,5 +1,7 @@
 package genomics
 
+import "slices"
+
 // Alignment scoring constants (match/mismatch/gap), minimap2-like defaults.
 const (
 	scoreMatch    = 2
@@ -23,6 +25,13 @@ type AlignmentResult struct {
 // with a diagonal band of half-width band (Needleman-Wunsch restricted to
 // the band), the dynamic-programming step of Figure 6.
 func BandedAlign(ref []byte, read []byte, refStart, band int) AlignmentResult {
+	var rows []int
+	return bandedAlign(ref, read, refStart, band, &rows)
+}
+
+// bandedAlign is BandedAlign with its two rolling rows carved from *rows,
+// which it grows when they do not fit.
+func bandedAlign(ref []byte, read []byte, refStart, band int, rows *[]int) AlignmentResult {
 	if band < 1 {
 		band = 1
 	}
@@ -46,8 +55,8 @@ func BandedAlign(ref []byte, read []byte, refStart, band int) AlignmentResult {
 	const negInf = -1 << 30
 	// Two rolling rows over the reference window, banded around the
 	// diagonal i (read position) == j (window position).
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
+	*rows = slices.Grow((*rows)[:0], 2*(m+1))[:2*(m+1)]
+	prev, cur := (*rows)[:m+1:m+1], (*rows)[m+1:]
 	for j := range prev {
 		if j <= band {
 			prev[j] = j * scoreGap

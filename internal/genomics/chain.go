@@ -35,22 +35,56 @@ func ChainAnchors(anchors []Anchor) Chain {
 	}
 	sorted := make([]Anchor, len(anchors))
 	copy(sorted, anchors)
-	slices.SortFunc(sorted, func(a, b Anchor) int {
+	var cs chainScratch
+	best := cs.best(sorted)
+
+	// Backtrack the best chain.
+	var chain []Anchor
+	for i := best; i >= 0; i = cs.prev[i] {
+		chain = append(chain, sorted[i])
+	}
+	// Reverse into read order.
+	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
+		chain[i], chain[j] = chain[j], chain[i]
+	}
+	head := chain[0]
+	return Chain{
+		Anchors:  chain,
+		Score:    cs.score[best],
+		RefStart: head.RefPos - head.ReadPos,
+	}
+}
+
+// chainScratch holds the chaining program's per-anchor scores and
+// predecessors, reused from one call of best to the next.
+type chainScratch struct {
+	score, prev []int
+}
+
+// best sorts anchors in place by reference position, then read position,
+// runs the chaining program over them and returns the index of the best
+// chain's last anchor, or -1 when there are none. Following prev from it
+// visits the chain back to front; score holds each anchor's chain length.
+func (cs *chainScratch) best(anchors []Anchor) int {
+	if len(anchors) == 0 {
+		return -1
+	}
+	slices.SortFunc(anchors, func(a, b Anchor) int {
 		if c := cmp.Compare(a.RefPos, b.RefPos); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.ReadPos, b.ReadPos)
 	})
-
-	score := make([]int, len(sorted))
-	prev := make([]int, len(sorted))
+	cs.score = slices.Grow(cs.score[:0], len(anchors))[:len(anchors)]
+	cs.prev = slices.Grow(cs.prev[:0], len(anchors))[:len(anchors)]
+	score, prev := cs.score, cs.prev
 	best := 0
-	for i := range sorted {
+	for i := range anchors {
 		score[i] = 1
 		prev[i] = -1
 		for j := i - 1; j >= 0; j-- {
-			refGap := sorted[i].RefPos - sorted[j].RefPos
-			readGap := sorted[i].ReadPos - sorted[j].ReadPos
+			refGap := anchors[i].RefPos - anchors[j].RefPos
+			readGap := anchors[i].ReadPos - anchors[j].ReadPos
 			if refGap > chainGapLimit {
 				break // sorted by RefPos: no earlier anchor can chain
 			}
@@ -73,20 +107,5 @@ func ChainAnchors(anchors []Anchor) Chain {
 			best = i
 		}
 	}
-
-	// Backtrack the best chain.
-	var chain []Anchor
-	for i := best; i >= 0; i = prev[i] {
-		chain = append(chain, sorted[i])
-	}
-	// Reverse into read order.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	head := chain[0]
-	return Chain{
-		Anchors:  chain,
-		Score:    score[best],
-		RefStart: head.RefPos - head.ReadPos,
-	}
+	return best
 }

@@ -55,39 +55,34 @@ type TouchFunc func(bank int, row int64, at int64)
 // Mapper is the victim process of Section 4.3: a read mapper whose seeding
 // step probes a bank-distributed hash table with PIM-enabled instructions.
 // It advances one seed probe per Step so a co-running attacker can be
-// interleaved at simulated-time granularity.
+// interleaved at simulated-time granularity. Its k-mer lookups, chaining
+// and alignment, which never touch the machine, come from a Plan that
+// Mappers on other machines may share.
 type Mapper struct {
 	machine *sim.Machine
 	core    *sim.Core
-	ref     *Reference
-	idx     *Index
+	plan    *Plan
 	layout  BankLayout
 	costs   Costs
-	reads   []Read
 	onTouch TouchFunc
-
-	band int
 
 	// Iteration state.
 	readIdx int
 	offset  int
-	anchors []Anchor
 	results []MapResult
-	hits    []int32 // Lookup's buffer, reused across seeding probes
+	scratch planScratch // where this Mapper computes plan entries
 }
 
-// NewMapper builds the victim over an existing machine. core selects which
-// simulated core the victim occupies.
+// NewMapper builds the victim over an existing machine, mapping the plan's
+// reads. core selects which simulated core the victim occupies.
 func NewMapper(
 	machine *sim.Machine,
 	core *sim.Core,
-	ref *Reference,
-	idx *Index,
+	plan *Plan,
 	layout BankLayout,
-	reads []Read,
 	costs Costs,
 ) (*Mapper, error) {
-	if len(reads) == 0 {
+	if len(plan.reads) == 0 {
 		return nil, ErrNoReads
 	}
 	if layout.Banks > machine.Device().NumBanks() {
@@ -97,12 +92,9 @@ func NewMapper(
 	return &Mapper{
 		machine: machine,
 		core:    core,
-		ref:     ref,
-		idx:     idx,
+		plan:    plan,
 		layout:  layout,
 		costs:   costs,
-		reads:   reads,
-		band:    16,
 	}, nil
 }
 
@@ -113,7 +105,7 @@ func (v *Mapper) SetTouchFunc(fn TouchFunc) { v.onTouch = fn }
 func (v *Mapper) Now() int64 { return v.core.Now() }
 
 // Done reports whether all reads are mapped.
-func (v *Mapper) Done() bool { return v.readIdx >= len(v.reads) }
+func (v *Mapper) Done() bool { return v.readIdx >= len(v.plan.reads) }
 
 // Results returns the mapping results so far.
 func (v *Mapper) Results() []MapResult { return v.results }
@@ -122,52 +114,52 @@ func (v *Mapper) Results() []MapResult { return v.results }
 func (v *Mapper) Layout() BankLayout { return v.layout }
 
 // IndexBuckets returns the size of the seeding hash table.
-func (v *Mapper) IndexBuckets() int { return v.idx.NumBuckets() }
+func (v *Mapper) IndexBuckets() int { return v.plan.idx.NumBuckets() }
 
-// Step advances the victim by one seeding probe: it hashes the next k-mer,
-// offloads the hash-table lookup to the PiM system (activating the bucket's
-// DRAM row, which is what the attacker observes), and collects anchors. At
-// the end of a read it runs chaining and banded alignment as pure compute.
+// probe returns the bank, row and address the next seeding probe
+// activates, or ok false when the current read has no seed left.
+func (v *Mapper) probe() (bank int, row int64, addr uint64, ok bool) {
+	seq := v.plan.reads[v.readIdx].Seq
+	cfg := v.plan.idx.Config()
+	if v.offset+cfg.K > len(seq) {
+		return 0, 0, 0, false
+	}
+	bucket := v.plan.idx.BucketOf(KmerHash(seq[v.offset:], cfg.K))
+	bank, row, col := v.layout.Place(bucket)
+	return bank, row, v.machine.AddrFor(bank, row, col), true
+}
+
+// Step advances the victim by one seeding probe: it hashes the next k-mer
+// and offloads the hash-table lookup to the PiM system, activating the
+// bucket's DRAM row, which is what the attacker observes. At the end of a
+// read it charges chaining and banded alignment as pure compute, at the
+// costs of the read's plan entry.
 func (v *Mapper) Step() error {
 	if v.Done() {
 		return nil
 	}
-	read := v.reads[v.readIdx]
-	cfg := v.idx.Config()
-
-	if v.offset+cfg.K <= len(read.Seq) {
-		// Seeding: hash the k-mer and probe the table near memory.
+	if bank, row, addr, ok := v.probe(); ok {
 		v.core.Advance(v.costs.SeedCompute)
-		hash := KmerHash(read.Seq[v.offset:], cfg.K)
-		bucket := v.idx.BucketOf(hash)
-		bank, row, col := v.layout.Place(bucket)
-		addr := v.machine.AddrFor(bank, row, col)
 		if _, err := v.core.PEIAccess(addr); err != nil {
 			return fmt.Errorf("seeding probe: %w", err)
 		}
 		if v.onTouch != nil {
 			v.onTouch(bank, row, v.core.Now())
 		}
-		v.hits = v.idx.Lookup(v.hits[:0], hash)
-		for _, pos := range v.hits {
-			v.anchors = append(v.anchors, Anchor{ReadPos: v.offset, RefPos: int(pos)})
-		}
-		v.offset += cfg.QueryStride
+		v.offset += v.plan.idx.Config().QueryStride
 		return nil
 	}
 
 	// Read finished: chain and align (compute-only on the victim core).
-	v.core.Advance(int64(len(v.anchors)) * v.costs.ChainPerAnchor)
-	chain := ChainAnchors(v.anchors)
-	result := MapResult{TruePos: read.TruePos, MappedPos: -1}
-	if chain.Score > 0 {
-		aln := BandedAlign(v.ref.Seq, read.Seq, chain.RefStart, v.band)
-		v.core.Advance(int64(aln.Cells) * v.costs.AlignPerCell)
-		result.MappedPos = aln.RefStart
-		result.Score = aln.Score
+	e := v.plan.entry(v.readIdx, &v.scratch)
+	v.core.Advance(int64(e.anchors) * v.costs.ChainPerAnchor)
+	result := MapResult{TruePos: v.plan.reads[v.readIdx].TruePos, MappedPos: -1}
+	if e.anchors > 0 {
+		v.core.Advance(int64(e.cells) * v.costs.AlignPerCell)
+		result.MappedPos = e.mappedPos
+		result.Score = e.score
 	}
 	v.results = append(v.results, result)
-	v.anchors = v.anchors[:0]
 	v.offset = 0
 	v.readIdx++
 	return nil

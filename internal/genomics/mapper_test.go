@@ -24,7 +24,7 @@ func mapperFixture(t *testing.T, banks, numReads int, mutationRate float64) (*si
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapper, err := NewMapper(m, m.Core(2), ref, idx, DefaultBankLayout(banks), reads, DefaultCosts())
+	mapper, err := NewMapper(m, m.Core(2), NewPlan(ref, idx, reads), DefaultBankLayout(banks), DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMapperRejectsEmptyReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMapper(m, m.Core(0), ref, idx, DefaultBankLayout(16), nil, DefaultCosts()); err == nil {
+	if _, err := NewMapper(m, m.Core(0), NewPlan(ref, idx, nil), DefaultBankLayout(16), DefaultCosts()); err == nil {
 		t.Fatal("empty read set accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestMapperRejectsOversizedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMapper(m, m.Core(0), ref, idx, DefaultBankLayout(1024), reads, DefaultCosts()); err == nil {
+	if _, err := NewMapper(m, m.Core(0), NewPlan(ref, idx, reads), DefaultBankLayout(1024), DefaultCosts()); err == nil {
 		t.Fatal("layout larger than the device accepted")
 	}
 }

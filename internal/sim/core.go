@@ -23,7 +23,7 @@ type Core struct {
 
 // newCore assembles one core over the shared LLC.
 func newCore(m *Machine, id int, hcfg cache.HierarchyConfig, llc *cache.Cache, backend cache.Level) (*Core, error) {
-	hier, err := cache.NewHierarchySharedLLC(hcfg, llc, backend)
+	hier, err := cache.NewHierarchySharedLLC(hcfg, llc, backend, id)
 	if err != nil {
 		return nil, err
 	}

@@ -69,11 +69,14 @@ func New(cfg Config) (*Machine, error) {
 	}
 	// The LLC is inclusive: an LLC eviction back-invalidates the private
 	// L1/L2 copies, which is what lets eviction sets displace another
-	// core's line.
-	llc.SetEvictHook(func(addr uint64) {
-		for _, c := range m.cores {
-			c.hier.L1().Invalidate(addr)
-			c.hier.L2().Invalidate(addr)
+	// core's line. Only the cores that may hold the line are reached: those
+	// whose L2 touched it since it filled, and the untracked ones.
+	llc.SetEvictHook(func(addr uint64, cores uint8) {
+		for i, c := range m.cores {
+			if cores&cache.CoreBit(i) != 0 {
+				c.hier.L1().Invalidate(addr)
+				c.hier.L2().Invalidate(addr)
+			}
 		}
 	})
 
@@ -84,7 +87,7 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the exact state New(cfg) would produce,
-// rebuilding nothing. A build allocates ~5 MB in ~200 objects, almost all
+// rebuilding nothing. A build allocates 5.3 MB in 188 objects, almost all
 // of it the cache levels' and TLBs' per-way arrays; DRAM banks hold timing
 // state only, one array for the device. Reset reuses every object,
 // reconfiguring each component in place, when the new configuration's
@@ -126,6 +129,9 @@ func (m *Machine) Reset(cfg Config) bool {
 		c.mmu.Reset()
 		c.Reset()
 	}
+	// The private levels are empty, so no core holds a line the LLC lost
+	// track of.
+	m.llc.ClearUntracked()
 	// The engines keep their pointers to the controller, mapper and LLC
 	// reconfigured above.
 	m.pei.Reconfigure(cfg.PEICosts)

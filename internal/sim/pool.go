@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool recycles Machine allocations across runs. Building a machine costs
-// ~7 MB in ~200 allocations (three cache levels' and the TLBs' line
-// arrays, one DRAM bank array), most of a quick cold run; a pooled machine
-// whose allocation shape matches the requested configuration is Reset in
-// microseconds instead. Machines are pooled per shape — the tuple of
+// Pool recycles Machine allocations across runs. Building a default
+// machine allocates 5.3 MB in 188 objects (three cache levels' and the
+// TLBs' per-way arrays, one DRAM bank array), most of a quick cold run;
+// a pooled machine whose allocation shape matches the requested
+// configuration is Reset in microseconds instead. Machines are pooled per shape — the tuple of
 // everything Machine.Reset refuses to change (core count, prefetcher
 // wiring, DRAM bank count, LLC geometry) — so a sweep alternating between,
 // say, two LLC sizes reuses a machine of each shape instead of thrashing

@@ -42,13 +42,14 @@ type TLB struct {
 	tick uint64
 }
 
-// New builds a TLB. Entries must be divisible by Ways, the set count must
-// be a power of two, and a page must be at least 2 bytes; the Table 2 L2
-// TLB (1536 entries, 12-way, 128 sets) satisfies this. Only DefaultMMU's
-// fixed geometries reach New, so it panics on any other shape.
+// New builds a TLB. Entries must be divisible by Ways, of which there are
+// at most 256, the set count must be a power of two, and a page must be at
+// least 2 bytes; the Table 2 L2 TLB (1536 entries, 12-way, 128 sets)
+// satisfies this. Only DefaultMMU's fixed geometries reach New, so it
+// panics on any other shape.
 func New(cfg Config) *TLB {
-	if cfg.Ways <= 0 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb: %d entries do not divide into sets of %d ways", cfg.Entries, cfg.Ways))
+	if cfg.Ways <= 0 || cfg.Ways > 256 || cfg.Entries <= 0 || cfg.Entries%cfg.Ways != 0 {
+		panic(fmt.Sprintf("tlb: %d entries do not divide into sets of %d ways (1 to 256)", cfg.Entries, cfg.Ways))
 	}
 	sets := cfg.Entries / cfg.Ways
 	if sets&(sets-1) != 0 {
@@ -90,16 +91,26 @@ func (t *TLB) Lookup(vaddr uint64) bool {
 	if victim < 0 {
 		victim = 0
 		if keys[0] != 0 {
-			for i := 1; i < len(lru); i++ {
-				if lru[i] < lru[victim] {
-					victim = i
-				}
-			}
+			victim = lruWay(lru)
 		}
 	}
 	keys[victim] = key
 	lru[victim] = t.tick
 	return false
+}
+
+// lruWay returns the way with the oldest stamp in a full set. It takes one
+// branch-free min over stamp<<8 | way, which is exact because every way of
+// a full set was stamped at its own tick, so no two stamps are equal, and
+// New allows at most 256 ways, so a way index fits in the low byte.
+//
+//impact:hotpath
+func lruWay(lru []uint64) int {
+	best := lru[0] << 8
+	for i := 1; i < len(lru); i++ {
+		best = min(best, lru[i]<<8|uint64(i))
+	}
+	return int(best & 0xff)
 }
 
 // Latency returns the lookup cost.
