@@ -76,7 +76,8 @@ race:
 # 12's defense runs, Figure 3's LLC way sweep once (0.1–0.2 s;
 # its 128-way eviction run is the suite's widest cache), the quick figure
 # suite inline and fanned out over two cores, the pack store's Get and
-# dead-bundle boot, and a journaled job's resume after a crash.
+# dead-bundle boot, one job's fsynced journal records, and a journaled
+# job's resume after a crash.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkCacheAccess|BenchmarkBankAccess|BenchmarkPEIExecute' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkFig3LLCWaySweep' -benchtime 1x -benchmem .
@@ -86,6 +87,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkFig11SideChannel' -cpu 1,2 -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkBuildIndex' -benchtime 3x -benchmem ./internal/genomics
 	$(GO) test -run xxx -bench 'BenchmarkPackGet|BenchmarkCompact' -benchtime 3x -benchmem ./internal/exp/pack
+	$(GO) test -run xxx -bench 'BenchmarkJournalRecord/serial' -benchtime 100x -benchmem ./internal/exp
 	$(GO) test -run xxx -bench 'BenchmarkJobResume' -benchtime 1x -benchmem ./internal/exp
 
 # Cold-path round-2 regressions: pooled-machine determinism (Machine.Reset
@@ -153,14 +155,15 @@ objsweep:
 	rm -rf $$tmp
 
 # Short fuzz pass over every untrusted-byte decoder — the pack store's
-# needle frames and index file, the journal's record framing, and the
-# spec documents POST /v1/run and POST /v1/jobs accept — on top of the
-# checked-in seed corpora.
+# needle frames and index file, the record framing, the job journal's
+# log replay, and the spec documents POST /v1/run and POST /v1/jobs
+# accept — on top of the checked-in seed corpora.
 fuzz-smoke:
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeNeedle -fuzztime 5s
 	$(GO) test ./internal/exp/pack -run xxx -fuzz FuzzDecodeIndex -fuzztime 5s
 	$(GO) test ./internal/exp/fsio -run xxx -fuzz FuzzDecodeRecord -fuzztime 5s
 	$(GO) test ./internal/exp -run xxx -fuzz FuzzParseSpec -fuzztime 5s
+	$(GO) test ./internal/exp -run xxx -fuzz FuzzJournalRecover -fuzztime 5s
 
 # Cluster smoke: three in-process nodes over real listeners, a sweep
 # through one node, a peer partitioned mid-sweep on another — every

@@ -265,17 +265,28 @@ func BenchmarkFig2LLCSizeSweep(b *testing.B) {
 }
 
 // BenchmarkFig3LLCWaySweep regenerates the Figure 3 series over LLC ways.
+// Its machines come from one pool that outlives the iterations, as
+// Figure 3's come from the figures' shared pool.
 func BenchmarkFig3LLCWaySweep(b *testing.B) {
 	msg := core.RandomMessage(512, 3)
+	pool := sim.NewPool()
+	evict := func(ways int) core.Result {
+		cfg := sim.DefaultConfig()
+		cfg.LLCBytes = 16 << 20
+		cfg.LLCWays = ways
+		m, err := pool.Get(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.RunDRAMAEviction(m, msg, core.Options{})
+		pool.Put(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
 	for i := 0; i < b.N; i++ {
-		low, err := core.RunDRAMAEviction(quietMachine(b, 16<<20, 2), msg, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		high, err := core.RunDRAMAEviction(quietMachine(b, 16<<20, 128), msg, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		low, high := evict(2), evict(128)
 		if i == b.N-1 {
 			b.ReportMetric(low.ThroughputMbps, "evict2way")
 			b.ReportMetric(high.ThroughputMbps, "evict128way")

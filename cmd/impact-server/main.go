@@ -17,8 +17,8 @@
 // object count, with a background CRC auditor.
 //
 // With -data-dir the async job registry is durable too: accepted jobs
-// journal their spec under <data-dir>/jobs at submission and their status
-// once they settle, SIGINT/SIGTERM drains gracefully (new submissions get
+// append their spec to the log <data-dir>/jobs/journal.log at submission
+// and their status once they settle, SIGINT/SIGTERM drains gracefully (new submissions get
 // 503, in-flight runs finish and land in the store, interrupted jobs
 // journal a resumable state, all within -drain-timeout), and a restart on
 // the same data dir re-enqueues every job the previous process left

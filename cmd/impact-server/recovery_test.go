@@ -13,10 +13,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/exp/fsio"
 	"repro/pkg/api"
 )
 
@@ -82,10 +84,25 @@ func pollUntil(t *testing.T, base, id, what string, cond func(api.JobInfo) bool)
 // return), and a second run() on the same data dir must resume the
 // interrupted job under the same ID, skipping every run the first process
 // already stored.
+//
+// The job's second run is parked in the engine.run failpoint until the
+// draining server refuses a submission with 503. The registry interrupts
+// its jobs in the same step that starts refusing, so the job is caught
+// mid-sweep however fast the machine runs the other 63.
 func TestGracefulSigtermDrainsAndResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("signal/network test in -short mode")
 	}
+	var runs atomic.Int32
+	parked, release := make(chan struct{}), make(chan struct{})
+	fsio.SetFailpoint("engine.run", func() error {
+		if runs.Add(1) == 2 {
+			close(parked)
+			<-release
+		}
+		return nil
+	})
+	defer fsio.SetFailpoint("engine.run", nil)
 	dataDir := t.TempDir()
 	boot := func() (string, chan error) {
 		ready := make(chan string, 1)
@@ -111,13 +128,29 @@ func TestGracefulSigtermDrainsAndResumes(t *testing.T) {
 	if code, _ := httpJSON(t, http.MethodPost, base+"/v1/jobs", spec, &queued); code != http.StatusAccepted {
 		t.Fatalf("submit = %d", code)
 	}
-	// Let the single worker land at least one run, then pull the plug.
-	pollUntil(t, base, queued.ID, "first run to complete", func(i api.JobInfo) bool {
-		return i.Completed >= 1
-	})
+	// The single worker lands run 0 and parks in run 1; then pull the plug.
+	select {
+	case <-parked:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the job's second run never started")
+	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// An empty spec names no scenario, so it never makes a job: it is
+	// refused with 404 until the drain starts, then with 503.
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		code, _ := httpJSON(t, http.MethodPost, base+"/v1/jobs", "{}", nil)
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if code != http.StatusNotFound || time.Now().After(deadline) {
+			t.Fatalf("probe during drain = %d, want 404 until the drain refuses with 503", code)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	select {
 	case err := <-errc:
 		if err != nil {

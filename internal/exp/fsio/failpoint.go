@@ -17,9 +17,10 @@ import (
 //
 // Hook names in the durability path, in write order:
 //
-//	journal.seq        the SEQ allocation watermark record
-//	journal.spec       a job's immutable spec record
-//	journal.status     a job's status record, written once it settles
+//	journal.seq        the ID-allocation watermark record appended to the job log
+//	journal.spec       a job's immutable spec record appended to the job log
+//	journal.status     a job's status record, appended once it settles
+//	journal.rewrite    the job log rewritten down to its live records
 //	pack.append        a needle appended to a pack bundle
 //	pack.index         the pack engine's persisted needle index
 //	engine.run         one simulation, just before it starts

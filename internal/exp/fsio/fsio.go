@@ -1,15 +1,17 @@
 // Package fsio is the shared durability toolkit under every disk
-// artifact the experiment service writes: the job journal and the pack
-// engine's bundles and index all publish bytes through the same
-// atomic-write discipline and frame them under the same checksummed-header
-// record format, so one implementation (and one set of crash tests)
-// covers every write path.
+// artifact the experiment service writes: the job journal's log and the
+// pack engine's index frame their records under the same checksummed-header
+// record format, and every file replaced whole — the pack index, a
+// rewritten job log — is published through the same atomic-write
+// discipline, so one implementation (and one set of crash tests) covers
+// every write path.
 package fsio
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,7 +103,8 @@ func EnsureDir(dir string) error {
 // EncodeRecord frames a payload under the shared checksummed-header
 // discipline: "<magic> <payload-bytes> <hex sha256>\n" followed by the
 // payload. The header lets a reader reject truncated, torn, or foreign
-// files before trusting a single payload byte.
+// bytes before trusting a single payload byte, and its length lets a
+// reader of records appended back to back find where the next one starts.
 func EncodeRecord(magic string, payload []byte) []byte {
 	digest := sha256.Sum256(payload)
 	header := fmt.Sprintf("%s %d %s\n", magic, len(payload), hex.EncodeToString(digest[:]))
@@ -111,23 +114,75 @@ func EncodeRecord(magic string, payload []byte) []byte {
 	return out
 }
 
-// DecodeRecord validates a framed record against its header, returning the
-// payload only when the record is exactly what EncodeRecord writes for it:
-// magic, length and checksum must all agree, spelled canonically, so a
-// padded or re-spelled header is refused like a torn one. The length is
-// checked before the payload is hashed.
-func DecodeRecord(magic string, data []byte) ([]byte, bool) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, false
+// Errors NextRecord reports for bytes that do not start with a whole,
+// intact record.
+var (
+	// ErrRecordTorn: the bytes end before the record does.
+	ErrRecordTorn = errors.New("fsio: record cut short")
+	// ErrRecordHeader: the header line is not one EncodeRecord writes.
+	ErrRecordHeader = errors.New("fsio: malformed record header")
+	// ErrRecordChecksum: the payload does not match the header's
+	// checksum. The header still frames it, so the bytes after it are
+	// returned and may start the next record.
+	ErrRecordChecksum = errors.New("fsio: record checksum mismatch")
+)
+
+// maxLengthDigits bounds the header's length field, so parsing it
+// cannot overflow.
+const maxLengthDigits = 18
+
+// NextRecord splits the first framed record off data and returns its
+// payload and the bytes after it. The header must be spelled exactly as
+// EncodeRecord writes it, so a padded or re-spelled header is refused
+// like a torn one, and the length is checked before the payload is
+// hashed. On ErrRecordChecksum rest is still the bytes after the
+// record; on the other errors the framing is lost and rest is nil.
+func NextRecord(magic string, data []byte) (payload, rest []byte, err error) {
+	// The longest header: magic, two spaces, the length, the checksum and
+	// the newline.
+	limit := len(magic) + maxLengthDigits + 2*sha256.Size + 3
+	nl := bytes.IndexByte(data[:min(len(data), limit)], '\n')
+	switch {
+	case nl < 0 && len(data) >= limit:
+		return nil, nil, ErrRecordHeader
+	case nl < 0:
+		return nil, nil, ErrRecordTorn
 	}
-	header, payload := data[:nl], data[nl+1:]
-	prefix := fmt.Sprintf("%s %d ", magic, len(payload))
-	if !bytes.HasPrefix(header, []byte(prefix)) {
-		return nil, false
+	header, body := data[:nl], data[nl+1:]
+	if len(header) <= len(magic) || string(header[:len(magic)]) != magic || header[len(magic)] != ' ' {
+		return nil, nil, ErrRecordHeader
 	}
+	header = header[len(magic)+1:]
+	sp := bytes.IndexByte(header, ' ')
+	if sp < 1 || sp > maxLengthDigits || (header[0] == '0' && sp > 1) || len(header)-sp-1 != 2*sha256.Size {
+		return nil, nil, ErrRecordHeader
+	}
+	var n int64
+	for _, c := range header[:sp] {
+		if c < '0' || c > '9' {
+			return nil, nil, ErrRecordHeader
+		}
+		n = 10*n + int64(c-'0')
+	}
+	if n > int64(len(body)) {
+		return nil, nil, ErrRecordTorn
+	}
+	payload, rest = body[:n], body[n:]
 	digest := sha256.Sum256(payload)
-	if string(header[len(prefix):]) != hex.EncodeToString(digest[:]) {
+	var sum [2 * sha256.Size]byte
+	hex.Encode(sum[:], digest[:])
+	if string(header[sp+1:]) != string(sum[:]) {
+		return nil, rest, ErrRecordChecksum
+	}
+	return payload, rest, nil
+}
+
+// DecodeRecord validates a file holding exactly one framed record,
+// returning the payload only when the bytes are exactly what EncodeRecord
+// writes for it.
+func DecodeRecord(magic string, data []byte) ([]byte, bool) {
+	payload, rest, err := NextRecord(magic, data)
+	if err != nil || len(rest) != 0 {
 		return nil, false
 	}
 	return payload, true

@@ -38,9 +38,9 @@ func TestAtomicWriteRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordFraming pins the record format: round trips succeed, and any
+// TestRecordFraming pins the record format: round trips succeed, any
 // single-byte damage (magic, length, checksum, payload, truncation) is
-// rejected.
+// rejected, and records appended back to back split apart.
 func TestRecordFraming(t *testing.T) {
 	payload := []byte(`{"rows":[1,2,3]}`)
 	rec := EncodeRecord("testmagic1", payload)
@@ -63,6 +63,28 @@ func TestRecordFraming(t *testing.T) {
 		if _, ok := DecodeRecord("testmagic1", buf); ok {
 			t.Fatalf("damaged record accepted: %q", buf)
 		}
+	}
+
+	// Back to back, as a log holds them: NextRecord splits the records,
+	// frames past a payload that fails its checksum, and tells a record
+	// cut short from a header it cannot read.
+	second := EncodeRecord("testmagic1", []byte("next"))
+	log := append(append([]byte(nil), rec...), second...)
+	got, rest, err := NextRecord("testmagic1", log)
+	if err != nil || !bytes.Equal(got, payload) || !bytes.Equal(rest, second) {
+		t.Fatalf("NextRecord = %q, %q, %v", got, rest, err)
+	}
+	log[len(rec)-1] ^= 0xff
+	if _, rest, err := NextRecord("testmagic1", log); !errors.Is(err, ErrRecordChecksum) || !bytes.Equal(rest, second) {
+		t.Fatalf("rotted payload: rest %q, err %v; want the next record and ErrRecordChecksum", rest, err)
+	}
+	for _, torn := range [][]byte{second[:5], second[:len(second)-1]} {
+		if _, _, err := NextRecord("testmagic1", torn); !errors.Is(err, ErrRecordTorn) {
+			t.Fatalf("NextRecord(%q) = %v, want ErrRecordTorn", torn, err)
+		}
+	}
+	if _, _, err := NextRecord("testmagic1", []byte("testmagic1 x y\nnext")); !errors.Is(err, ErrRecordHeader) {
+		t.Fatalf("malformed header: %v, want ErrRecordHeader", err)
 	}
 }
 

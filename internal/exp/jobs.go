@@ -313,12 +313,13 @@ func (j *Job) terminal() bool {
 // stays flat no matter how many sweeps a long-lived server has answered.
 //
 // With a Journal attached, every accepted job is durable: its spec is
-// journaled at submission and its status once, when it settles. Quiesce
-// drains in-flight work into resumable interrupted records on shutdown,
-// and Recover re-enqueues every job without a terminal record on boot —
-// resumed sweeps consult the content-addressed store first, so recovery
-// re-simulates only the runs the crash actually lost. Safe for concurrent
-// use.
+// journaled at submission and its status once, when it settles, each one
+// fsynced record appended to the journal's log; retiring a job writes
+// nothing. Quiesce drains in-flight work into resumable interrupted
+// records on shutdown, and Recover re-enqueues every job without a
+// terminal record on boot — resumed sweeps consult the content-addressed
+// store first, so recovery re-simulates only the runs the crash actually
+// lost. Safe for concurrent use.
 type Jobs struct {
 	engine  *Engine
 	workers int
@@ -367,6 +368,15 @@ func NewJobs(engine *Engine, workers, max int, journal *Journal) *Jobs {
 // follows best-effort, also before Submit returns. No status record is
 // written until the job settles: recovery resumes a job without one.
 func (js *Jobs) Submit(spec Spec) (*Job, error) {
+	// A draining registry refuses before it looks at the spec, so a 503
+	// answers any submission once Quiesce has begun.
+	js.mu.Lock()
+	quiescing := js.quiescing
+	js.mu.Unlock()
+	if quiescing {
+		js.met.Add(jobsRejected, 1)
+		return nil, ErrShuttingDown
+	}
 	x, err := spec.Expansion(MaxJobRuns)
 	if err != nil {
 		return nil, err
@@ -378,15 +388,12 @@ func (js *Jobs) Submit(spec Spec) (*Job, error) {
 		js.met.Add(jobsRejected, 1)
 		return nil, ErrShuttingDown
 	}
-	var retired []string
 	for len(js.jobs) >= js.max {
-		id, ok := js.retireOldestLocked()
-		if !ok {
+		if !js.retireOldestLocked() {
 			js.mu.Unlock()
 			js.met.Add(jobsRejected, 1)
 			return nil, ErrTooManyJobs
 		}
-		retired = append(retired, id)
 	}
 	js.seq++
 	if js.journal != nil && js.seq > js.seqReserved {
@@ -408,9 +415,6 @@ func (js *Jobs) Submit(spec Spec) (*Job, error) {
 	js.wg.Add(1)
 	js.mu.Unlock()
 
-	for _, id := range retired {
-		js.journalRemove(id)
-	}
 	if js.journal != nil {
 		// Best-effort durability from here: a failed write degrades to a
 		// job that may not survive a restart, counted in journal_errors,
@@ -496,32 +500,22 @@ func (js *Jobs) journalSettled(j *Job) {
 	}
 }
 
-// journalRemove drops a retired job's records, if a journal is attached.
-func (js *Jobs) journalRemove(id string) {
-	if js.journal != nil {
-		js.journal.Remove(id)
-	}
-}
-
 // Quiesce drains the registry for graceful shutdown: new submissions are
 // rejected, every live job is interrupted (in-flight runs finish and are
 // stored; no new runs are scheduled), and Quiesce returns once every job
 // goroutine has flushed its final journal record — or ctx expires first.
-// After a clean quiesce the journal holds a complete, resumable picture
-// of every job the shutdown cut short.
+// Refusals begin in the same critical section that interrupts the jobs,
+// so a submission refused for the drain proves every job it could have
+// seen is already interrupted. After a
+// clean quiesce the journal holds a complete, resumable picture of every
+// job the shutdown cut short.
 func (js *Jobs) Quiesce(ctx context.Context) error {
 	js.mu.Lock()
 	js.quiescing = true
-	live := make([]*Job, 0, len(js.jobs))
 	for _, id := range js.order {
-		if j, ok := js.jobs[id]; ok {
-			live = append(live, j)
-		}
+		js.jobs[id].interrupt()
 	}
 	js.mu.Unlock()
-	for _, j := range live {
-		j.interrupt()
-	}
 	done := make(chan struct{})
 	go func() {
 		js.wg.Wait()
@@ -537,19 +531,19 @@ func (js *Jobs) Quiesce(ctx context.Context) error {
 
 // Recover replays the journal into the registry: the ID-allocation
 // watermark is restored (so no past ID is ever reissued), jobs with a
-// terminal status record are cleaned up (their results live in the
-// content-addressed store; the IDs answer 410 like any retired job), and
-// every other job — one with no status record (still queued or running
-// when its process died) or an interrupted one — is re-enqueued under its
-// original ID with Resumed set. Resumed sweeps hit the durable store for
-// every run a previous process completed, so recovery re-simulates only
-// lost work. Returns the number of jobs re-enqueued. Call once, before
-// the registry starts serving.
+// terminal status record are counted as retired (their results live in
+// the content-addressed store; the IDs answer 410 like any retired job),
+// and every other job — one with no status record (still queued or
+// running when its process died) or an interrupted one — is re-enqueued
+// under its original ID with Resumed set. Resumed sweeps hit the durable
+// store for every run a previous process completed, so recovery
+// re-simulates only lost work. Returns the number of jobs re-enqueued.
+// Call once, before the registry starts serving.
 func (js *Jobs) Recover() int {
 	if js.journal == nil {
 		return 0
 	}
-	seq, entries := js.journal.Recover()
+	seq, entries, settled := js.journal.Recover()
 	js.mu.Lock()
 	if seq > js.seq {
 		js.seq = seq
@@ -558,14 +552,10 @@ func (js *Jobs) Recover() int {
 	// starts above everything recovered, so the watermark never regresses.
 	js.seqReserved = 0
 	js.mu.Unlock()
+	js.met.Add(jobsRetired, int64(settled))
 
 	resumed := 0
 	for _, e := range entries {
-		if api.JobTerminal(e.Status.Status) {
-			js.journal.Remove(e.ID)
-			js.met.Add(jobsRetired, 1)
-			continue
-		}
 		x, err := e.Spec.Expansion(MaxJobRuns)
 		j := js.newJob(e.Seq, x, true)
 		js.mu.Lock()
@@ -592,11 +582,12 @@ func (js *Jobs) Recover() int {
 	return resumed
 }
 
-// retireOldestLocked drops the oldest terminal job, reporting its ID and
-// whether one existed. Queued and running jobs are never retired: a job a
-// client is still waiting on cannot disappear. Callers must hold js.mu
-// and remove the journal records outside the lock.
-func (js *Jobs) retireOldestLocked() (string, bool) {
+// retireOldestLocked drops the oldest terminal job, reporting whether one
+// existed. Queued and running jobs are never retired: a job a client is
+// still waiting on cannot disappear. The journal is not written: its
+// terminal status record already retires the job at the next boot.
+// Callers must hold js.mu.
+func (js *Jobs) retireOldestLocked() bool {
 	for i, id := range js.order {
 		if !js.jobs[id].terminal() {
 			continue
@@ -604,9 +595,9 @@ func (js *Jobs) retireOldestLocked() (string, bool) {
 		js.order = append(js.order[:i], js.order[i+1:]...)
 		delete(js.jobs, id)
 		js.met.Add(jobsRetired, 1)
-		return id, true
+		return true
 	}
-	return "", false
+	return false
 }
 
 // Get returns a tracked job by ID.

@@ -411,7 +411,7 @@ func TestPackMigratesPerFileLayout(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(root, "jobs"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(root, "jobs", "SEQ"), []byte("journal"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(root, "jobs", "journal.log"), []byte("journal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	want := treeOutsidePack(t, root)

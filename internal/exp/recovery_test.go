@@ -10,13 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exp/fsio"
 	"repro/internal/exp/pack"
-	"repro/pkg/api"
 )
 
 // mustSpec parses a spec document or fails the test.
@@ -76,79 +76,191 @@ func drainJobs(t testing.TB, js *Jobs) {
 	}
 }
 
-// TestJournalRecoverRoundTrip pins the journal's happy path: records
-// round-trip through Recover in sequence order with their status
-// attached, the SEQ watermark wins over the highest spec number, and
-// status records in the older, wider format still decode.
+// logRecords decodes every record of a journal's log, in order, failing
+// the test on any damage.
+func logRecords(t *testing.T, jl *Journal) []journalRecord {
+	t.Helper()
+	data, err := os.ReadFile(jl.logPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journalRecord
+	for len(data) > 0 {
+		payload, rest, err := fsio.NextRecord(journalMagic, data)
+		if err != nil {
+			t.Fatalf("log record %d: %v", len(recs), err)
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			t.Fatalf("log record %d: %v", len(recs), err)
+		}
+		recs = append(recs, rec)
+		data = rest
+	}
+	return recs
+}
+
+// entryIDs lists recovered entries' IDs, in order.
+func entryIDs(entries []journalEntry) []string {
+	ids := make([]string, len(entries))
+	for i, e := range entries {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
+// copyLegacyJobs copies testdata/legacy-jobs, a jobs directory written by
+// the per-file journal of earlier builds, into a fresh directory. It
+// holds an SEQ watermark of 128 and five jobs: job-000001 with a status
+// of running in the wider format still older builds wrote, job-000002
+// canceled in that format, job-000003 with no status, job-000004 done
+// and job-000005 interrupted by a drain.
+func copyLegacyJobs(t *testing.T) string {
+	t.Helper()
+	const src = "testdata/legacy-jobs"
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "jobs")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range names {
+		data, err := os.ReadFile(filepath.Join(src, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, de.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestJournalRecoverRoundTrip pins the journal's happy path: Recover
+// returns the jobs without a terminal status in sequence order with
+// their specs, counts the settled ones, and restores the watermark. A
+// jobs directory written by the per-file journal of earlier builds
+// recovers the same way: its watermark is honoured, its unsettled jobs
+// resume under their IDs, and the boot folds it into the log before the
+// old files go.
 func TestJournalRecoverRoundTrip(t *testing.T) {
 	jl, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := mustSpec(t, `{"scenario": "covert-pnm"}`)
+	spec := mustSpec(t, `{"scenario": "covert-pnm", "grid": {"noise.seed": [1, 2]}}`)
 	if err := jl.RecordSeq(64); err != nil {
 		t.Fatal(err)
 	}
 	// Written out of order: Recover must sort by sequence.
-	if err := jl.RecordSpec("job-000002", spec); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"job-000003", "job-000002", "job-000001"} {
+		if err := jl.RecordSpec(id, spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := jl.RecordSpec("job-000001", spec); err != nil {
-		t.Fatal(err)
-	}
+	// A status that is not terminal still resumes; a terminal one settles.
 	if err := jl.RecordStatus("job-000001", journalStatus{Status: JobRunning}); err != nil {
 		t.Fatal(err)
 	}
-
-	seq, entries := jl.Recover()
-	if seq != 64 {
-		t.Fatalf("recovered seq = %d, want the SEQ watermark 64", seq)
-	}
-	if len(entries) != 2 || entries[0].ID != "job-000001" || entries[1].ID != "job-000002" {
-		t.Fatalf("entries = %+v, want job-000001 then job-000002", entries)
-	}
-	if st := entries[0].Status; st.Status != JobRunning {
-		t.Fatalf("job-000001 status = %+v", st)
-	}
-	// A missing status record recovers as the zero value (queued).
-	if st := entries[1].Status; st.Status != "" {
-		t.Fatalf("job-000002 status = %+v, want zero", st)
+	if err := jl.RecordStatus("job-000003", journalStatus{Status: JobDone}); err != nil {
+		t.Fatal(err)
 	}
 
-	// Older builds rewrote the status record at every transition, with a
-	// progress count and more; only the status decides whether a job
-	// resumes, and it still decodes.
-	old, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
+	seq, entries, settled := jl.Recover()
+	if seq != 64 || settled != 1 {
+		t.Fatalf("recovered seq = %d, settled = %d, want the watermark 64 and 1", seq, settled)
+	}
+	if ids := entryIDs(entries); len(ids) != 2 || ids[0] != "job-000001" || ids[1] != "job-000002" {
+		t.Fatalf("entries = %v, want job-000001 then job-000002", ids)
+	}
+	for _, e := range entries {
+		got, _ := json.Marshal(e.Spec)
+		want, _ := json.Marshal(spec)
+		if !bytes.Equal(got, want) || e.Seq != map[string]int{"job-000001": 1, "job-000002": 2}[e.ID] {
+			t.Fatalf("entry %s = seq %d, spec %s; want spec %s", e.ID, e.Seq, got, want)
+		}
+	}
+
+	// The earlier layout: SEQ, job-*.spec and job-*.status files.
+	dir := copyLegacyJobs(t)
+	old, err := NewJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, payload := range map[string]string{
-		"job-000001": `{"status":"running","completed":3,"resumed":true,"spec_key":"` + strings.Repeat("ab", 32) + `"}`,
-		"job-000002": `{"status":"canceled","completed":1,"error":"exp: job canceled"}`,
+	seq, entries, settled = old.Recover()
+	if seq != 128 || settled != 2 || old.corruptCount() != 0 || old.errorCount() != 0 {
+		t.Fatalf("earlier layout: seq = %d, settled = %d, corrupt = %d, errors = %d; want 128/2/0/0",
+			seq, settled, old.corruptCount(), old.errorCount())
+	}
+	want := []string{"job-000001", "job-000003", "job-000005"}
+	if ids := entryIDs(entries); strings.Join(ids, " ") != strings.Join(want, " ") {
+		t.Fatalf("earlier layout resumes %v, want %v", ids, want)
+	}
+	if e := entries[1]; e.Spec.Scenario != "covert-pum" || len(e.Spec.Grid["noise.seed"]) != 2 {
+		t.Fatalf("job-000003 spec = %+v", e.Spec)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != journalLog {
+		t.Fatalf("jobs dir after the fold holds %d entries, want only %s", len(names), journalLog)
+	}
+	again, err := NewJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq2, entries2, settled2 := again.Recover()
+	if seq2 != seq || strings.Join(entryIDs(entries2), " ") != strings.Join(want, " ") || settled2 != 0 {
+		t.Fatalf("second boot: seq = %d, entries = %v, settled = %d; want %d, %v, 0",
+			seq2, entryIDs(entries2), settled2, seq, want)
+	}
+
+	if testing.Short() {
+		return
+	}
+	// The registry over the earlier layout: the drained job resumes under
+	// its ID, settled ones answer retired, and no ID at or below the old
+	// watermark is issued again.
+	js := NewJobs(NewEngine(), 2, 0, mustJournal(t, copyLegacyJobs(t)))
+	if n := js.Recover(); n != 3 {
+		t.Fatalf("resumed %d jobs from the earlier layout, want 3", n)
+	}
+	for id, want := range map[string]LookupState{
+		"job-000002": LookupRetired, "job-000004": LookupRetired, "job-000005": LookupFound,
+		"job-000128": LookupRetired, "job-000129": LookupUnknown,
 	} {
-		if err := old.RecordSpec(id, spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := fsio.AtomicWrite(old.statusPath(id), fsio.EncodeRecord(journalMagic, []byte(payload))); err != nil {
-			t.Fatal(err)
+		if _, got := js.Lookup(id); got != want {
+			t.Fatalf("Lookup(%s) = %d, want %d", id, got, want)
 		}
 	}
-	_, entries = old.Recover()
-	if len(entries) != 2 || old.corruptCount() != 0 {
-		t.Fatalf("older-format records: entries = %+v, corrupt = %d", entries, old.corruptCount())
+	fresh, err := js.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := entries[0].Status.Status; st != JobRunning || api.JobTerminal(st) {
-		t.Fatalf("older-format running record recovered as %q, want non-terminal running", st)
+	if fresh.seq <= 128 {
+		t.Fatalf("fresh job %s reuses an ID the earlier layout covers", fresh.ID)
 	}
-	if st := entries[1].Status.Status; st != JobCanceled || !api.JobTerminal(st) {
-		t.Fatalf("older-format canceled record recovered as %q, want terminal canceled", st)
+	drainJobs(t, js)
+}
+
+// mustJournal opens a journal over dir or fails the test.
+func mustJournal(t *testing.T, dir string) *Journal {
+	t.Helper()
+	jl, err := NewJournal(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return jl
 }
 
 // TestJournalWritesOnlyWhatRecoveryReads pins the journal's write budget:
-// apart from SEQ, a job's records are its spec, written at submission,
-// and one status record, written when it settles. A job that is still
-// queued or running has no status record — recovery resumes it either way.
+// apart from the watermark, a job's records are its spec, written at
+// submission, and one status record, written when it settles. While the
+// job is queued or running the log holds no status record for it —
+// recovery resumes it either way.
 func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
@@ -163,12 +275,10 @@ func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
 	const total = 40
 	spec := seedSpec(t, total)
 	runs := expandAll(t, spec)
-	jl, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	jl := mustJournal(t, filepath.Join(t.TempDir(), "jobs"))
 	eng := NewEngine()
 	js := NewJobs(eng, 2, 0, jl)
+	js.Recover()
 	release := blockRun(eng, runs[0].Key)
 	j, err := js.Submit(spec)
 	if err != nil {
@@ -180,8 +290,10 @@ func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
 	if n := writes.Load(); n != 0 {
 		t.Fatalf("%d status writes while the job ran, want 0", n)
 	}
-	if _, err := os.Stat(jl.statusPath(j.ID)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("status record of a running job: stat err = %v, want not exist", err)
+	// The watermark, then the spec: nothing about the run's progress.
+	recs := logRecords(t, jl)
+	if len(recs) != 2 || recs[0].Seq != seqChunk+1 || recs[1].ID != j.ID || recs[1].Spec == nil {
+		t.Fatalf("log of a running job = %+v, want its watermark and spec", recs)
 	}
 
 	release(json.RawMessage(`{}`), nil)
@@ -192,131 +304,239 @@ func TestJournalWritesOnlyWhatRecoveryReads(t *testing.T) {
 	if n := writes.Load(); n != 1 {
 		t.Fatalf("%d status writes over the job's life, want 1", n)
 	}
-	if st, ok := jl.readStatus(j.ID); !ok || st.Status != JobDone {
-		t.Fatalf("settled status record = %+v (ok=%v), want done", st, ok)
+	recs = logRecords(t, jl)
+	if len(recs) != 3 || recs[2].ID != j.ID || recs[2].Status != JobDone {
+		t.Fatalf("log of a settled job = %+v, want one more record: its done status", recs)
 	}
 }
 
-// TestJournalHealsCorruption pins the healing contract: corrupt specs are
-// dropped (their files deleted, their sequence numbers still advancing
-// the watermark), corrupt statuses are deleted with the job surviving as
-// queued, orphaned statuses and stray temp files are removed, foreign
-// files are left alone — and a second Recover over the healed directory
-// is clean.
+// TestJournalHealsCorruption pins the healing contract: a record whose
+// checksum fails mid-log is skipped and counted while the records after
+// it survive, a torn tail is dropped, stray temp files are removed and
+// foreign files left alone — and the rewritten log recovers clean.
 func TestJournalHealsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "jobs")
-	jl, err := NewJournal(dir)
-	if err != nil {
+	jl := mustJournal(t, dir)
+	spec := mustSpec(t, `{"scenario": "covert-pnm"}`)
+	if err := jl.RecordSeq(64); err != nil {
 		t.Fatal(err)
 	}
-	spec := mustSpec(t, `{"scenario": "covert-pnm"}`)
-	running := journalStatus{Status: JobRunning}
-	for _, id := range []string{"job-000001", "job-000002", "job-000003"} {
+	for _, id := range []string{"job-000001", "job-000002", "job-000003", "job-000004"} {
 		if err := jl.RecordSpec(id, spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := jl.RecordStatus(id, running); err != nil {
-			t.Fatal(err)
-		}
 	}
-	// job 2: torn status record. job 3: torn spec record.
-	truncate := func(path string) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Rot one payload byte of job 2's spec record, and end the log with
+	// part of a record, as a crash mid-append leaves it.
+	data, err := os.ReadFile(jl.logPath())
+	if err != nil {
+		t.Fatal(err)
 	}
-	truncate(jl.statusPath("job-000002"))
-	truncate(jl.specPath("job-000003"))
-	// Orphaned status (its spec never landed) and a stray mid-write temp.
-	if err := jl.RecordStatus("job-000004", running); err != nil {
+	at := bytes.Index(data, []byte(`"job-000002"`))
+	if at < 0 {
+		t.Fatal("job-000002 spec record not in the log")
+	}
+	data[at+len(`"job-00000`)] = '9'
+	torn := fsio.EncodeRecord(journalMagic, []byte(`{"id":"job-000001","status":"done"}`))
+	data = append(data, torn[:len(torn)-4]...)
+	if err := os.WriteFile(jl.logPath(), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ".tmp-crashed"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A foreign file the journal never wrote must survive untouched.
 	foreign := filepath.Join(dir, "NOTES.txt")
 	if err := os.WriteFile(foreign, []byte("keep"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	seq, entries := jl.Recover()
-	if seq != 3 {
-		t.Fatalf("recovered seq = %d, want 3 (highest spec, corrupt included)", seq)
+	seq, entries, settled := jl.Recover()
+	want := "job-000001 job-000003 job-000004"
+	if ids := strings.Join(entryIDs(entries), " "); seq != 64 || ids != want || settled != 0 {
+		t.Fatalf("recovered seq = %d, entries = %s, settled = %d; want 64, %s, 0", seq, ids, settled, want)
 	}
-	if len(entries) != 2 || entries[0].ID != "job-000001" || entries[1].ID != "job-000002" {
-		t.Fatalf("entries = %+v, want jobs 1 and 2", entries)
+	if n := jl.corruptCount(); n != 1 {
+		t.Fatalf("corrupt_dropped = %d, want 1 (job 2's spec; the torn tail is not counted)", n)
 	}
-	if st := entries[0].Status; st != running {
-		t.Fatalf("job-000001 status = %+v", st)
-	}
-	if st := entries[1].Status; st.Status != "" {
-		t.Fatalf("job-000002 corrupt status recovered as %+v, want zero (queued)", st)
-	}
-	if n := jl.corruptCount(); n != 2 {
-		t.Fatalf("corrupt_dropped = %d, want 2 (one spec, one status)", n)
-	}
-	for _, path := range []string{
-		jl.specPath("job-000003"), jl.statusPath("job-000003"),
-		jl.statusPath("job-000004"), filepath.Join(dir, ".tmp-crashed"),
-	} {
-		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s survived healing", path)
-		}
+	if _, err := os.Stat(filepath.Join(dir, ".tmp-crashed")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("stray temp file survived healing")
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("foreign file removed: %v", err)
 	}
 
-	// Healed means healed: the next boot sees a clean journal.
-	jl2, err := NewJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq2, entries2 := jl2.Recover()
-	if seq2 != seq || len(entries2) != 2 || jl2.corruptCount() != 0 {
-		t.Fatalf("second Recover: seq=%d entries=%d corrupt=%d, want %d/2/0",
-			seq2, len(entries2), jl2.corruptCount(), seq)
+	// Healed means healed: the next boot sees a clean log.
+	jl2 := mustJournal(t, dir)
+	seq2, entries2, _ := jl2.Recover()
+	if ids := strings.Join(entryIDs(entries2), " "); seq2 != seq || ids != want || jl2.corruptCount() != 0 {
+		t.Fatalf("second Recover: seq = %d, entries = %s, corrupt = %d; want %d, %s, 0",
+			seq2, ids, jl2.corruptCount(), seq, want)
 	}
 }
 
-// TestJournalCorruptSeqFallsBack pins the watermark's own healing: a torn
-// SEQ record is deleted and allocation resumes above the highest spec on
-// disk, so IDs still never regress.
+// TestJournalCorruptSeqFallsBack pins the watermark's own healing: a
+// watermark record that fails its checksum is dropped and allocation
+// resumes above the highest job the log names, so IDs still never
+// regress, and the rewritten log carries the repaired watermark.
 func TestJournalCorruptSeqFallsBack(t *testing.T) {
-	jl, err := NewJournal(filepath.Join(t.TempDir(), "jobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	jl := mustJournal(t, filepath.Join(t.TempDir(), "jobs"))
 	if err := jl.RecordSeq(64); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.RecordSpec("job-000007", mustSpec(t, `{"scenario": "covert-pnm"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(jl.seqPath(), []byte("garbage"), 0o644); err != nil {
+	data, err := os.ReadFile(jl.logPath())
+	if err != nil {
 		t.Fatal(err)
 	}
-	seq, entries := jl.Recover()
+	at := bytes.Index(data, []byte(`{"seq":64}`))
+	if at < 0 {
+		t.Fatal("watermark record not at the head of the log")
+	}
+	data[at+len(`{"seq":6`)] = '5'
+	if err := os.WriteFile(jl.logPath(), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seq, entries, _ := jl.Recover()
 	if seq != 7 || len(entries) != 1 {
-		t.Fatalf("recovered seq=%d entries=%d, want 7/1 (spec scan fallback)", seq, len(entries))
+		t.Fatalf("recovered seq=%d entries=%d, want 7/1 (the highest job the log names)", seq, len(entries))
 	}
 	if jl.corruptCount() != 1 {
 		t.Fatalf("corrupt_dropped = %d, want 1", jl.corruptCount())
 	}
 	// The repaired watermark is itself durable: a second crash right after
-	// this boot still cannot regress below the scanned sequence.
-	data, err := os.ReadFile(jl.seqPath())
-	if err != nil {
-		t.Fatalf("repaired SEQ: %v", err)
+	// this boot still cannot regress below it.
+	if recs := logRecords(t, jl); len(recs) != 2 || recs[0].Seq != 7 || recs[1].ID != "job-000007" {
+		t.Fatalf("rewritten log = %+v, want the watermark 7, then job-000007's spec", recs)
 	}
-	if payload, ok := fsio.DecodeRecord(journalMagic, data); !ok || string(payload) != "7" {
-		t.Fatalf("repaired SEQ = %q (ok=%v), want 7", payload, ok)
+}
+
+// TestJournalRewritesToLiveRecords pins the log's rewrite: once many
+// settled jobs have grown the log past compactMinBytes and compactFactor
+// times its live records, a write rewrites it down to the watermark and
+// the unsettled jobs' specs, and Recover returns exactly those jobs and
+// the watermark. A crash at the rewrite, at runtime or at boot, leaves a
+// log that recovers the same jobs and watermark.
+func TestJournalRewritesToLiveRecords(t *testing.T) {
+	// Specs of about 7 KiB grow the log past compactMinBytes in 240 jobs.
+	seeds := make([]string, 1000)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(100000 + i)
 	}
+	spec := mustSpec(t, `{"scenario": "covert-pnm", "grid": {"noise.seed": [`+strings.Join(seeds, ", ")+`]}}`)
+	// fill journals 240 jobs, reserving IDs as Submit does, and settles
+	// all but every 16th; it returns the last watermark and the
+	// unsettled jobs.
+	fill := func(jl *Journal) (seq int, unsettled []string) {
+		for n := 1; n <= 240; n++ {
+			if n > seq {
+				seq = n + seqChunk
+				if err := jl.RecordSeq(seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := formatJobID(n)
+			if err := jl.RecordSpec(id, spec); err != nil {
+				t.Fatal(err)
+			}
+			if n%16 == 0 {
+				unsettled = append(unsettled, id)
+			} else if err := jl.RecordStatus(id, journalStatus{Status: JobDone}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return seq, unsettled
+	}
+	logSize := func(dir string) int64 {
+		fi, err := os.Stat(filepath.Join(dir, journalLog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	recoverSame := func(dir string, seq int, unsettled []string) {
+		t.Helper()
+		got, entries, _ := mustJournal(t, dir).Recover()
+		if ids := strings.Join(entryIDs(entries), " "); got != seq || ids != strings.Join(unsettled, " ") {
+			t.Fatalf("recovered seq = %d, entries = %s; want %d, %s", got, ids, seq, strings.Join(unsettled, " "))
+		}
+	}
+
+	// Every rewrite fails: the log keeps every appended byte, and a boot
+	// whose rewrite fails too leaves it as it was.
+	crashed := filepath.Join(t.TempDir(), "jobs")
+	jl := mustJournal(t, crashed)
+	jl.Recover()
+	fsio.SetFailpoint("journal.rewrite", func() error { return errors.New("injected crash") })
+	defer fsio.SetFailpoint("journal.rewrite", nil)
+	seq, unsettled := fill(jl)
+	appended := logSize(crashed)
+	if appended < compactMinBytes || jl.errorCount() == 0 {
+		t.Fatalf("log grew to %d bytes with %d errors counted; want past %d, with the failed rewrites counted",
+			appended, jl.errorCount(), compactMinBytes)
+	}
+	recoverSame(crashed, seq, unsettled)
+	if n := logSize(crashed); n != appended {
+		t.Fatalf("a failed boot rewrite left %d bytes of %d", n, appended)
+	}
+	fsio.SetFailpoint("journal.rewrite", nil)
+	recoverSame(crashed, seq, unsettled)
+
+	// Rewrites land: the same writes leave a log below compactMinBytes,
+	// and a boot leaves exactly the watermark and the unsettled specs.
+	dir := filepath.Join(t.TempDir(), "jobs")
+	jl = mustJournal(t, dir)
+	jl.Recover()
+	fill(jl)
+	if n := logSize(dir); n >= compactMinBytes {
+		t.Fatalf("log holds %d of %d appended bytes, want a rewrite below %d", n, appended, compactMinBytes)
+	}
+	recoverSame(dir, seq, unsettled)
+	recs := logRecords(t, mustJournal(t, dir))
+	if len(recs) != 1+len(unsettled) || recs[0].Seq != seq {
+		t.Fatalf("log after Recover holds %d records, want the watermark and %d specs", len(recs), len(unsettled))
+	}
+	for i, id := range unsettled {
+		if rec := recs[1+i]; rec.ID != id || rec.Spec == nil {
+			t.Fatalf("log record %d = %s %q, want %s's spec", 1+i, rec.ID, rec.Status, id)
+		}
+	}
+
+	// Eight writers at once, as concurrent submissions and settling jobs
+	// write: the rewrites they set off keep every unsettled spec.
+	dir = filepath.Join(t.TempDir(), "jobs")
+	jl = mustJournal(t, dir)
+	jl.Recover()
+	if err := jl.RecordSeq(seq); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w <= 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; n <= 240; n += 8 {
+				id := formatJobID(n)
+				if err := jl.RecordSpec(id, spec); err != nil {
+					t.Error(err)
+					return
+				}
+				if n%16 == 0 {
+					continue
+				}
+				if err := jl.RecordStatus(id, journalStatus{Status: JobDone}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := logSize(dir); n >= compactMinBytes {
+		t.Fatalf("log holds %d bytes after concurrent writes, want a rewrite below %d", n, compactMinBytes)
+	}
+	recoverSame(dir, seq, unsettled)
 }
 
 // TestCrashAtEveryWriteBoundary is the fault-injection acceptance test
@@ -330,12 +550,15 @@ func TestJournalCorruptSeqFallsBack(t *testing.T) {
 // The pack store has two boundaries: pack.append (the needle write) and
 // pack.index (the index persist — the pack.index-only case is the
 // interesting one, where appends land durably but the index write dies,
-// so a reboot must rebuild them by scanning the bundle tail).
+// so a reboot must rebuild them by scanning the bundle tail). The last
+// boundary, journal.rewrite, is the reboot's own first write: process
+// one runs clean, the reboot dies rewriting the log, and a third boot
+// must recover the same jobs and watermark from the log it left.
 func TestCrashAtEveryWriteBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulating sweeps in -short mode")
 	}
-	boundaries := []string{"journal.seq", "journal.spec", "journal.status", "pack.append", "pack.index"}
+	boundaries := []string{"journal.seq", "journal.spec", "journal.status", "pack.append", "pack.index", "journal.rewrite"}
 	// open persists the index on every mutation so the pack.index boundary
 	// fires during the sweep, not just at Close, and runs no background
 	// goroutine so the crash schedule stays deterministic.
@@ -385,14 +608,15 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 				// Spec/status/store writes are best-effort: the job still runs
 				// (in-memory cache), and every failure is counted — journal
 				// failures in the registry stats, store failures in the
-				// store's own.
+				// store's own. Only the rewrite boundary lets process one run
+				// clean.
 				if info := waitSettled(t, j); info.Status != JobDone {
 					t.Fatalf("job under injected write failures = %+v", info)
 				}
-				if strings.HasPrefix(crashAt, "journal.") && js1.Stats().JournalErrors == 0 {
+				if crashAt != "journal.rewrite" && strings.HasPrefix(crashAt, "journal.") && js1.Stats().JournalErrors == 0 {
 					t.Fatal("failed journal writes were not counted")
 				}
-				if store1.PackStats().Errors == 0 {
+				if crashAt != "journal.rewrite" && store1.PackStats().Errors == 0 {
 					t.Fatal("failed store writes were not counted")
 				}
 			}
@@ -404,6 +628,9 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 			// abandoned, never closed, like a real crash.
 			drainJobs(t, js1)
 			disarm()
+			if crashAt == "journal.rewrite" {
+				fsio.SetFailpoint(crashAt, func() error { return injected })
+			}
 			store2 := open(t, dir)
 			jl2, err := NewJournal(filepath.Join(dir, "jobs"))
 			if err != nil {
@@ -411,6 +638,21 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 			}
 			js2 := NewJobs(NewEngine(WithStore(store2)), 2, 0, jl2)
 			resumed := js2.Recover()
+			if crashAt == "journal.rewrite" {
+				// The reboot died at its rewrite: boot again over the log it
+				// left, which must recover the same jobs and watermark.
+				if js2.Stats().JournalErrors != 1 {
+					t.Fatalf("journal errors = %d, want the failed rewrite", js2.Stats().JournalErrors)
+				}
+				drainJobs(t, js2)
+				disarm()
+				js3 := NewJobs(NewEngine(WithStore(store2)), 2, 0, mustJournal(t, filepath.Join(dir, "jobs")))
+				if n := js3.Recover(); n != resumed || js3.seq != js2.seq || js3.Stats().Retired != js2.Stats().Retired {
+					t.Fatalf("boot after the failed rewrite: resumed %d, seq %d, retired %d; want %d, %d, %d",
+						n, js3.seq, js3.Stats().Retired, resumed, js2.seq, js2.Stats().Retired)
+				}
+				js2 = js3
+			}
 
 			// Partial disk states decode clean or not at all — recovery must
 			// never see (or serve) a corrupt record.
@@ -436,7 +678,7 @@ func TestCrashAtEveryWriteBoundary(t *testing.T) {
 				if info.Status != JobDone || !info.Resumed || info.ID != oldID {
 					t.Fatalf("recovered job = %+v", info)
 				}
-			case "pack.append", "pack.index":
+			case "pack.append", "pack.index", "journal.rewrite":
 				// The terminal status record landed: boot retires it.
 				if resumed != 0 || js2.Stats().Retired != 1 {
 					t.Fatalf("resumed=%d retired=%d, want 0/1", resumed, js2.Stats().Retired)

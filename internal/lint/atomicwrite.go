@@ -5,7 +5,7 @@ import (
 )
 
 // AtomicWrite enforces the crash-safety invariant: every durable artifact
-// under a -data-dir — the job journal's records and the pack store's
+// under a -data-dir — the job journal's log and the pack store's
 // bundles and index — must be published through internal/exp/fsio's
 // fsynced atomic-write discipline, never by raw os file mutation. A raw
 // os.WriteFile survives process death but not power loss (no fsync), a
@@ -16,9 +16,10 @@ import (
 //
 // The analyzer forbids os.WriteFile, os.Create, os.CreateTemp, os.Rename,
 // and os.MkdirAll inside repro/internal/exp and repro/internal/exp/pack.
-// os.OpenFile stays legal: the pack engine's append-only bundles are an
-// explicitly reviewed fsync discipline of their own, pinned by the
-// crash-at-every-write-boundary tests. The fsio package itself is exempt
+// os.OpenFile stays legal: the pack engine's append-only bundles and the
+// job journal's append-only log are an explicitly reviewed fsync
+// discipline of their own, pinned by the crash-at-every-write-boundary
+// tests. The fsio package itself is exempt
 // — it is the one place the raw primitives are allowed to live.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",

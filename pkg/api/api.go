@@ -253,8 +253,8 @@ type PackStats struct {
 
 // JobsStats is the async-job-registry section of /v1/metrics. Tracked is
 // current registry occupancy; Retired counts terminal jobs dropped FIFO
-// to admit new submissions (plus terminal journal records cleaned up at
-// boot). Resumed counts jobs re-enqueued from the journal after a
+// to admit new submissions (plus jobs a boot finds settled in the
+// journal). Resumed counts jobs re-enqueued from the journal after a
 // restart, and RunsSkippedOnResume counts their runs served from the
 // durable store instead of re-simulated — recovery cost is proportional
 // only to the work actually lost. JournalErrors and JournalCorruptDropped
